@@ -316,10 +316,10 @@ def factorize(b: RealizationBundle, c: CircleContour,
     worst_agree = 0.0
     for z in samples:
         z = complex(z)
-        product = eval_R(plus, z) @ eval_R(minus, z)
+        r_minus = eval_R(minus, z)
+        product = eval_R(plus, z) @ r_minus
         worst_prod = max(worst_prod, frobenius(product - eval_R(b, z)))
-        worst_agree = max(worst_agree,
-                          frobenius(eval_R(minus, z) - minus_alt(z)))
+        worst_agree = max(worst_agree, frobenius(r_minus - minus_alt(z)))
     report.add("product_at_samples", worst_prod, fail_tol)
     report.add("minus_formula_agreement", worst_agree, agree_tol)
 

@@ -1,12 +1,18 @@
 """Dense complex linear algebra on small matrices.
 
-Everything here is hand-rolled LU with partial pivoting rather than a
-LAPACK call because the callers need to know *which* pivot died: the
+`inverse` (and through it `cond_frobenius` and `block_inverse_2x2`)
+computes with LAPACK's `numpy.linalg.inv`, but only hands that result
+back when it proves that no pivot of the hand LU below could have died:
+under partial pivoting every multiplier is at most 1 in magnitude, so
+each pivot satisfies |u_kk| >= 1/(n·‖A⁻¹‖∞), and a finite inverse with
+n·‖A⁻¹‖∞ well below 1/pivot_eps rules a dead pivot out. Everything else
+(a LAPACK failure, a non-finite result, an inverse too large for that
+proof) falls back to the hand-rolled LU with partial pivoting, which
+stays the arbiter of singularity: a SingularMatrixError always comes
+from `lu_factor` and reports *which* pivot died, because the
 factorization-existence criterion downstream branches on whether the
-upper-left coupling block or its Schur complement went singular, and a
-library solve cannot report that. Matrices stay tiny (n below a few
-dozen), so simplicity wins over asymptotics; numpy supplies storage and
-elementwise arithmetic only.
+upper-left coupling block or its Schur complement went singular.
+`lu_factor`, `solve`, `determinant` and `rank` are hand LU throughout.
 """
 
 from __future__ import annotations
@@ -158,10 +164,27 @@ def solve(a, b, pivot_eps: float | None = None) -> np.ndarray:
 
 
 def inverse(a, pivot_eps: float | None = None) -> np.ndarray:
+    """Inverse by LAPACK when provably no hand-LU pivot dies, else hand LU.
+
+    The LAPACK result is returned only when it is finite and
+    n·‖A⁻¹‖∞·eps < 0.1, where eps is the larger of pivot_eps and the
+    default PIVOT_EPS_FACTOR·‖A‖∞. Otherwise the inverse comes from
+    lu_factor, which raises SingularMatrixError with its pivot_index.
+    """
     a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    n = a.shape[0]
+    if n != a.shape[1]:
         raise DimensionMismatchError(f"inverse needs a square matrix, got {a.shape}")
-    return solve(a, identity(a.shape[0]), pivot_eps)
+    eps = PIVOT_EPS_FACTOR * norm_inf(a)
+    if pivot_eps is not None:
+        eps = max(eps, pivot_eps)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        inv = None
+    if inv is not None and np.isfinite(inv).all() and n * norm_inf(inv) * eps < 0.1:
+        return inv
+    return solve(a, identity(n), pivot_eps)
 
 
 def determinant(a) -> complex:
@@ -201,6 +224,15 @@ def rank(a, rank_eps: float = RANK_EPS) -> int:
     m, n = a.shape
     if a.size == 0:
         return 0
+    peak = float(np.abs(a).max())
+    if peak == 0.0:
+        return 0
+    # scale by an exact power of two so the largest entry lies in
+    # [0.5, 1): a subnormal pivot would overflow the complex division
+    # below into NaN, and NaN comparisons would count every column
+    shift = -int(np.frexp(peak)[1])
+    np.ldexp(a.real, shift, out=a.real)
+    np.ldexp(a.imag, shift, out=a.imag)
     threshold = rank_eps * float(np.abs(a).max())
     if threshold == 0.0:
         return 0

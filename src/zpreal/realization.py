@@ -10,10 +10,12 @@ n-by-n matrices built from opposite halves of the data,
 are mutually inverse whenever the data is consistent, and their
 inverses (the coupling matrices Sr = Hl, Sl = Hr, as closed forms) tie
 the two halves together: each half can be recovered from the other
-through Sr or Sl. This module computes those matrices two independent
-ways, packages them with diagnostics into a RealizationBundle, and
-evaluates the function, its inverse, their joint products, and the
-hybrid rearrangements straight from the coupling data.
+through Sr or Sl. This module computes those closed forms once (Hr and
+Hl are the same arrays as Sl and Sr), cross-checks them against the
+entrywise Sylvester solve, packages them with diagnostics into a
+RealizationBundle, and evaluates the function, its inverse, their joint
+products, and the hybrid rearrangements straight from the coupling
+data.
 
 Everything fails closed: data whose diagnostics exceed fail_tol
 describes no function and is rejected at build time.
@@ -132,8 +134,8 @@ class RealizationBundle:
     """Zero-pole data plus everything derived from it.
 
     diagnostics maps residual names to values; all of them passed
-    fail_tol at build time. Sr_inv and Sl_inv come from LU solves, never
-    from the closed forms of Hr/Hl, so mutual inverseness stays an
+    fail_tol at build time. Sr_inv and Sl_inv come from linalg.inverse,
+    never from the closed forms of Hr/Hl, so mutual inverseness stays an
     executable check instead of a tautology.
     """
 
@@ -163,13 +165,23 @@ def build_bundle(d: ZeroPoleData, fail_tol: float = FAIL_TOL) -> RealizationBund
     diagnostic above fail_tol means the four semiresidual matrices do
     not describe a function and its inverse, and the build refuses.
     """
-    hr, hl = core_matrices(d)
+    return _build_bundle(d, fail_tol)
+
+
+def _build_bundle(d: ZeroPoleData, fail_tol: float = FAIL_TOL,
+                  known=None) -> RealizationBundle:
+    """build_bundle, reusing a caller's inversion.
+
+    known is None or a pair (S, S⁻¹) the caller has already computed;
+    S⁻¹ serves as the inverse of each coupling matrix that equals S
+    bitwise, and every other inverse is computed here.
+    """
     sr, sl = coupling_matrices(d)
+    # the core matrices share the closed forms of the coupling matrices
+    hr, hl = sl, sr
 
     gnfp = d.G_N @ d.F_P
     gpfn = d.G_P @ d.F_N
-    a_p = np.diag(d.poles) if d.n else np.zeros((0, 0), dtype=np.complex128)
-    a_n = np.diag(d.zeros) if d.n else np.zeros((0, 0), dtype=np.complex128)
 
     # independent route: solve the two Sylvester equations entrywise
     sr_solved = sylvester_diag_solve(d.zeros, d.poles, gnfp)
@@ -177,14 +189,15 @@ def build_bundle(d: ZeroPoleData, fail_tol: float = FAIL_TOL) -> RealizationBund
 
     eye = identity(d.n)
     diagnostics = {
-        "sylvester_r": frobenius(a_n @ sr - sr @ a_p - gnfp),
-        "sylvester_l": frobenius(a_p @ sl - sl @ a_n - gpfn),
+        "sylvester_r": frobenius(
+            d.zeros[:, None] * sr - sr * d.poles[None, :] - gnfp),
+        "sylvester_l": frobenius(
+            d.poles[:, None] * sl - sl * d.zeros[None, :] - gpfn),
         "closed_vs_solved": max(
             frobenius(sr - sr_solved), frobenius(sl - sl_solved)
         ),
+        # Hr·Hl and Hl·Hr are these same two products
         "mutual_inverse": max(
-            frobenius(hr @ hl - eye),
-            frobenius(hl @ hr - eye),
             frobenius(sr @ sl - eye),
             frobenius(sl @ sr - eye),
         ),
@@ -209,9 +222,14 @@ def build_bundle(d: ZeroPoleData, fail_tol: float = FAIL_TOL) -> RealizationBund
             diagnostics=diagnostics,
         )
 
+    def invert(s: np.ndarray) -> np.ndarray:
+        if known is not None and np.array_equal(s, known[0]):
+            return known[1]
+        return inverse(s)
+
     try:
-        sr_inv = inverse(sr)
-        sl_inv = inverse(sl)
+        sr_inv = invert(sr)
+        sl_inv = invert(sl)
     except SingularMatrixError as exc:
         raise InconsistentDataError(
             f"coupling matrix not invertible ({exc})", diagnostics=diagnostics

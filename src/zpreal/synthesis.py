@@ -33,12 +33,14 @@ from .errors import (
     DomainViolationError,
     GenerationFailedError,
     SingularCouplingError,
+    SingularMatrixError,
     ValidationError,
 )
-from .linalg import RANK_EPS, cond_frobenius, frobenius, identity, inverse, rank
+from .linalg import RANK_EPS, frobenius, identity, inverse, rank
 from .report import Report
 from .realization import (
     RealizationBundle,
+    _build_bundle,
     build_bundle,
     eval_R,
     eval_Rinv,
@@ -99,18 +101,21 @@ class SynthesisInput:
         if not (np.isfinite(f).all() and np.isfinite(g).all()
                 and np.isfinite(lam).all() and np.isfinite(mu).all()):
             raise ValidationError("non-finite synthesis input")
-        for j in range(n):
-            if not np.abs(f[:, j]).max() > 0:
+        f_zero = ~(np.abs(f).max(axis=0) > 0)
+        g_zero = ~(np.abs(g).max(axis=1) > 0)
+        if (f_zero | g_zero).any():
+            j = int(np.argmax(f_zero | g_zero))
+            if f_zero[j]:
                 raise ValidationError(f"column {j} of F is zero")
-            if not np.abs(g[j, :]).max() > 0:
-                raise ValidationError(f"row {j} of G is zero")
+            raise ValidationError(f"row {j} of G is zero")
         pts = np.concatenate([lam, mu])
-        for i in range(pts.size):
-            for j in range(i + 1, pts.size):
-                if abs(pts[i] - pts[j]) < SEP_MIN:
-                    raise ValidationError(
-                        f"points {i} and {j} closer than {SEP_MIN:.1e}"
-                    )
+        close = np.abs(pts[:, None] - pts[None, :]) < SEP_MIN
+        pairs = np.argwhere(np.triu(close, 1))
+        if pairs.size:
+            i, j = pairs[0]
+            raise ValidationError(
+                f"points {i} and {j} closer than {SEP_MIN:.1e}"
+            )
 
     @property
     def k(self) -> int:
@@ -122,7 +127,13 @@ class SynthesisInput:
 
 
 def _coupling_or_raise(s: np.ndarray, cond_max: float) -> np.ndarray:
-    cond = cond_frobenius(s)
+    """S⁻¹, from the one inversion that also gives cond_F(S) as
+    cond_frobenius would."""
+    try:
+        s_inv = inverse(s)
+        cond = frobenius(s) * frobenius(s_inv) if s.size else 1.0
+    except SingularMatrixError:
+        cond = float("inf")
     if not math.isfinite(cond) or cond > cond_max:
         raise SingularCouplingError(
             f"synthesized coupling matrix has condition {cond:.3e} "
@@ -130,15 +141,16 @@ def _coupling_or_raise(s: np.ndarray, cond_max: float) -> np.ndarray:
             f"extend to a consistent instance",
             cond=cond,
         )
-    return inverse(s)
+    return s_inv
 
 
 def synthesize(inp: SynthesisInput,
                cond_max: float = DEFAULT_COND_MAX) -> RealizationBundle:
     """Extend (F_P, G_N) = (F, G) to full consistent data.
 
-    The synthesized bundle satisfies Sr == S for the Sylvester solution
-    S computed here, by construction.
+    The synthesized bundle satisfies Sr == S bitwise for the Sylvester
+    solution S computed here, so the inverse taken for the condition
+    check is the bundle's Sr_inv.
     """
     s = sylvester_diag_solve(inp.zero_points, inp.pole_points,
                              inp.G @ inp.F)
@@ -151,7 +163,7 @@ def synthesize(inp: SynthesisInput,
         F_N=inp.F @ s_inv,
         G_N=inp.G,
     )
-    return build_bundle(data)
+    return _build_bundle(data, known=(s, s_inv))
 
 
 def synthesize_hybrid(inp: SynthesisInput,
@@ -159,7 +171,8 @@ def synthesize_hybrid(inp: SynthesisInput,
     """Extend (F_N, G_P) = (F, G) to full consistent data (mirror route).
 
     Here the Sylvester solution plays the role of Sl; the bundle built
-    from the completed data satisfies Sl == S.
+    from the completed data satisfies Sl == S bitwise, and S's inverse
+    becomes its Sl_inv.
     """
     s = sylvester_diag_solve(inp.pole_points, inp.zero_points,
                              inp.G @ inp.F)
@@ -172,7 +185,7 @@ def synthesize_hybrid(inp: SynthesisInput,
         F_N=inp.F,
         G_N=-(s_inv @ inp.G),
     )
-    return build_bundle(data)
+    return _build_bundle(data, known=(s, s_inv))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,16 +316,18 @@ class GeneratorGeometry:
 
 
 def _draw_separated(rng, count: int, radius: float, min_sep: float):
-    pts: list[complex] = []
+    pts = np.empty(count, dtype=np.complex128)
+    accepted = 0
     budget = 400 * max(count, 1)
     for _ in range(budget):
         r = radius * math.sqrt(rng.uniform())
         ang = rng.uniform(0.0, 2.0 * math.pi)
         z = complex(r * math.cos(ang), r * math.sin(ang))
-        if all(abs(z - w) >= min_sep for w in pts):
-            pts.append(z)
-            if len(pts) == count:
-                return np.array(pts, dtype=np.complex128)
+        if not accepted or np.abs(pts[:accepted] - z).min() >= min_sep:
+            pts[accepted] = z
+            accepted += 1
+            if accepted == count:
+                return pts
     return None
 
 

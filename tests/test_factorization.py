@@ -96,6 +96,21 @@ def test_factor_product_reproduces_function():
             assert frobenius(prod - rz.eval_R(b, z)) < 1e-7
 
 
+def test_factorize_verification_evaluates_each_factor_once_per_sample(monkeypatch):
+    b = balanced_instance(2, 3, 3, seed=88)
+    calls = []
+
+    def counting_eval_R(bundle, z):
+        calls.append(z)
+        return rz.eval_R(bundle, z)
+
+    monkeypatch.setattr(fz, "eval_R", counting_eval_R)
+    res = fz.factorize(b, UNIT, n_samples=40)
+    assert res.report.passed
+    # R+, R- and R itself at each of the 40 sample points
+    assert len(calls) == 120
+
+
 def test_factor_data_maps_back_through_permutation():
     b = balanced_instance(3, 2, 2, seed=13)
     res = fz.factorize(b, UNIT)

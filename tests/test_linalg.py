@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from zpreal.errors import (
@@ -18,6 +18,7 @@ from zpreal.linalg import (
     identity,
     inverse,
     lu_factor,
+    lu_solve,
     matmul,
     rank,
     solve,
@@ -151,6 +152,49 @@ def test_inverse_involution():
     assert_allclose(inverse(inverse(a)), a, atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_inverse_agrees_with_hand_lu(n):
+    rng = np.random.default_rng(100 + n)
+    a = random_complex(rng, n, n)
+    hand = lu_solve(lu_factor(a), identity(n))
+    cond = frobenius(a) * frobenius(hand)
+    assert frobenius(inverse(a) - hand) <= 1e-12 * cond * frobenius(hand)
+
+
+def test_inverse_well_conditioned_is_lapack_result():
+    rng = np.random.default_rng(12)
+    a = random_complex(rng, 6, 6) + 3 * identity(6)
+    np.testing.assert_array_equal(inverse(a), np.linalg.inv(a))
+
+
+@pytest.mark.parametrize("a, pivot", [
+    (np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), 1),
+    (np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0 + 1e-14]]), 2),
+])
+def test_inverse_near_singular_still_raises_hand_lu_pivot(a, pivot):
+    # LAPACK inverts these to finite (huge) values; the hand LU decides
+    assert np.isfinite(np.linalg.inv(a)).all()
+    with pytest.raises(SingularMatrixError) as from_lu:
+        lu_factor(a)
+    with pytest.raises(SingularMatrixError) as from_inverse:
+        inverse(a)
+    assert from_inverse.value.pivot_index == from_lu.value.pivot_index == pivot
+    assert from_inverse.value.pivot_magnitude == from_lu.value.pivot_magnitude
+    assert cond_frobenius(a) == float("inf")
+
+
+def test_inverse_respects_explicit_pivot_eps():
+    a = np.diag([1.0, 1e-6])
+    assert_allclose(inverse(a), np.diag([1.0, 1e6]))
+    with pytest.raises(SingularMatrixError) as info:
+        inverse(a, pivot_eps=1e-3)
+    assert info.value.pivot_index == 1
+
+
+def test_inverse_empty_matrix():
+    assert inverse(np.zeros((0, 0))).shape == (0, 0)
+
+
 def test_determinant_against_numpy():
     rng = np.random.default_rng(5)
     for n in (1, 2, 5):
@@ -209,6 +253,7 @@ def test_rank_rectangular_and_deficient():
     st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=3, max_size=3),
     st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=3, max_size=3),
 )
+@example(fs=[0.0, 0.0, 1.0], gs=[0.0, 0.0, 2.225e-313])
 def test_rank_one_property(fs, gs):
     f = np.asarray(fs, dtype=complex)
     g = np.asarray(gs, dtype=complex)
@@ -261,6 +306,25 @@ def test_block_inverse_singular_schur_distinguished():
     )
     with pytest.raises(SingularSchurError):
         block_inverse_2x2(m)
+
+
+def test_block_inverse_near_singular11_distinguished():
+    # LAPACK inverts the 11 block to finite values; it is still refused
+    m11 = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    assert np.isfinite(np.linalg.inv(m11)).all()
+    m = Block2x2(m11, identity(2), identity(2), np.zeros((2, 2)))
+    with pytest.raises(Singular11Error) as info:
+        block_inverse_2x2(m)
+    assert info.value.pivot_index == 1
+
+
+def test_block_inverse_near_singular_schur_distinguished():
+    # Schur complement [[1, 1], [1, 1 + 1e-15]] - I·I⁻¹·I: nearly singular
+    m22 = np.array([[2.0, 1.0], [1.0, 2.0 + 1e-15]])
+    m = Block2x2(identity(2), identity(2), identity(2), m22)
+    with pytest.raises(SingularSchurError) as info:
+        block_inverse_2x2(m)
+    assert info.value.pivot_index == 1
 
 
 def test_block_inverse_empty_split_degenerates_to_plain_inverse():

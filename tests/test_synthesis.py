@@ -1,5 +1,7 @@
 """Synthesis routes, the chain function, and random instance generation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,94 @@ def test_synthesized_coupling_is_sylvester_solution():
     d = b.data
     s = sy.sylvester_diag_solve(d.zeros, d.poles, d.G_N @ d.F_P)
     np.testing.assert_array_equal(b.Sr, s)
+
+
+def test_synthesize_hands_its_inverse_to_the_bundle():
+    rng = np.random.default_rng(21)
+    for n in (1, 5, 17):
+        inp = sy.SynthesisInput(
+            F=random_complex(rng, 2, n), G=random_complex(rng, n, 2),
+            pole_points=np.arange(n) * 0.3, zero_points=np.arange(n) * 0.3 + 0.1j)
+        s = sy.sylvester_diag_solve(inp.zero_points, inp.pole_points,
+                                    inp.G @ inp.F)
+        b = sy.synthesize(inp)
+        np.testing.assert_array_equal(b.Sr, s)
+        np.testing.assert_array_equal(b.Sr_inv, inverse(s))
+        np.testing.assert_array_equal(b.Sl_inv, inverse(b.Sl))
+
+
+def test_synthesize_hybrid_hands_its_inverse_to_the_bundle():
+    rng = np.random.default_rng(22)
+    for n in (1, 5, 17):
+        inp = sy.SynthesisInput(
+            F=random_complex(rng, 2, n), G=random_complex(rng, n, 2),
+            pole_points=np.arange(n) * 0.3, zero_points=np.arange(n) * 0.3 + 0.1j)
+        s = sy.sylvester_diag_solve(inp.pole_points, inp.zero_points,
+                                    inp.G @ inp.F)
+        b = sy.synthesize_hybrid(inp)
+        np.testing.assert_array_equal(b.Sl, s)
+        np.testing.assert_array_equal(b.Sl_inv, inverse(s))
+        np.testing.assert_array_equal(b.Sr_inv, inverse(b.Sr))
+
+
+def test_synthesis_input_error_messages():
+    def message(f, g, lam, mu):
+        with pytest.raises(ValidationError) as exc:
+            sy.SynthesisInput(F=np.asarray(f), G=np.asarray(g),
+                              pole_points=lam, zero_points=mu)
+        return str(exc.value)
+
+    lam, mu = [0.0, 1.0, 2.0], [3.0, 4.0, 5.0]
+    f = np.ones((2, 3))
+    g = np.ones((3, 2))
+    f_zero = f.copy()
+    f_zero[:, 2] = 0.0
+    g_zero = g.copy()
+    g_zero[1, :] = 0.0
+    assert message(f_zero, g, lam, mu) == "column 2 of F is zero"
+    assert message(f, g_zero, lam, mu) == "row 1 of G is zero"
+    # a zero row of G is reported before a zero column of F further on
+    assert message(f_zero, g_zero, lam, mu) == "row 1 of G is zero"
+    # at the same index the F column comes first
+    g_zero2 = g.copy()
+    g_zero2[2, :] = 0.0
+    assert message(f_zero, g_zero2, lam, mu) == "column 2 of F is zero"
+    # the first close pair in (i, j) order, over poles then zeros
+    assert (message(f, g, [0.0, 1.0, 3.0], [3.0, 1.0, 5.0])
+            == "points 1 and 4 closer than 1.0e-06")
+    assert (message(f, g, [0.0, 1.0, 2.0], [2.0, 5.0, 1e-7])
+            == "points 0 and 5 closer than 1.0e-06")
+
+
+def _draw_separated_reference(rng, count, radius, min_sep):
+    pts = []
+    for _ in range(400 * max(count, 1)):
+        r = radius * math.sqrt(rng.uniform())
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        z = complex(r * math.cos(ang), r * math.sin(ang))
+        if all(abs(z - w) >= min_sep for w in pts):
+            pts.append(z)
+            if len(pts) == count:
+                return np.array(pts, dtype=np.complex128)
+    return None
+
+
+@pytest.mark.parametrize("count, radius, min_sep", [
+    (1, 2.0, 0.05), (16, 2.0, 0.05), (64, 2.0, 0.05), (256, 2.0, 0.05),
+    (12, 1.0, 0.35), (3, 0.1, 0.5),
+])
+def test_draw_separated_matches_reference_loop(count, radius, min_sep):
+    for seed in range(6):
+        rng_a = np.random.default_rng(seed)
+        rng_b = np.random.default_rng(seed)
+        got = sy._draw_separated(rng_a, count, radius, min_sep)
+        want = _draw_separated_reference(rng_b, count, radius, min_sep)
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want)
+        # the generator state after the draw is the same too
+        assert rng_a.uniform() == rng_b.uniform()
 
 
 def test_synthesis_input_validation():
