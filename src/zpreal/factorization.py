@@ -35,15 +35,14 @@ from .errors import (
     ValidationError,
     VerificationFailedError,
 )
-from .linalg import (
-    Block2x2,
-    block_inverse_2x2,
-    cond_frobenius,
-    frobenius,
-    identity,
-    solve,
+from .linalg import cond_frobenius, frobenius, identity, inverse
+from .realization import (
+    RealizationBundle,
+    _form,
+    _weights,
+    build_bundle,
+    eval_R,
 )
-from .realization import RealizationBundle, build_bundle, eval_R
 from .report import Report
 from .synthesis import SynthesisInput, synthesize, synthesize_hybrid
 from .zero_pole import FAIL_TOL, ZeroPoleData
@@ -206,6 +205,11 @@ def _sample_ring(c: CircleContour, singular: np.ndarray, count: int):
     return best
 
 
+def _worst_frobenius(stack: np.ndarray) -> float:
+    """Largest Frobenius norm among a stack of matrices; 0.0 if empty."""
+    return float(np.sqrt((np.abs(stack) ** 2).sum(axis=(1, 2))).max(initial=0.0))
+
+
 def factorize(b: RealizationBundle, c: CircleContour,
               boundary_eps: float = BOUNDARY_EPS,
               cond_max: float = COND_MAX,
@@ -230,7 +234,16 @@ def factorize(b: RealizationBundle, c: CircleContour,
     # columns follow poles
     s_perm = b.Sr[np.ix_(n_ord, p_ord)]
     s11 = s_perm[:n_plus, :n_plus]
-    cond_s11 = cond_frobenius(s11)
+    s12 = s_perm[:n_plus, n_plus:]
+    s21 = s_perm[n_plus:, :n_plus]
+    s22 = s_perm[n_plus:, n_plus:]
+    # S11 is inverted once: the same inverse gives its condition number
+    # (as cond_frobenius would) and the Schur complement below
+    try:
+        inv11 = inverse(s11)
+        cond_s11 = frobenius(s11) * frobenius(inv11) if n_plus else 1.0
+    except SingularMatrixError:
+        cond_s11 = math.inf
     if not math.isfinite(cond_s11) or cond_s11 > cond_max:
         raise NoFactorizationError(
             f"leading coupling block has condition {cond_s11:.3e} "
@@ -266,26 +279,18 @@ def factorize(b: RealizationBundle, c: CircleContour,
 
     # independent outside factor through the Schur complement of the
     # permuted coupling matrix
+    w12 = inv11 @ s12
+    w21 = s21 @ inv11
     try:
-        blocks = Block2x2.split(s_perm, n_plus)
-        inv_blocks = block_inverse_2x2(blocks)
+        delta_inv = inverse(s22 - w21 @ s12)
     except SingularMatrixError as exc:
         raise NoFactorizationError(
-            f"block inversion of the permuted coupling matrix failed: "
-            f"{exc}", cond=cond_s11) from exc
-    delta_inv = inv_blocks.m22
-    w12 = solve(blocks.m11, blocks.m12) if n_plus else blocks.m12
-    w21 = solve(blocks.m11.T, blocks.m21.T).T if n_plus else blocks.m21
+            f"the Schur complement of the leading coupling block is not "
+            f"invertible: {exc}", cond=cond_s11) from exc
     u = np.vstack([-w12, identity(n_minus)])
     v = np.hstack([-w21, identity(n_minus)])
     fp_alt = d.F_P[:, p_ord] @ u
     gn_alt = v @ d.G_N[n_ord, :]
-
-    def minus_alt(z: complex) -> np.ndarray:
-        if n_minus == 0:
-            return identity(d.k)
-        w = 1.0 / (z - lam_out)
-        return identity(d.k) - (fp_alt * w[None, :]) @ (delta_inv @ gn_alt)
 
     report = Report()
     report.info["cond_S11"] = cond_s11
@@ -296,9 +301,8 @@ def factorize(b: RealizationBundle, c: CircleContour,
     # the permuted parent matrix
     coins_plus = (frobenius(plus.Sr - s11) / max(frobenius(s11), 1.0)
                   if n_plus else 0.0)
-    sl22 = inv_blocks.m22 if n_minus else np.zeros((0, 0))
-    coins_minus = (frobenius(minus.Sl - np.asarray(sl22))
-                   / max(frobenius(np.asarray(sl22)), 1.0)
+    coins_minus = (frobenius(minus.Sl - delta_inv)
+                   / max(frobenius(delta_inv), 1.0)
                    if n_minus else 0.0)
     report.add("plus_coupling_inherited", coins_plus, 1e-9)
     report.add("minus_coupling_inherited", coins_minus, 1e-9)
@@ -312,14 +316,13 @@ def factorize(b: RealizationBundle, c: CircleContour,
     report.add("factor_singularities_on_own_side", float(misplaced), 0.5)
 
     samples = _sample_ring(c, d.poles, n_samples)
-    worst_prod = 0.0
-    worst_agree = 0.0
-    for z in samples:
-        z = complex(z)
-        r_minus = eval_R(minus, z)
-        product = eval_R(plus, z) @ r_minus
-        worst_prod = max(worst_prod, frobenius(product - eval_R(b, z)))
-        worst_agree = max(worst_agree, frobenius(r_minus - minus_alt(z)))
+    r_minus = eval_R(minus, samples)
+    r_plus = eval_R(plus, samples)
+    r_full = eval_R(b, samples)
+    minus_alt = _form(d.k, -1.0, fp_alt, _weights(samples, lam_out),
+                      delta_inv @ gn_alt)
+    worst_prod = _worst_frobenius(r_plus @ r_minus - r_full)
+    worst_agree = _worst_frobenius(r_minus - minus_alt)
     report.add("product_at_samples", worst_prod, fail_tol)
     report.add("minus_formula_agreement", worst_agree, agree_tol)
 

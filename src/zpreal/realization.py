@@ -17,6 +17,13 @@ RealizationBundle, and evaluates the function, its inverse, their joint
 products, and the hybrid rearrangements straight from the coupling
 data.
 
+All eight evaluators share one kernel, I + scale·F·diag(u)·[M·diag(v)]·G.
+Each takes a point and returns a k×k array, or a 1-d array of M points
+(M pairs for the two-point forms) and returns an M×k×k stack in one
+vectorized pass. The half-products they need (Sr⁻¹G_N, F_P·Sr⁻¹,
+Sl⁻¹G_P, F_N·Sl⁻¹) are cached on the bundle the first time an
+evaluator asks for them, so building a bundle computes none of them.
+
 Everything fails closed: data whose diagnostics exceed fail_tol
 describes no function and is rejected at build time.
 """
@@ -24,14 +31,18 @@ describes no function and is rejected at build time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .cauchy import EVAL_EPS
 from .errors import (
     CollisionError,
     InconsistentDataError,
+    PoleHitError,
     SingularMatrixError,
     SpectraOverlapError,
+    ValidationError,
 )
 from .linalg import frobenius, identity, inverse
 from .report import Report
@@ -40,7 +51,6 @@ from .zero_pole import (
     REPORT_TOL,
     SEP_MIN,
     ZeroPoleData,
-    _check_clear,
 )
 
 __all__ = [
@@ -157,6 +167,25 @@ class RealizationBundle:
     def n(self) -> int:
         return self.data.n
 
+    # The half-products the evaluators share, computed on first use so
+    # that a bundle nobody evaluates pays nothing for them.
+
+    @cached_property
+    def Sr_inv_G_N(self) -> np.ndarray:
+        return self.Sr_inv @ self.data.G_N
+
+    @cached_property
+    def F_P_Sr_inv(self) -> np.ndarray:
+        return self.data.F_P @ self.Sr_inv
+
+    @cached_property
+    def Sl_inv_G_P(self) -> np.ndarray:
+        return self.Sl_inv @ self.data.G_P
+
+    @cached_property
+    def F_N_Sl_inv(self) -> np.ndarray:
+        return self.data.F_N @ self.Sl_inv
+
 
 def build_bundle(d: ZeroPoleData, fail_tol: float = FAIL_TOL) -> RealizationBundle:
     """Compute all realization matrices and fail closed on bad data.
@@ -264,103 +293,109 @@ def check_coupling_relations(b: RealizationBundle,
 # is the executable content of the whole construction.
 
 
-def eval_R(b: RealizationBundle, z: complex) -> np.ndarray:
+def _weights(z, points: np.ndarray) -> np.ndarray:
+    """1/(z - points) after the clearance check, for one point or a
+    1-d array of points (one row of weights per point).
+
+    A point within EVAL_EPS of one of `points` raises PoleHitError
+    naming its nearest singularity; in a batch the first such point in
+    array order is named.
+    """
+    if isinstance(z, complex) or np.ndim(z) == 0:
+        gaps = z - points
+        if points.size:
+            dist = np.abs(gaps)
+            j = int(np.argmin(dist))
+            if dist[j] < EVAL_EPS:
+                raise PoleHitError(z, complex(points[j]), float(dist[j]))
+        return 1.0 / gaps
+    z = np.asarray(z, dtype=np.complex128)
+    if z.ndim != 1:
+        raise ValidationError(
+            f"evaluation points must be a scalar or a 1-d array, "
+            f"got shape {z.shape}")
+    gaps = z[:, None] - points[None, :]
+    if points.size:
+        dist = np.abs(gaps)
+        hit = dist.min(axis=1) < EVAL_EPS
+        if hit.any():
+            i = int(np.argmax(hit))
+            j = int(np.argmin(dist[i]))
+            raise PoleHitError(complex(z[i]), complex(points[j]),
+                               float(dist[i, j]))
+    return 1.0 / gaps
+
+
+def _form(k: int, scale, left: np.ndarray, u: np.ndarray,
+          right: np.ndarray, mid=None, v=None) -> np.ndarray:
+    """I + scale·(left·diag(u))·[mid·diag(v)]·right.
+
+    u and v are weight vectors, or stacks of them with a leading axis of
+    M points, in which case scale is a scalar or has length M and the
+    result is M×k×k. The products associate as left·(mid·right), the
+    order every evaluator formula below is written in.
+    """
+    if mid is not None:
+        right = (mid * v[..., None, :]) @ right
+    prod = (left * u[..., None, :]) @ right
+    if isinstance(scale, np.ndarray):
+        scale = scale[:, None, None]
+    return identity(k) + scale * prod
+
+
+def eval_R(b: RealizationBundle, z) -> np.ndarray:
     """R(z) = I - F_P (zI - A_P)^-1 Sr^-1 G_N."""
     d = b.data
-    _check_clear(z, d.poles)
-    if d.n == 0:
-        return identity(d.k)
-    w = 1.0 / (z - d.poles)
-    return identity(d.k) - (d.F_P * w[None, :]) @ (b.Sr_inv @ d.G_N)
+    return _form(d.k, -1.0, d.F_P, _weights(z, d.poles), b.Sr_inv_G_N)
 
 
-def eval_Rinv(b: RealizationBundle, z: complex) -> np.ndarray:
+def eval_Rinv(b: RealizationBundle, z) -> np.ndarray:
     """R^-1(z) = I + F_P Sr^-1 (zI - A_N)^-1 G_N."""
     d = b.data
-    _check_clear(z, d.zeros)
-    if d.n == 0:
-        return identity(d.k)
-    w = 1.0 / (z - d.zeros)
-    return identity(d.k) + ((d.F_P @ b.Sr_inv) * w[None, :]) @ d.G_N
+    return _form(d.k, 1.0, b.F_P_Sr_inv, _weights(z, d.zeros), d.G_N)
 
 
-def eval_R_left(b: RealizationBundle, z: complex) -> np.ndarray:
+def eval_R_left(b: RealizationBundle, z) -> np.ndarray:
     """R(z) = I + F_N Sl^-1 (zI - A_P)^-1 G_P (left-data form)."""
     d = b.data
-    _check_clear(z, d.poles)
-    if d.n == 0:
-        return identity(d.k)
-    w = 1.0 / (z - d.poles)
-    return identity(d.k) + ((d.F_N @ b.Sl_inv) * w[None, :]) @ d.G_P
+    return _form(d.k, 1.0, b.F_N_Sl_inv, _weights(z, d.poles), d.G_P)
 
 
-def eval_Rinv_left(b: RealizationBundle, z: complex) -> np.ndarray:
+def eval_Rinv_left(b: RealizationBundle, z) -> np.ndarray:
     """R^-1(z) = I - F_N (zI - A_N)^-1 Sl^-1 G_P (left-data form)."""
     d = b.data
-    _check_clear(z, d.zeros)
-    if d.n == 0:
-        return identity(d.k)
-    w = 1.0 / (z - d.zeros)
-    return identity(d.k) - (d.F_N * w[None, :]) @ (b.Sl_inv @ d.G_P)
+    return _form(d.k, -1.0, d.F_N, _weights(z, d.zeros), b.Sl_inv_G_P)
 
 
-def eval_joint_right(b: RealizationBundle, x: complex, y: complex) -> np.ndarray:
+def eval_joint_right(b: RealizationBundle, x, y) -> np.ndarray:
     """R(x) R^-1(y) = I + (x-y) F_P (xI-A_P)^-1 Sr^-1 (yI-A_N)^-1 G_N."""
     d = b.data
-    _check_clear(x, d.poles)
-    _check_clear(y, d.zeros)
-    if d.n == 0:
-        return identity(d.k)
-    u = 1.0 / (x - d.poles)
-    v = 1.0 / (y - d.zeros)
-    core = (b.Sr_inv * v[None, :]) @ d.G_N
-    return identity(d.k) + (x - y) * ((d.F_P * u[None, :]) @ core)
+    return _form(d.k, x - y, d.F_P, _weights(x, d.poles), d.G_N,
+                 b.Sr_inv, _weights(y, d.zeros))
 
 
-def eval_joint_left(b: RealizationBundle, x: complex, y: complex) -> np.ndarray:
+def eval_joint_left(b: RealizationBundle, x, y) -> np.ndarray:
     """R^-1(x) R(y) = I + (x-y) F_N (xI-A_N)^-1 Sl^-1 (yI-A_P)^-1 G_P."""
     d = b.data
-    _check_clear(x, d.zeros)
-    _check_clear(y, d.poles)
-    if d.n == 0:
-        return identity(d.k)
-    u = 1.0 / (x - d.zeros)
-    v = 1.0 / (y - d.poles)
-    core = (b.Sl_inv * v[None, :]) @ d.G_P
-    return identity(d.k) + (x - y) * ((d.F_N * u[None, :]) @ core)
+    return _form(d.k, x - y, d.F_N, _weights(x, d.zeros), d.G_P,
+                 b.Sl_inv, _weights(y, d.poles))
 
 
-def eval_hybrid_right(b: RealizationBundle, x: complex, y: complex) -> np.ndarray:
+def eval_hybrid_right(b: RealizationBundle, x, y) -> np.ndarray:
     """R(x) R^-1(y) again, but routed through the left coupling matrix:
 
         I - (x-y) F_N Sl^-1 (xI-A_P)^-1 Sl (yI-A_N)^-1 Sl^-1 G_P
     """
     d = b.data
-    _check_clear(x, d.poles)
-    _check_clear(y, d.zeros)
-    if d.n == 0:
-        return identity(d.k)
-    u = 1.0 / (x - d.poles)
-    v = 1.0 / (y - d.zeros)
-    middle = (b.Sl * v[None, :]) @ (b.Sl_inv @ d.G_P)
-    return identity(d.k) - (x - y) * (
-        ((d.F_N @ b.Sl_inv) * u[None, :]) @ middle
-    )
+    return _form(d.k, y - x, b.F_N_Sl_inv, _weights(x, d.poles),
+                 b.Sl_inv_G_P, b.Sl, _weights(y, d.zeros))
 
 
-def eval_hybrid_left(b: RealizationBundle, x: complex, y: complex) -> np.ndarray:
+def eval_hybrid_left(b: RealizationBundle, x, y) -> np.ndarray:
     """R^-1(x) R(y) routed through the right coupling matrix:
 
         I - (x-y) F_P Sr^-1 (xI-A_N)^-1 Sr (yI-A_P)^-1 Sr^-1 G_N
     """
     d = b.data
-    _check_clear(x, d.zeros)
-    _check_clear(y, d.poles)
-    if d.n == 0:
-        return identity(d.k)
-    u = 1.0 / (x - d.zeros)
-    v = 1.0 / (y - d.poles)
-    middle = (b.Sr * v[None, :]) @ (b.Sr_inv @ d.G_N)
-    return identity(d.k) - (x - y) * (
-        ((d.F_P @ b.Sr_inv) * u[None, :]) @ middle
-    )
+    return _form(d.k, y - x, b.F_P_Sr_inv, _weights(x, d.zeros),
+                 b.Sr_inv_G_N, b.Sr, _weights(y, d.poles))

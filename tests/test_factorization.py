@@ -101,14 +101,20 @@ def test_factorize_verification_evaluates_each_factor_once_per_sample(monkeypatc
     calls = []
 
     def counting_eval_R(bundle, z):
-        calls.append(z)
+        calls.append((bundle, z))
         return rz.eval_R(bundle, z)
 
     monkeypatch.setattr(fz, "eval_R", counting_eval_R)
     res = fz.factorize(b, UNIT, n_samples=40)
     assert res.report.passed
-    # R+, R- and R itself at each of the 40 sample points
-    assert len(calls) == 120
+    # one batched call each for R-, R+ and R itself, on the 40 samples
+    assert len(calls) == 3
+    assert {id(bundle) for bundle, _ in calls} == {
+        id(res.minus), id(res.plus), id(b)}
+    samples = calls[0][1]
+    assert samples.shape == (40,)
+    for _, z in calls[1:]:
+        np.testing.assert_array_equal(z, samples)
 
 
 def test_factor_data_maps_back_through_permutation():

@@ -1,5 +1,7 @@
 """Coupling matrices, bundle diagnostics, and the eight evaluators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from zpreal.errors import (
     InconsistentDataError,
     PoleHitError,
     SpectraOverlapError,
+    ValidationError,
 )
 from zpreal.cauchy import cauchy_matrix
 from zpreal.linalg import frobenius, identity, inverse
@@ -310,3 +313,286 @@ def test_bundle_dimensions_exposed():
     assert (b.k, b.n) == (4, 2)
     assert b.Sr.shape == (2, 2)
     assert b.data.F_P.shape == (4, 2)
+
+
+# -- the shared evaluator kernel ---------------------------------------------
+#
+# Reference copies of the per-formula evaluators the kernel replaced. The
+# kernel keeps each formula's association order, so one-point results must
+# match these bit for bit.
+
+def _ref_R(b, z):
+    d = b.data
+    if d.n == 0:
+        return identity(d.k)
+    w = 1.0 / (z - d.poles)
+    return identity(d.k) - (d.F_P * w[None, :]) @ (b.Sr_inv @ d.G_N)
+
+
+def _ref_Rinv(b, z):
+    d = b.data
+    if d.n == 0:
+        return identity(d.k)
+    w = 1.0 / (z - d.zeros)
+    return identity(d.k) + ((d.F_P @ b.Sr_inv) * w[None, :]) @ d.G_N
+
+
+def _ref_R_left(b, z):
+    d = b.data
+    if d.n == 0:
+        return identity(d.k)
+    w = 1.0 / (z - d.poles)
+    return identity(d.k) + ((d.F_N @ b.Sl_inv) * w[None, :]) @ d.G_P
+
+
+def _ref_Rinv_left(b, z):
+    d = b.data
+    if d.n == 0:
+        return identity(d.k)
+    w = 1.0 / (z - d.zeros)
+    return identity(d.k) - (d.F_N * w[None, :]) @ (b.Sl_inv @ d.G_P)
+
+
+def _ref_joint_right(b, x, y):
+    d = b.data
+    if d.n == 0:
+        return identity(d.k)
+    u = 1.0 / (x - d.poles)
+    v = 1.0 / (y - d.zeros)
+    core = (b.Sr_inv * v[None, :]) @ d.G_N
+    return identity(d.k) + (x - y) * ((d.F_P * u[None, :]) @ core)
+
+
+def _ref_joint_left(b, x, y):
+    d = b.data
+    if d.n == 0:
+        return identity(d.k)
+    u = 1.0 / (x - d.zeros)
+    v = 1.0 / (y - d.poles)
+    core = (b.Sl_inv * v[None, :]) @ d.G_P
+    return identity(d.k) + (x - y) * ((d.F_N * u[None, :]) @ core)
+
+
+def _ref_hybrid_right(b, x, y):
+    d = b.data
+    if d.n == 0:
+        return identity(d.k)
+    u = 1.0 / (x - d.poles)
+    v = 1.0 / (y - d.zeros)
+    middle = (b.Sl * v[None, :]) @ (b.Sl_inv @ d.G_P)
+    return identity(d.k) - (x - y) * (
+        ((d.F_N @ b.Sl_inv) * u[None, :]) @ middle)
+
+
+def _ref_hybrid_left(b, x, y):
+    d = b.data
+    if d.n == 0:
+        return identity(d.k)
+    u = 1.0 / (x - d.zeros)
+    v = 1.0 / (y - d.poles)
+    middle = (b.Sr * v[None, :]) @ (b.Sr_inv @ d.G_N)
+    return identity(d.k) - (x - y) * (
+        ((d.F_P @ b.Sr_inv) * u[None, :]) @ middle)
+
+
+ONE_POINT = ((rz.eval_R, _ref_R), (rz.eval_Rinv, _ref_Rinv),
+             (rz.eval_R_left, _ref_R_left),
+             (rz.eval_Rinv_left, _ref_Rinv_left))
+TWO_POINT = ((rz.eval_joint_right, _ref_joint_right),
+             (rz.eval_joint_left, _ref_joint_left),
+             (rz.eval_hybrid_right, _ref_hybrid_right),
+             (rz.eval_hybrid_left, _ref_hybrid_left))
+
+
+def _empty_bundle(k):
+    z0 = np.zeros(0, dtype=np.complex128)
+    return rz.build_bundle(ZeroPoleData(
+        poles=z0, zeros=z0,
+        F_P=np.zeros((k, 0), dtype=np.complex128),
+        G_P=np.zeros((0, k), dtype=np.complex128),
+        F_N=np.zeros((k, 0), dtype=np.complex128),
+        G_N=np.zeros((0, k), dtype=np.complex128),
+    ))
+
+
+def _clear_points(b, rng, count):
+    """Normal points with standard deviation 2 per axis, each at least
+    0.05 from every pole and zero of b."""
+    sing = np.concatenate([b.data.poles, b.data.zeros])
+    out = []
+    while len(out) < count:
+        z = complex(2.0 * random_complex(rng))
+        if sing.size == 0 or np.abs(z - sing).min() > 0.05:
+            out.append(z)
+    return np.array(out)
+
+
+KERNEL_BUNDLES = ((3, 0, None), (4, 8, 5), (1, 8, 7), (4, 32, 9),
+                  (4, 128, 11))
+
+
+@pytest.fixture(scope="module", params=KERNEL_BUNDLES,
+                ids=lambda p: f"k={p[0]}-n={p[1]}")
+def kernel_bundle(request):
+    k, n, seed = request.param
+    return _empty_bundle(k) if n == 0 else random_instance(k, n, seed=seed)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_one_point_evaluators_bitwise_equal_reference(kernel_bundle):
+    b = kernel_bundle
+    rng = np.random.default_rng(b.n + 1)
+    pts = _clear_points(b, rng, 6)
+    for fn, ref in ONE_POINT:
+        for z in pts:
+            for point in (complex(z), z, z.real):
+                got = fn(b, point)
+                assert got.shape == (b.k, b.k)
+                assert _same_bits(got, ref(b, point)), (fn.__name__, point)
+
+
+def test_two_point_evaluators_bitwise_equal_reference(kernel_bundle):
+    b = kernel_bundle
+    rng = np.random.default_rng(b.n + 2)
+    xs, ys = _clear_points(b, rng, 5), _clear_points(b, rng, 5)
+    for fn, ref in TWO_POINT:
+        for x, y in zip(xs, ys):
+            got = fn(b, complex(x), y)
+            assert got.shape == (b.k, b.k)
+            assert _same_bits(got, ref(b, complex(x), y)), fn.__name__
+
+
+def test_batch_equals_stacked_one_point_results(kernel_bundle):
+    b = kernel_bundle
+    rng = np.random.default_rng(b.n + 3)
+    xs, ys = _clear_points(b, rng, 7), _clear_points(b, rng, 7)
+    scale = max(frobenius(rz.eval_R(b, complex(xs[0]))), 1.0)
+    for fn, _ in ONE_POINT:
+        got = fn(b, xs)
+        assert got.shape == (7, b.k, b.k)
+        want = np.stack([fn(b, complex(z)) for z in xs])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
+    for fn, _ in TWO_POINT:
+        got = fn(b, xs, ys)
+        assert got.shape == (7, b.k, b.k)
+        want = np.stack([fn(b, complex(x), complex(y))
+                         for x, y in zip(xs, ys)])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
+
+
+def test_empty_batch_has_no_rows():
+    b = random_instance(2, 4, seed=3)
+    empty = np.zeros(0, dtype=np.complex128)
+    assert rz.eval_R(b, empty).shape == (0, 2, 2)
+    assert rz.eval_joint_left(b, empty, empty).shape == (0, 2, 2)
+
+
+def test_batch_pole_hit_names_first_offending_point():
+    b = random_instance(2, 5, seed=81)
+    d = b.data
+    clear = _clear_points(b, np.random.default_rng(4), 4)
+    near = d.poles[3] + 1e-13
+    pts = np.array([clear[0], clear[1], near, d.poles[1], clear[2]])
+    with pytest.raises(PoleHitError) as exc:
+        rz.eval_R(b, pts)
+    with pytest.raises(PoleHitError) as one:
+        rz.eval_R(b, complex(near))
+    assert exc.value.point == complex(near)
+    assert exc.value.singularity == complex(d.poles[3])
+    assert exc.value.singularity == one.value.singularity
+    assert exc.value.distance == one.value.distance
+
+    # the second argument of a two-point form is checked against the zeros
+    ys = np.array([clear[0], d.zeros[2], clear[1], clear[2], clear[3]])
+    with pytest.raises(PoleHitError) as exc:
+        rz.eval_joint_right(b, clear[[0, 1, 2, 3, 0]], ys)
+    assert exc.value.point == complex(d.zeros[2])
+    assert exc.value.singularity == complex(d.zeros[2])
+
+
+def test_batch_rejects_higher_rank_points():
+    b = random_instance(2, 3, seed=5)
+    with pytest.raises(ValidationError):
+        rz.eval_R(b, np.full((2, 2), 5.0 + 0j))
+
+
+def test_cached_half_products_equal_fresh_products():
+    b = random_instance(3, 9, seed=13)
+    d = b.data
+    assert "Sr_inv_G_N" not in vars(b)
+    np.testing.assert_array_equal(b.Sr_inv_G_N, b.Sr_inv @ d.G_N)
+    np.testing.assert_array_equal(b.F_P_Sr_inv, d.F_P @ b.Sr_inv)
+    np.testing.assert_array_equal(b.Sl_inv_G_P, b.Sl_inv @ d.G_P)
+    np.testing.assert_array_equal(b.F_N_Sl_inv, d.F_N @ b.Sl_inv)
+    assert b.Sr_inv_G_N is b.Sr_inv_G_N
+
+
+def test_replaced_bundle_does_not_inherit_cached_products():
+    b = random_instance(2, 4, seed=17)
+    cached = {name: getattr(b, name) for name in
+              ("Sr_inv_G_N", "F_P_Sr_inv", "Sl_inv_G_P", "F_N_Sl_inv")}
+    d = b.data
+    scaled = ZeroPoleData(poles=d.poles, zeros=d.zeros,
+                          F_P=2.0 * d.F_P, G_P=0.5 * d.G_P,
+                          F_N=2.0 * d.F_N, G_N=0.5 * d.G_N)
+    other = dataclasses.replace(b, data=scaled)
+    for name in cached:
+        assert name not in vars(other)
+    np.testing.assert_array_equal(other.Sr_inv_G_N, b.Sr_inv @ scaled.G_N)
+    np.testing.assert_array_equal(other.F_P_Sr_inv, scaled.F_P @ b.Sr_inv)
+    np.testing.assert_array_equal(other.Sl_inv_G_P, b.Sl_inv @ scaled.G_P)
+    np.testing.assert_array_equal(other.F_N_Sl_inv, scaled.F_N @ b.Sl_inv)
+    assert not np.array_equal(other.Sr_inv_G_N, cached["Sr_inv_G_N"])
+
+
+def _reference_factorize_residuals(b, res, contour, n_samples=40):
+    """The per-point verification loop factorize ran before it batched:
+    the product residual and the Schur-complement agreement, sample by
+    sample."""
+    from zpreal.factorization import _sample_ring
+    d = b.data
+    split = res.split
+    n_plus, n_minus = split.n_plus, split.n_minus
+    p_ord, n_ord = list(split.pole_order), list(split.zero_order)
+    s_perm = b.Sr[np.ix_(n_ord, p_ord)]
+    s11, s12 = s_perm[:n_plus, :n_plus], s_perm[:n_plus, n_plus:]
+    s21, s22 = s_perm[n_plus:, :n_plus], s_perm[n_plus:, n_plus:]
+    inv11 = inverse(s11)
+    w12, w21 = inv11 @ s12, s21 @ inv11
+    delta_inv = inverse(s22 - w21 @ s12)
+    fp_alt = d.F_P[:, p_ord] @ np.vstack([-w12, identity(n_minus)])
+    gn_alt = np.hstack([-w21, identity(n_minus)]) @ d.G_N[n_ord, :]
+    lam_out = d.poles[list(split.idxP_minus)]
+    worst_prod = worst_agree = 0.0
+    for z in _sample_ring(contour, d.poles, n_samples):
+        z = complex(z)
+        r_minus = rz.eval_R(res.minus, z)
+        product = rz.eval_R(res.plus, z) @ r_minus
+        worst_prod = max(worst_prod, frobenius(product - rz.eval_R(b, z)))
+        alt = identity(d.k)
+        if n_minus:
+            w = 1.0 / (z - lam_out)
+            alt = alt - (fp_alt * w[None, :]) @ (delta_inv @ gn_alt)
+        worst_agree = max(worst_agree, frobenius(r_minus - alt))
+    return worst_prod, worst_agree
+
+
+@pytest.mark.parametrize("k, n_plus, n_minus, seed",
+                         [(2, 8, 8, 15), (2, 3, 3, 88), (3, 2, 2, 13),
+                          (1, 3, 0, 5), (2, 0, 3, 6)])
+def test_factorize_residuals_match_per_point_loop(k, n_plus, n_minus, seed):
+    from helpers import balanced_instance
+    from zpreal import factorization as fz
+
+    unit = fz.CircleContour(0.0, 1.0)
+    b = balanced_instance(k, n_plus, n_minus, seed)
+    res = fz.factorize(b, unit)
+    got = {c.name: c.residual for c in res.report.checks}
+    want_prod, want_agree = _reference_factorize_residuals(b, res, unit)
+    # batching may only reorder the sums inside each norm
+    assert got["product_at_samples"] == pytest.approx(want_prod, rel=1e-12)
+    assert got["minus_formula_agreement"] == pytest.approx(want_agree,
+                                                           rel=1e-12)
