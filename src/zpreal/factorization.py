@@ -35,7 +35,13 @@ from .errors import (
     ValidationError,
     VerificationFailedError,
 )
-from .linalg import cond_frobenius, frobenius, identity, inverse
+from .linalg import (
+    cond_frobenius,
+    frobenius,
+    identity,
+    inverse,
+    max_frobenius,
+)
 from .realization import (
     RealizationBundle,
     _form,
@@ -205,11 +211,6 @@ def _sample_ring(c: CircleContour, singular: np.ndarray, count: int):
     return best
 
 
-def _worst_frobenius(stack: np.ndarray) -> float:
-    """Largest Frobenius norm among a stack of matrices; 0.0 if empty."""
-    return float(np.sqrt((np.abs(stack) ** 2).sum(axis=(1, 2))).max(initial=0.0))
-
-
 def factorize(b: RealizationBundle, c: CircleContour,
               boundary_eps: float = BOUNDARY_EPS,
               cond_max: float = COND_MAX,
@@ -321,8 +322,8 @@ def factorize(b: RealizationBundle, c: CircleContour,
     r_full = eval_R(b, samples)
     minus_alt = _form(d.k, -1.0, fp_alt, _weights(samples, lam_out),
                       delta_inv @ gn_alt)
-    worst_prod = _worst_frobenius(r_plus @ r_minus - r_full)
-    worst_agree = _worst_frobenius(r_minus - minus_alt)
+    worst_prod = max_frobenius(r_plus @ r_minus - r_full)
+    worst_agree = max_frobenius(r_minus - minus_alt)
     report.add("product_at_samples", worst_prod, fail_tol)
     report.add("minus_formula_agreement", worst_agree, agree_tol)
 

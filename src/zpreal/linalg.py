@@ -50,6 +50,7 @@ __all__ = [
     "lu_factor",
     "lu_solve",
     "matmul",
+    "max_frobenius",
     "norm_inf",
     "rank",
     "solve",
@@ -73,6 +74,17 @@ def identity(n: int) -> np.ndarray:
 def frobenius(a) -> float:
     a = np.asarray(a, dtype=np.complex128)
     return float(np.sqrt((np.abs(a) ** 2).sum()))
+
+
+def max_frobenius(*stacks) -> float:
+    """Largest Frobenius norm over the trailing-two-axis slices of the
+    stacks: 0.0 when there are none, NaN when any norm is NaN. Each norm
+    is summed as frobenius sums it."""
+    worst = 0.0
+    for s in stacks:
+        norms = np.sqrt((np.abs(s) ** 2).sum(axis=(-2, -1)))
+        worst = np.max(norms, initial=worst)
+    return float(worst)
 
 
 def norm_inf(a) -> float:

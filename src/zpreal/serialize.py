@@ -4,6 +4,14 @@ Complex numbers are stored as two-element [re, im] arrays and matrices
 as row-major nested lists of those pairs, so files diff cleanly and
 round-trip bit-exactly (json preserves every float that repr does).
 A format_version field gates future changes.
+
+save_instance writes the text of json.dumps(instance_to_dict(...),
+indent=2) byte for byte, but builds it itself: one float repr per
+number and one string template per array, where json's indenting
+encoder walks every pair in Python. The loader reads each array with
+one np.array call when the field is a well-formed nested list of
+numbers, and falls back to the checked per-entry loop otherwise, so a
+malformed field raises the same ParseError either way.
 """
 
 from __future__ import annotations
@@ -45,9 +53,25 @@ def _complex_in(obj, where: str) -> complex:
     return complex(obj[0], obj[1])
 
 
+def _numeric(obj, shape: tuple):
+    """obj as a complex array of the given shape, when numpy reads it as
+    nested lists of [re, im] pairs of real numbers; None otherwise."""
+    try:
+        a = np.array(obj)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if a.dtype.kind not in "fi" or a.shape != shape + (2,):
+        return None
+    # the view keeps every bit of both parts, signed zeros included
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
+
+
 def _vector_in(obj, count: int, where: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != count:
         raise ParseError(f"{where}: expected {count} entries")
+    fast = _numeric(obj, (count,))
+    if fast is not None:
+        return fast
     return np.array([_complex_in(v, f"{where}[{i}]")
                      for i, v in enumerate(obj)], dtype=np.complex128)
 
@@ -55,6 +79,9 @@ def _vector_in(obj, count: int, where: str) -> np.ndarray:
 def _matrix_in(obj, rows: int, cols: int, where: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(f"{where}: expected {rows} rows")
+    fast = _numeric(obj, (rows, cols))
+    if fast is not None:
+        return fast
     out = np.zeros((rows, cols), dtype=np.complex128)
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
@@ -114,8 +141,35 @@ def instance_from_dict(obj) -> tuple:
     return data, meta
 
 
+def _array_text(a: np.ndarray, depth: int) -> str:
+    """json.dumps(..., indent=2) of a complex array written as nested
+    [re, im] lists, for an array that opens at nesting depth `depth`."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    shape = a.shape + (2,)
+    # one "%s" per float, nested from the innermost [re, im] outwards
+    template = "%s"
+    for level in reversed(range(len(shape))):
+        if shape[level] == 0:
+            template = "[]"
+            continue
+        pad = "\n" + "  " * (depth + level + 1)
+        template = ("[" + pad + ("," + pad).join([template] * shape[level])
+                    + "\n" + "  " * (depth + level) + "]")
+    return template % tuple(map(float.__repr__,
+                                a.view(np.float64).ravel().tolist()))
+
+
 def save_instance(d: ZeroPoleData, path, metadata: dict | None = None):
-    text = json.dumps(instance_to_dict(d, metadata), indent=2)
+    """Write the instance as json.dumps(instance_to_dict(d, metadata),
+    indent=2) would, plus a final newline."""
+    fields = [f'"format_version": {FORMAT_VERSION}', f'"k": {d.k}',
+              f'"n": {d.n}']
+    for name in ("poles", "zeros", "F_P", "G_P", "F_N", "G_N"):
+        fields.append(f'"{name}": {_array_text(getattr(d, name), 1)}')
+    if metadata:
+        meta = json.dumps(metadata, indent=2).replace("\n", "\n  ")
+        fields.append(f'"metadata": {meta}')
+    text = "{\n  " + ",\n  ".join(fields) + "\n}"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

@@ -19,6 +19,12 @@ never handed back without its diagnostics passing.
 The module also carries the two-point chain function T(x, y), whose
 algebra T(x, y) T(y, z) = T(x, z) is what makes one-point generator
 extraction possible at any anchor, including infinity.
+
+random_instance draws its points by rejection sampling in blocks: one
+rng.random call per block of candidates and one distance matrix against
+the points kept so far, with a Python loop only over candidates that
+have a close pair inside their block. The points, the failures and the
+generator state afterwards are those of drawing one candidate at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +42,14 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .linalg import RANK_EPS, frobenius, identity, inverse, rank
+from .linalg import (
+    RANK_EPS,
+    frobenius,
+    identity,
+    inverse,
+    max_frobenius,
+    rank,
+)
 from .report import Report
 from .realization import (
     RealizationBundle,
@@ -192,7 +205,11 @@ def synthesize_hybrid(inp: SynthesisInput,
 class ChainFunction:
     """Two-point function T(x, y) with T(x, y) T(y, z) = T(x, z).
 
-    x must stay clear of x_singularities and y of y_singularities. The
+    x must stay clear of x_singularities and y of y_singularities.
+    evaluate takes a pair of points and returns a dim×dim array, and it
+    must also take two 1-d arrays of M points and return the M×dim×dim
+    stack of values at the pairs (x[i], y[i]), as chain_from_bundle's
+    does: chain_identity_check evaluates whole batches of pairs. The
     optional infinity evaluators are closed-form limits, not large-
     argument approximations.
     """
@@ -222,16 +239,21 @@ def chain_from_bundle(b: RealizationBundle) -> ChainFunction:
 
 def chain_identity_check(t: ChainFunction, triples,
                          tol: float = 1e-8) -> Report:
-    """Verify T(x, y) T(y, z) = T(x, z) and T(w, w) = I over triples."""
+    """Verify T(x, y) T(y, z) = T(x, z) and T(w, w) = I over triples.
+
+    T is evaluated twice: once over the 3·len(triples) chain pairs and
+    once over the as many diagonal pairs.
+    """
     triples = list(triples)
-    eye = identity(t.dim)
     worst_chain = 0.0
     worst_diag = 0.0
-    for (x, y, z) in triples:
-        lhs = t(x, y) @ t(y, z)
-        worst_chain = max(worst_chain, frobenius(lhs - t(x, z)))
-        for w in (x, y, z):
-            worst_diag = max(worst_diag, frobenius(t(w, w) - eye))
+    if triples:
+        m = len(triples)
+        x, y, z = (np.array(c) for c in zip(*triples))
+        v = t(np.concatenate([x, y, x]), np.concatenate([y, z, z]))
+        worst_chain = max_frobenius(v[:m] @ v[m:2 * m] - v[2 * m:])
+        w = np.concatenate([x, y, z])
+        worst_diag = max_frobenius(t(w, w) - identity(t.dim))
     rep = Report()
     rep.add("chain_identity", worst_chain, tol)
     rep.add("diagonal_unity", worst_diag, tol)
@@ -315,20 +337,51 @@ class GeneratorGeometry:
             raise ValidationError("max_retries must be at least 1")
 
 
+_DRAW_BLOCK = 256
+
+
 def _draw_separated(rng, count: int, radius: float, min_sep: float):
+    """count points uniform in the disk |z| <= radius, pairwise at least
+    min_sep apart, or None when 400·count candidates do not suffice.
+
+    Rejection sampling: candidate c is z = r·e^(i·ang) with
+    r = radius·√u and ang = 2π·v, from the generator's doubles 2c and
+    2c+1, and it is kept when it is min_sep clear of every point kept
+    before it. Candidates are drawn in blocks no longer than the number
+    of points still missing, so a block never draws past the candidate
+    that completes the set, and the points, the None and the generator
+    state afterwards are those of one rng.uniform() pair per candidate.
+    Blocks are also capped at _DRAW_BLOCK candidates, which bounds the
+    distance matrices at _DRAW_BLOCK × count.
+    """
     pts = np.empty(count, dtype=np.complex128)
     accepted = 0
-    budget = 400 * max(count, 1)
-    for _ in range(budget):
-        r = radius * math.sqrt(rng.uniform())
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        z = complex(r * math.cos(ang), r * math.sin(ang))
-        if not accepted or np.abs(pts[:accepted] - z).min() >= min_sep:
-            pts[accepted] = z
-            accepted += 1
-            if accepted == count:
-                return pts
-    return None
+    left = 400 * max(count, 1)
+    while accepted < count:
+        m = min(count - accepted, left, _DRAW_BLOCK)
+        if m == 0:
+            return None
+        left -= m
+        u = rng.random(2 * m)
+        r = radius * np.sqrt(u[0::2])
+        # libm per candidate: numpy's vector cos/sin may differ by an ulp
+        ang = (2.0 * math.pi * u[1::2]).tolist()
+        cand = np.empty(m, dtype=np.complex128)
+        cand.real = r * np.fromiter(map(math.cos, ang), np.float64, m)
+        cand.imag = r * np.fromiter(map(math.sin, ang), np.float64, m)
+        keep = np.ones(m, dtype=bool)
+        if accepted:
+            gaps = np.abs(cand[:, None] - pts[None, :accepted])
+            keep = ~(gaps < min_sep).any(axis=1)
+        # close[i, j]: candidate j < i of this block is too close to i
+        close = np.tril(np.abs(cand[:, None] - cand[None, :]) < min_sep, -1)
+        for i in np.flatnonzero(close.any(axis=1)):
+            if keep[i] and (close[i, :i] & keep[:i]).any():
+                keep[i] = False
+        got = cand[keep]
+        pts[accepted:accepted + got.size] = got
+        accepted += got.size
+    return pts
 
 
 def random_instance(k: int, n: int, seed: int,

@@ -11,6 +11,12 @@ applies diagonal gauge rescalings, evaluates R and R^-1 from their
 partial-fraction (additive) forms, and runs the consistency checks that
 expose data whose pole side and zero side do not describe mutually
 inverse functions.
+
+The additive forms take one point or a 1-d array of points; for an array
+they return a stack of k×k values, each with the bits of the one-point
+value. check_consistency and log_derivative_residues evaluate them that
+way, one stacked call per family of points, and sample_points tests its
+ring against the singularities with one distance matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +33,14 @@ from .errors import (
     ValidationError,
     ZeroGaugeEntryError,
 )
-from .linalg import RANK_EPS, as_complex_matrix, frobenius, identity, rank
+from .linalg import (
+    RANK_EPS,
+    as_complex_matrix,
+    frobenius,
+    identity,
+    max_frobenius,
+    rank,
+)
 from .report import Report
 
 SEP_MIN = 1e-6       # minimum separation among all poles and zeros
@@ -203,48 +216,62 @@ def gauge_transform(d: ZeroPoleData, g: GaugePair) -> ZeroPoleData:
     )
 
 
-def _check_clear(z: complex, points: np.ndarray, eps: float = EVAL_EPS):
+def _check_clear(z, points: np.ndarray, eps: float = EVAL_EPS):
+    """Raise PoleHitError when z comes within eps of one of points; for
+    a 1-d array z, name the first entry in array order that does."""
     if points.size == 0:
         return
-    i = int(np.argmin(np.abs(points - z)))
-    dist = abs(points[i] - z)
-    if dist < eps:
-        raise PoleHitError(z, complex(points[i]), dist)
+    if np.ndim(z) == 0:
+        dist = np.abs(points - z)
+        j = int(np.argmin(dist))
+        if dist[j] < eps:
+            raise PoleHitError(z, complex(points[j]), dist[j])
+        return
+    z = np.asarray(z)
+    dist = np.abs(z[:, None] - points[None, :])
+    hit = dist.min(axis=1) < eps
+    if hit.any():
+        i = int(np.argmax(hit))
+        j = int(np.argmin(dist[i]))
+        raise PoleHitError(complex(z[i]), complex(points[j]), dist[i, j])
 
 
-def additive_eval_R(d: ZeroPoleData, z: complex) -> np.ndarray:
+def _scaled(f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """f·diag(w), or the stack of them over the rows of a 2-d w.
+
+    f is broadcast to the stack's shape first: numpy picks its complex
+    multiply loop from the operand layout, and the loops can differ in
+    the last bit (at k = n = 1 with one point, say). With this layout
+    every slice has the bits of the one-point product f * w[None, :].
+    """
+    return np.broadcast_to(f, w.shape[:-1] + f.shape) * w[..., None, :]
+
+
+def additive_eval_R(d: ZeroPoleData, z) -> np.ndarray:
     """R(z) = I + sum_j F_P[:, j] G_P[j, :] / (z - lambda_j)."""
     _check_clear(z, d.poles)
-    if d.n == 0:
-        return identity(d.k)
-    w = 1.0 / (z - d.poles)
-    return identity(d.k) + (d.F_P * w[None, :]) @ d.G_P
+    w = 1.0 / (np.asarray(z)[..., None] - d.poles)
+    return identity(d.k) + _scaled(d.F_P, w) @ d.G_P
 
 
-def additive_eval_Rinv(d: ZeroPoleData, z: complex) -> np.ndarray:
+def additive_eval_Rinv(d: ZeroPoleData, z) -> np.ndarray:
     """R^-1(z) = I + sum_j F_N[:, j] G_N[j, :] / (z - mu_j)."""
     _check_clear(z, d.zeros)
-    if d.n == 0:
-        return identity(d.k)
-    w = 1.0 / (z - d.zeros)
-    return identity(d.k) + (d.F_N * w[None, :]) @ d.G_N
+    w = 1.0 / (np.asarray(z)[..., None] - d.zeros)
+    return identity(d.k) + _scaled(d.F_N, w) @ d.G_N
 
 
-def additive_deriv_R(d: ZeroPoleData, z: complex) -> np.ndarray:
+def additive_deriv_R(d: ZeroPoleData, z) -> np.ndarray:
     """Exact derivative of the additive form of R; no finite differences."""
     _check_clear(z, d.poles)
-    if d.n == 0:
-        return np.zeros((d.k, d.k), dtype=np.complex128)
-    w2 = 1.0 / (z - d.poles) ** 2
-    return -(d.F_P * w2[None, :]) @ d.G_P
+    w2 = 1.0 / (np.asarray(z)[..., None] - d.poles) ** 2
+    return -_scaled(d.F_P, w2) @ d.G_P
 
 
-def additive_deriv_Rinv(d: ZeroPoleData, z: complex) -> np.ndarray:
+def additive_deriv_Rinv(d: ZeroPoleData, z) -> np.ndarray:
     _check_clear(z, d.zeros)
-    if d.n == 0:
-        return np.zeros((d.k, d.k), dtype=np.complex128)
-    w2 = 1.0 / (z - d.zeros) ** 2
-    return -(d.F_N * w2[None, :]) @ d.G_N
+    w2 = 1.0 / (np.asarray(z)[..., None] - d.zeros) ** 2
+    return -_scaled(d.F_N, w2) @ d.G_N
 
 
 def pole_residue(d: ZeroPoleData, j: int) -> np.ndarray:
@@ -277,12 +304,15 @@ def sample_points(d: ZeroPoleData, count: int = 8) -> list:
         ]
         if allpts.size == 0:
             return pts
-        clear = min(
-            abs(p - q) for p in pts for q in allpts
-        )
+        clear = np.abs(np.array(pts)[:, None] - allpts[None, :]).min()
         if clear > 1e-6:
             return pts
     raise RuntimeError("could not place sample points clear of singularities")
+
+
+def _residues(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The n rank-one residues f[:, j] g[j, :] as an n×k×k stack."""
+    return f.T[:, :, None] * g[:, None, :]
 
 
 def check_consistency(d: ZeroPoleData, tol: float = REPORT_TOL) -> Report:
@@ -297,45 +327,32 @@ def check_consistency(d: ZeroPoleData, tol: float = REPORT_TOL) -> Report:
       (c) R_lambda (R^-1)'(lambda) R_lambda = R_lambda at every pole;
       (d) R_mu R'(mu) R_mu = R_mu at every zero.
 
+    Each family is evaluated as one stack over its points. A residual
+    that overflows to NaN is reported as NaN, which fails its check.
     Diagnostic only: always returns a report, never raises.
     """
     rep = Report()
     eye = identity(d.k)
 
-    worst = 0.0
-    for z in sample_points(d):
-        r = additive_eval_R(d, z)
-        ri = additive_eval_Rinv(d, z)
-        worst = max(worst, frobenius(r @ ri - eye), frobenius(ri @ r - eye))
-    rep.add("mutual_inverse_at_samples", worst, tol)
+    zs = np.array(sample_points(d))
+    r = additive_eval_R(d, zs)
+    ri = additive_eval_Rinv(d, zs)
+    rep.add("mutual_inverse_at_samples",
+            max_frobenius(r @ ri - eye, ri @ r - eye), tol)
 
-    worst_ann_p = 0.0
-    worst_rel_p = 0.0
-    for j in range(d.n):
-        lam = d.poles[j]
-        res = pole_residue(d, j)
-        b0 = additive_eval_Rinv(d, lam)
-        b1 = additive_deriv_Rinv(d, lam)
-        worst_ann_p = max(
-            worst_ann_p, frobenius(b0 @ res), frobenius(res @ b0)
-        )
-        worst_rel_p = max(worst_rel_p, frobenius(res @ b1 @ res - res))
-    rep.add("annihilation_at_poles", worst_ann_p, tol)
-    rep.add("pole_residue_identity", worst_rel_p, tol)
+    res = _residues(d.F_P, d.G_P)
+    b0 = additive_eval_Rinv(d, d.poles)
+    b1 = additive_deriv_Rinv(d, d.poles)
+    rep.add("annihilation_at_poles", max_frobenius(b0 @ res, res @ b0), tol)
+    rep.add("pole_residue_identity", max_frobenius(res @ b1 @ res - res),
+            tol)
 
-    worst_ann_z = 0.0
-    worst_rel_z = 0.0
-    for j in range(d.n):
-        mu = d.zeros[j]
-        res = zero_residue(d, j)
-        a0 = additive_eval_R(d, mu)
-        a1 = additive_deriv_R(d, mu)
-        worst_ann_z = max(
-            worst_ann_z, frobenius(a0 @ res), frobenius(res @ a0)
-        )
-        worst_rel_z = max(worst_rel_z, frobenius(res @ a1 @ res - res))
-    rep.add("annihilation_at_zeros", worst_ann_z, tol)
-    rep.add("zero_residue_identity", worst_rel_z, tol)
+    res = _residues(d.F_N, d.G_N)
+    a0 = additive_eval_R(d, d.zeros)
+    a1 = additive_deriv_R(d, d.zeros)
+    rep.add("annihilation_at_zeros", max_frobenius(a0 @ res, res @ a0), tol)
+    rep.add("zero_residue_identity", max_frobenius(res @ a1 @ res - res),
+            tol)
     return rep
 
 
@@ -348,12 +365,6 @@ def log_derivative_residues(d: ZeroPoleData):
     +1, and all of them sum to zero, which is the numerical witness of
     the pole/zero count balance.
     """
-    p_poles = []
-    for j in range(d.n):
-        res = pole_residue(d, j)
-        p_poles.append(-res @ additive_deriv_Rinv(d, d.poles[j]))
-    p_zeros = []
-    for j in range(d.n):
-        res = zero_residue(d, j)
-        p_zeros.append(additive_deriv_R(d, d.zeros[j]) @ res)
-    return p_poles, p_zeros
+    p_poles = -_residues(d.F_P, d.G_P) @ additive_deriv_Rinv(d, d.poles)
+    p_zeros = additive_deriv_R(d, d.zeros) @ _residues(d.F_N, d.G_N)
+    return list(p_poles), list(p_zeros)

@@ -20,6 +20,7 @@ from zpreal.linalg import (
     lu_factor,
     lu_solve,
     matmul,
+    max_frobenius,
     rank,
     solve,
 )
@@ -332,3 +333,18 @@ def test_block_inverse_empty_split_degenerates_to_plain_inverse():
     a = random_complex(rng, 3, 3) + 2 * identity(3)
     out = block_inverse_2x2(Block2x2.split(a, 0)).assemble()
     assert_allclose(out, inverse(a), atol=1e-11)
+
+
+def test_max_frobenius_is_the_running_max_of_frobenius():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    b = rng.standard_normal((2, 3, 3)) + 0j
+    want = max(0.0, *(frobenius(s) for s in a), *(frobenius(s) for s in b))
+    assert max_frobenius(a, b) == want
+    assert max_frobenius(a[0]) == frobenius(a[0])
+    assert max_frobenius(np.zeros((0, 2, 2))) == 0.0
+    assert max_frobenius() == 0.0
+    # a NaN norm is not passed over: the check it feeds must fail
+    a[1, 0, 0] = np.nan
+    assert np.isnan(max_frobenius(b, a))
+    assert np.isnan(max_frobenius(a, b))

@@ -14,16 +14,21 @@ from zpreal.errors import (
     ZeroGaugeEntryError,
 )
 from zpreal.linalg import frobenius, identity
+from zpreal.synthesis import random_instance
 from zpreal.zero_pole import (
     GaugePair,
     ZeroPoleData,
+    additive_deriv_R,
+    additive_deriv_Rinv,
     additive_eval_R,
     additive_eval_Rinv,
     check_consistency,
     factor_rank_one,
     gauge_transform,
     log_derivative_residues,
+    pole_residue,
     sample_points,
+    zero_residue,
 )
 
 
@@ -226,6 +231,124 @@ def test_sample_points_clear_of_singularities(d2):
         assert min(abs(p - q) for q in [0.5, 2.0, 0.3, 3.0]) > 1e-6
 
 
+# Reference copies of the per-point loops the batched code replaced. The
+# one-point additive forms they call compute as they always have.
+
+EPS = np.finfo(float).eps
+
+
+def _sample_points_reference(d, count=8):
+    allpts = np.concatenate([d.poles, d.zeros])
+    center = complex(allpts.mean()) if allpts.size else 0j
+    spread = float(np.abs(allpts - center).max()) if allpts.size else 0.0
+    rho = 1.5 * (1.0 + spread)
+    for attempt in range(32):
+        shift = 2.0 * np.pi * attempt / (count * 37.0)
+        pts = [
+            center + rho * np.exp(1j * (2.0 * np.pi * j / count + shift))
+            for j in range(count)
+        ]
+        if allpts.size == 0:
+            return pts
+        if min(abs(p - q) for p in pts for q in allpts) > 1e-6:
+            return pts
+    raise RuntimeError("could not place sample points")
+
+
+def _check_consistency_reference(d):
+    eye = identity(d.k)
+    worst = 0.0
+    for z in _sample_points_reference(d):
+        r = additive_eval_R(d, z)
+        ri = additive_eval_Rinv(d, z)
+        worst = max(worst, frobenius(r @ ri - eye), frobenius(ri @ r - eye))
+    out = [("mutual_inverse_at_samples", worst)]
+    for points, residue, value, deriv, side in (
+        (d.poles, pole_residue, additive_eval_Rinv, additive_deriv_Rinv,
+         "poles"),
+        (d.zeros, zero_residue, additive_eval_R, additive_deriv_R, "zeros"),
+    ):
+        worst_ann = 0.0
+        worst_rel = 0.0
+        for j in range(d.n):
+            res = residue(d, j)
+            a0 = value(d, points[j])
+            a1 = deriv(d, points[j])
+            worst_ann = max(worst_ann, frobenius(a0 @ res),
+                            frobenius(res @ a0))
+            worst_rel = max(worst_rel, frobenius(res @ a1 @ res - res))
+        out.append((f"annihilation_at_{side}", worst_ann))
+        out.append((f"{side[:-1]}_residue_identity", worst_rel))
+    return out
+
+
+def _consistency_cases():
+    d1 = make_scalar_instance([0.0], [1.0])
+    broken = ZeroPoleData(poles=d1.poles, zeros=d1.zeros, F_P=d1.F_P,
+                          G_P=d1.G_P, F_N=d1.F_N, G_N=-d1.G_N)
+    cases = [("broken d1", broken)]
+    for k in (1, 4):
+        cases.append((f"k={k} n=0", random_instance(k, 0, seed=1).data))
+        for n, seed in ((1, 1), (5, 2), (16, 3)):
+            cases.append((f"k={k} n={n}",
+                          random_instance(k, n, seed=seed).data))
+    return cases
+
+
+@pytest.mark.parametrize("label, d", _consistency_cases())
+def test_check_consistency_matches_per_point_loop(label, d):
+    rep = check_consistency(d, tol=1e-8)
+    want = _check_consistency_reference(d)
+    assert [c.name for c in rep.checks] == [name for name, _ in want]
+    for c, (name, residual) in zip(rep.checks, want):
+        # bitwise equal with numpy 2.4 on x86-64; 4 ulps for other builds
+        assert abs(c.residual - residual) <= 4 * EPS * residual, (label, name)
+        assert c.tol == 1e-8
+    if label == "broken d1":
+        assert not rep.passed
+
+
+def test_check_consistency_fails_on_overflow():
+    # entries near 1e160 overflow the products to inf and the residuals
+    # to NaN; a NaN residual fails instead of reading as 0.0
+    d = random_instance(2, 4, seed=3).data
+    s = 1e160
+    big = ZeroPoleData(poles=d.poles, zeros=d.zeros, F_P=d.F_P * s,
+                       G_P=d.G_P * s, F_N=d.F_N * s, G_N=d.G_N * s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = check_consistency(big)
+    assert not rep.passed
+    assert np.isnan(rep.checks[0].residual)
+
+
+@pytest.mark.parametrize("label, d", _consistency_cases())
+def test_sample_points_match_reference_loop(label, d):
+    for count in (6, 8):
+        got = sample_points(d, count)
+        want = _sample_points_reference(d, count)
+        assert len(got) == len(want)
+        for p, q in zip(got, want):
+            assert type(p) is type(q) and p == q
+
+
+def test_additive_forms_batch_matches_one_point(d2):
+    zs = np.array([0.1 + 1j, -2.0, 4.0 - 0.5j])
+    for func in (additive_eval_R, additive_eval_Rinv, additive_deriv_R,
+                 additive_deriv_Rinv):
+        stack = func(d2, zs)
+        assert stack.shape == (3, 1, 1)
+        for z, slab in zip(zs, stack):
+            np.testing.assert_array_equal(slab, func(d2, z))
+
+
+def test_additive_batch_names_first_hit(d2):
+    zs = np.array([5.0, 2.0 + 1e-14, 0.5])
+    with pytest.raises(PoleHitError) as exc:
+        additive_eval_R(d2, zs)
+    assert exc.value.point == 2.0 + 1e-14
+    assert exc.value.singularity == 2.0
+
+
 # ---------------------------------------------------------------------------
 # logarithmic-derivative residues
 
@@ -246,3 +369,16 @@ def test_projector_identities(d2):
         assert frobenius(p @ p - p) <= 1e-9
     total = sum(p_poles) + sum(p_zeros)
     assert frobenius(total) <= 1e-9
+
+
+@pytest.mark.parametrize("k, n, seed", [(1, 1, 1), (1, 6, 2), (4, 16, 3)])
+def test_log_derivative_residues_match_per_point_loop(k, n, seed):
+    d = random_instance(k, n, seed=seed).data
+    p_poles, p_zeros = log_derivative_residues(d)
+    assert len(p_poles) == len(p_zeros) == n
+    for j in range(n):
+        want_p = -pole_residue(d, j) @ additive_deriv_Rinv(d, d.poles[j])
+        want_z = additive_deriv_R(d, d.zeros[j]) @ zero_residue(d, j)
+        assert p_poles[j].shape == p_zeros[j].shape == (k, k)
+        np.testing.assert_allclose(p_poles[j], want_p, rtol=4 * EPS, atol=0)
+        np.testing.assert_allclose(p_zeros[j], want_z, rtol=4 * EPS, atol=0)

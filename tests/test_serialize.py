@@ -1,0 +1,153 @@
+"""save_instance against json.dumps, and the loader's fast and checked paths."""
+
+import json
+
+import numpy as np
+import pytest
+
+from zpreal.errors import ParseError
+from zpreal.serialize import (
+    instance_from_dict,
+    instance_to_dict,
+    load_instance,
+    save_instance,
+)
+from zpreal.zero_pole import ZeroPoleData
+
+from helpers import random_complex
+
+FIELDS = ("poles", "zeros", "F_P", "G_P", "F_N", "G_N")
+
+METADATA = [
+    None,
+    {},
+    {"seed": 7},
+    {"description": "unicode é ✓ and a\nnewline", "cond_Sr": 1.5e-300,
+     "generator": {"disk_radius": 2.0, "nested": [1, [2.5, None], True]},
+     "empty": {}, "list": []},
+]
+
+
+def _instance(k, n, seed):
+    """Unchecked but valid data: random draws with a few -0.0 parts."""
+    rng = np.random.default_rng(seed)
+    pts = 3.0 * random_complex(rng, 2 * n)
+    d = {"poles": pts[:n], "zeros": pts[n:],
+         "F_P": random_complex(rng, k, n), "G_P": random_complex(rng, n, k),
+         "F_N": random_complex(rng, k, n), "G_N": random_complex(rng, n, k)}
+    if n:
+        d["poles"][0] = complex(-0.0, 1.25)
+        d["F_P"][0, 0] = complex(0.5, -0.0)
+        d["G_N"][n - 1, k - 1] = complex(-0.0, -0.0) + 1e-300
+    return ZeroPoleData(**d)
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("n", [0, 1, 8, 32, 128])
+def test_save_instance_is_json_dumps_byte_for_byte(tmp_path, k, n):
+    d = _instance(k, n, seed=10 * k + n)
+    for i, meta in enumerate(METADATA):
+        path = tmp_path / f"inst{i}.json"
+        save_instance(d, path, meta)
+        want = json.dumps(instance_to_dict(d, meta), indent=2) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("n", [0, 1, 8, 32])
+def test_loaded_arrays_are_bitwise_equal(tmp_path, k, n):
+    d = _instance(k, n, seed=n)
+    path = tmp_path / "inst.json"
+    save_instance(d, path, METADATA[-1])
+    loaded, meta = load_instance(path)
+    for name in FIELDS:
+        assert _bits(getattr(loaded, name)) == _bits(getattr(d, name)), name
+    assert meta == METADATA[-1]
+
+
+def test_signed_zeros_survive_the_round_trip(tmp_path):
+    d = _instance(2, 3, seed=4)
+    path = tmp_path / "inst.json"
+    save_instance(d, path)
+    loaded, _ = load_instance(path)
+    assert np.signbit(loaded.poles[0].real)
+    assert np.signbit(loaded.F_P[0, 0].imag)
+
+
+def _obj():
+    return instance_to_dict(_instance(2, 3, seed=5))
+
+
+# Each edit breaks one field; the message is the one the checked
+# per-entry loop has always raised.
+MALFORMED = [
+    (lambda o: o["poles"].__setitem__(1, ["1.0", 2.0]),
+     "poles[1]: expected a [re, im] pair, got ['1.0', 2.0]"),
+    (lambda o: o["zeros"].__setitem__(2, [1.0, 2.0, 3.0]),
+     "zeros[2]: expected a [re, im] pair, got [1.0, 2.0, 3.0]"),
+    (lambda o: o["zeros"].__setitem__(0, None),
+     "zeros[0]: expected a [re, im] pair, got None"),
+    (lambda o: o["poles"].__setitem__(0, [None, 1.0]),
+     "poles[0]: expected a [re, im] pair, got [None, 1.0]"),
+    (lambda o: o["poles"].append([0.0, 9.0]),
+     "poles: expected 3 entries"),
+    (lambda o: o["F_P"][1].__setitem__(2, ["0.5", "1"]),
+     "F_P[1][2]: expected a [re, im] pair, got ['0.5', '1']"),
+    (lambda o: o["G_P"][0].__setitem__(1, [1.0, 2.0, 0.0]),
+     "G_P[0][1]: expected a [re, im] pair, got [1.0, 2.0, 0.0]"),
+    (lambda o: o["F_N"][0].pop(),
+     "F_N[0]: expected 3 entries"),
+    (lambda o: o["G_N"][2].append([1.0, 1.0]),
+     "G_N[2]: expected 2 entries"),
+    (lambda o: o["G_N"].__setitem__(1, None),
+     "G_N[1]: expected 2 entries"),
+    (lambda o: o["F_P"][0].__setitem__(0, [[1.0, 2.0], 3.0]),
+     "F_P[0][0]: expected a [re, im] pair, got [[1.0, 2.0], 3.0]"),
+    (lambda o: o["F_N"].__setitem__(0, [[1.0, 2.0]] * 2 + [[1.0]]),
+     "F_N[0][2]: expected a [re, im] pair, got [1.0]"),
+    (lambda o: o["G_P"].__setitem__(2, [{"re": 1.0}, [0.0, 1.0]]),
+     "G_P[2][0]: expected a [re, im] pair, got {'re': 1.0}"),
+    (lambda o: o["F_P"].__setitem__(1, "row"),
+     "F_P[1]: expected 3 entries"),
+    (lambda o: o.__setitem__("poles", None),
+     "poles: expected 3 entries"),
+    (lambda o: o["zeros"].__setitem__(1, [10 ** 400, 0.0]),
+     None),
+]
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED)
+def test_malformed_fields_raise_the_checked_loops_message(tmp_path, edit,
+                                                          message):
+    obj = _obj()
+    edit(obj)
+    if message is None:
+        # too large for a float: the checked loop's complex() overflows
+        with pytest.raises(OverflowError):
+            instance_from_dict(obj)
+        return
+    with pytest.raises(ParseError) as exc:
+        instance_from_dict(obj)
+    assert str(exc.value) == message
+    # the same text through a file, where json.load makes the lists
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_instance(path)
+    assert str(exc.value) == message
+
+
+def test_bools_and_ints_read_as_numbers_as_before():
+    obj = _obj()
+    obj["poles"][0] = [True, False]
+    obj["poles"][1] = [True, 2.5]
+    obj["zeros"][0] = [3, -4]
+    obj["F_P"][0] = [[1, 0], [0, 1], [True, True]]
+    d, _ = instance_from_dict(obj)
+    assert d.poles[0] == 1 and d.poles[1] == 1 + 2.5j and d.zeros[0] == 3 - 4j
+    np.testing.assert_array_equal(d.F_P[0], [1, 1j, 1 + 1j])
+    assert d.F_P.dtype == np.complex128

@@ -146,6 +146,49 @@ def test_draw_separated_matches_reference_loop(count, radius, min_sep):
         assert rng_a.uniform() == rng_b.uniform()
 
 
+class _CountingRng:
+    """A generator wrapper that counts rng.uniform() calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def uniform(self, *args):
+        self.calls += 1
+        return self.rng.uniform(*args)
+
+
+@pytest.mark.parametrize("count, radius, min_sep, outcome", [
+    # rejections on the way, then success
+    (40, 2.0, 0.3, "rejects"),
+    # the disk holds fewer than 24 such points: the budget runs out
+    (24, 0.5, 0.3, "exhausts"),
+    (256, 2.0, 0.1, "rejects"),
+])
+def test_draw_separated_blocks_match_reference_under_rejection(
+        count, radius, min_sep, outcome):
+    for seed in range(2):
+        rng_a = np.random.default_rng(seed)
+        counting = _CountingRng(np.random.default_rng(seed))
+        got = sy._draw_separated(rng_a, count, radius, min_sep)
+        want = _draw_separated_reference(counting, count, radius, min_sep)
+        if outcome == "exhausts":
+            assert want is None and got is None
+            assert counting.calls == 2 * 400 * count
+        else:
+            assert counting.calls > 2 * count
+            np.testing.assert_array_equal(got, want)
+        assert rng_a.bit_generator.state == counting.rng.bit_generator.state
+
+
+def test_draw_separated_zero_points_draws_nothing():
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    got = sy._draw_separated(rng, 0, 2.0, 0.05)
+    assert got.shape == (0,) and got.dtype == np.complex128
+    assert rng.bit_generator.state == before
+
+
 def test_synthesis_input_validation():
     with pytest.raises(ValidationError):
         sy.SynthesisInput(F=np.ones((2, 2)), G=np.ones((2, 2)),
@@ -185,6 +228,41 @@ def test_chain_identity_holds():
     rep = sy.chain_identity_check(t, triples)
     assert rep.passed, rep.lines()
     assert rep.info["triples"] == 10
+
+
+EPS = np.finfo(float).eps
+
+
+def _chain_identity_reference(t, triples, tol=1e-8):
+    """The per-triple loop chain_identity_check replaces."""
+    triples = list(triples)
+    eye = identity(t.dim)
+    worst_chain = 0.0
+    worst_diag = 0.0
+    for (x, y, z) in triples:
+        lhs = t(x, y) @ t(y, z)
+        worst_chain = max(worst_chain, frobenius(lhs - t(x, z)))
+        for w in (x, y, z):
+            worst_diag = max(worst_diag, frobenius(t(w, w) - eye))
+    return [("chain_identity", worst_chain, tol),
+            ("diagonal_unity", worst_diag, tol)], {"triples": len(triples)}
+
+
+@pytest.mark.parametrize("k, n, seed", [(1, 5, 3), (3, 8, 29)])
+@pytest.mark.parametrize("count", [0, 1, 10])
+def test_chain_identity_check_matches_per_triple_loop(k, n, seed, count):
+    b = sy.random_instance(k, n, seed=seed)
+    t = sy.chain_from_bundle(b)
+    pts = [complex(p) for p in 3.0 * np.exp(0.7j * np.arange(3 * count))]
+    triples = [tuple(pts[3 * i:3 * i + 3]) for i in range(count)]
+    rep = sy.chain_identity_check(t, iter(triples))
+    want_checks, want_info = _chain_identity_reference(t, triples)
+    assert rep.info == want_info
+    assert [c.name for c in rep.checks] == [w[0] for w in want_checks]
+    for c, (_, residual, tol) in zip(rep.checks, want_checks):
+        # bitwise equal with numpy 2.4 on x86-64; 4 ulps for other builds
+        assert abs(c.residual - residual) <= 4 * EPS * residual
+        assert c.tol == tol
 
 
 def test_chain_diagonal_is_exact_identity():
