@@ -73,13 +73,24 @@ def _check_separation(poles: np.ndarray, zeros: np.ndarray, sep_eps: float):
         )
 
 
-def _check_clear_of(z: complex, points: np.ndarray, eps: float):
+def _check_clear(z, points: np.ndarray):
+    """Raise PoleHitError when z comes within EVAL_EPS of one of points;
+    for a 1-d array z, name the first entry in array order that does."""
     if points.size == 0:
         return
-    idx = int(np.argmin(np.abs(points - z)))
-    dist = abs(points[idx] - z)
-    if dist < eps:
-        raise PoleHitError(z, complex(points[idx]), dist)
+    if np.ndim(z) == 0:
+        dist = np.abs(points - z)
+        j = int(np.argmin(dist))
+        if dist[j] < EVAL_EPS:
+            raise PoleHitError(z, complex(points[j]), dist[j])
+        return
+    z = np.asarray(z)
+    dist = np.abs(z[:, None] - points[None, :])
+    hit = dist.min(axis=1) < EVAL_EPS
+    if hit.any():
+        i = int(np.argmax(hit))
+        j = int(np.argmin(dist[i]))
+        raise PoleHitError(complex(z[i]), complex(points[j]), dist[i, j])
 
 
 @dataclass(frozen=True)
@@ -127,7 +138,7 @@ def scalar_eval(d: ScalarZeroPole, z: complex) -> complex:
     """Evaluate r(z) = c * prod(z - mu) / prod(z - lambda)."""
     poles = np.asarray(d.poles)
     zeros = np.asarray(d.zeros)
-    _check_clear_of(z, poles, EVAL_EPS)
+    _check_clear(z, poles)
     return complex(d.c * np.prod(z - zeros) / np.prod(z - poles))
 
 
@@ -263,8 +274,8 @@ def scalar_joint_eval(d: ScalarZeroPole, x: complex, y: complex) -> complex:
         raise ValidationError(f"joint form needs c = 1, got c = {d.c}")
     lam = np.asarray(d.poles)
     mu = np.asarray(d.zeros)
-    _check_clear_of(x, lam, EVAL_EPS)
-    _check_clear_of(y, mu, EVAL_EPS)
+    _check_clear(x, lam)
+    _check_clear(y, mu)
     s = cauchy_matrix(d.poles, d.zeros)
     u = 1.0 / (x - lam)          # e (xI - A_P)^-1
     v = 1.0 / (y - mu)           # (yI - A_N)^-1 e*

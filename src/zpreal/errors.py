@@ -1,8 +1,8 @@
 """Exception taxonomy for the zpreal package.
 
 Every failure mode that callers are expected to branch on gets its own
-class; the CLI maps these onto exit codes. Structured context (pivot
-index, offending point, residual value) rides on attributes rather than
+class; the CLI maps these onto exit codes. Structured context (offending
+point, residual value, condition number) rides on attributes rather than
 being baked into the message string only.
 """
 
@@ -18,36 +18,7 @@ class DimensionMismatchError(ZprealError):
 
 
 class SingularMatrixError(ZprealError):
-    """LU elimination met a pivot below the acceptance threshold.
-
-    Attributes
-    ----------
-    pivot_index : int
-        Zero-based elimination step at which the pivot died.
-    pivot_magnitude : float
-        Magnitude of the best available pivot at that step.
-    threshold : float
-        The acceptance threshold in force.
-    """
-
-    def __init__(self, pivot_index: int, pivot_magnitude: float, threshold: float,
-                 context: str = ""):
-        self.pivot_index = pivot_index
-        self.pivot_magnitude = pivot_magnitude
-        self.threshold = threshold
-        what = context or "matrix is numerically singular"
-        super().__init__(
-            f"{what}: pivot {pivot_index} has magnitude "
-            f"{pivot_magnitude:.3e} < {threshold:.3e}"
-        )
-
-
-class Singular11Error(SingularMatrixError):
-    """The upper-left block of a 2x2 block matrix is not invertible."""
-
-
-class SingularSchurError(SingularMatrixError):
-    """The Schur complement of the upper-left block is not invertible."""
+    """A matrix is singular, or too ill-conditioned for linalg.inverse."""
 
 
 class CollisionError(ZprealError):

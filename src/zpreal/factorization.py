@@ -167,17 +167,6 @@ class FactorizationResult:
     report: Report
 
 
-def _empty_data(k: int) -> ZeroPoleData:
-    z0 = np.zeros(0, dtype=np.complex128)
-    return ZeroPoleData(
-        poles=z0, zeros=z0,
-        F_P=np.zeros((k, 0), dtype=np.complex128),
-        G_P=np.zeros((0, k), dtype=np.complex128),
-        F_N=np.zeros((k, 0), dtype=np.complex128),
-        G_N=np.zeros((0, k), dtype=np.complex128),
-    )
-
-
 def _sample_ring(c: CircleContour, singular: np.ndarray, count: int):
     """Deterministic verification points: half on the circle, a quarter
     well inside, a quarter well outside, rotated to clear every
@@ -265,7 +254,7 @@ def factorize(b: RealizationBundle, c: CircleContour,
                 pole_points=lam_in, zero_points=mu_in,
             ), cond_max=cond_max)
         else:
-            plus = build_bundle(_empty_data(d.k))
+            plus = build_bundle(ZeroPoleData.empty(d.k))
         if n_minus:
             minus = synthesize_hybrid(SynthesisInput(
                 F=d.F_N[:, list(split.idxN_minus)],
@@ -273,7 +262,7 @@ def factorize(b: RealizationBundle, c: CircleContour,
                 pole_points=lam_out, zero_points=mu_out,
             ), cond_max=cond_max)
         else:
-            minus = build_bundle(_empty_data(d.k))
+            minus = build_bundle(ZeroPoleData.empty(d.k))
     except (SingularCouplingError, SingularMatrixError) as exc:
         raise NoFactorizationError(
             f"factor synthesis failed: {exc}", cond=cond_s11) from exc

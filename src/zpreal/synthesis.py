@@ -398,18 +398,9 @@ def random_instance(k: int, n: int, seed: int,
         geometry = GeneratorGeometry()
     if k < 1 or n < 0:
         raise ValidationError("need k >= 1 and n >= 0")
-    rng = np.random.default_rng(seed)
     if n == 0:
-        data = ZeroPoleData(
-            poles=np.zeros(0, dtype=np.complex128),
-            zeros=np.zeros(0, dtype=np.complex128),
-            F_P=np.zeros((k, 0), dtype=np.complex128),
-            G_P=np.zeros((0, k), dtype=np.complex128),
-            F_N=np.zeros((k, 0), dtype=np.complex128),
-            G_N=np.zeros((0, k), dtype=np.complex128),
-        )
-        return build_bundle(data)
-
+        return build_bundle(ZeroPoleData.empty(k))
+    rng = np.random.default_rng(seed)
     for _ in range(geometry.max_retries):
         pts = _draw_separated(rng, 2 * n, geometry.disk_radius,
                               geometry.min_separation)

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import EVAL_EPS
+from .cauchy import _check_clear
 from .errors import (
     CollisionError,
     NotRankOneError,
-    PoleHitError,
     ValidationError,
     ZeroGaugeEntryError,
 )
@@ -145,6 +144,16 @@ class ZeroPoleData:
         ):
             object.__setattr__(self, field_name, value)
 
+    @classmethod
+    def empty(cls, k: int) -> "ZeroPoleData":
+        """The n = 0 data of size k: the identity function."""
+        z0 = np.zeros(0, dtype=np.complex128)
+        return cls(poles=z0, zeros=z0,
+                   F_P=np.zeros((k, 0), dtype=np.complex128),
+                   G_P=np.zeros((0, k), dtype=np.complex128),
+                   F_N=np.zeros((k, 0), dtype=np.complex128),
+                   G_N=np.zeros((0, k), dtype=np.complex128))
+
     @property
     def k(self) -> int:
         return self.F_P.shape[0]
@@ -214,26 +223,6 @@ def gauge_transform(d: ZeroPoleData, g: GaugePair) -> ZeroPoleData:
         F_N=d.F_N * g.D_N[None, :],
         G_N=d.G_N / g.D_N[:, None],
     )
-
-
-def _check_clear(z, points: np.ndarray, eps: float = EVAL_EPS):
-    """Raise PoleHitError when z comes within eps of one of points; for
-    a 1-d array z, name the first entry in array order that does."""
-    if points.size == 0:
-        return
-    if np.ndim(z) == 0:
-        dist = np.abs(points - z)
-        j = int(np.argmin(dist))
-        if dist[j] < eps:
-            raise PoleHitError(z, complex(points[j]), dist[j])
-        return
-    z = np.asarray(z)
-    dist = np.abs(z[:, None] - points[None, :])
-    hit = dist.min(axis=1) < eps
-    if hit.any():
-        i = int(np.argmax(hit))
-        j = int(np.argmin(dist[i]))
-        raise PoleHitError(complex(z[i]), complex(points[j]), dist[i, j])
 
 
 def _scaled(f: np.ndarray, w: np.ndarray) -> np.ndarray:

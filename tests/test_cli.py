@@ -14,6 +14,7 @@ from zpreal.serialize import (
     save_instance,
 )
 from zpreal.synthesis import random_instance
+from zpreal.zero_pole import ZeroPoleData
 
 from conftest import make_d1, make_d2, make_scalar_instance
 
@@ -130,6 +131,58 @@ def test_verify_names_broken_relation(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "coupling_d" in out
+
+
+VERIFY_CHECKS = [
+    "mutual_inverse_at_samples", "annihilation_at_poles",
+    "pole_residue_identity", "annihilation_at_zeros", "zero_residue_identity",
+    "sylvester_r", "sylvester_l", "mutual_inverse",
+    "coupling_a", "coupling_b", "coupling_c", "coupling_d",
+    "chain_identity", "diagonal_unity",
+]
+
+
+def test_verify_prints_the_check_names_in_order(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    assert main(["generate", "2", "4", "3", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines[:-1]] == VERIFY_CHECKS
+    assert lines[-1] == "OK    all checks passed"
+
+
+def _overflowing_path(tmp_path):
+    # every product of an F and a G overflows, so every diagnostic of
+    # the build reads NaN
+    d = random_instance(2, 4, 3).data
+    big = ZeroPoleData(poles=d.poles, zeros=d.zeros,
+                       F_P=d.F_P * 1e160, G_P=d.G_P * 1e160,
+                       F_N=d.F_N * 1e160, G_N=d.G_N * 1e160)
+    path = tmp_path / "big.json"
+    save_instance(big, path)
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["verify", "{path}"],
+    ["eval", "{path}", "R", "0.3", "0.1"],
+    ["factorize", "{path}", "0", "0", "1", "{plus}", "{minus}"],
+], ids=["verify", "eval", "factorize"])
+def test_nan_diagnostics_fail_the_build(tmp_path, capsys, argv):
+    fill = {"path": _overflowing_path(tmp_path),
+            "plus": str(tmp_path / "p.json"),
+            "minus": str(tmp_path / "m.json")}
+    assert main([a.format(**fill) for a in argv]) == 6
+    captured = capsys.readouterr()
+    if argv[0] == "verify":
+        checks = captured.out.splitlines()[:-1]
+        assert len(checks) == 12
+        assert all(line.startswith("FAIL") and "nan" in line
+                   for line in checks)
+    else:
+        assert captured.err.startswith("error: data is not self-consistent")
 
 
 def test_verify_malformed_file(tmp_path, capsys):

@@ -3,42 +3,16 @@ import pytest
 from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
-from zpreal.errors import (
-    DimensionMismatchError,
-    Singular11Error,
-    SingularMatrixError,
-    SingularSchurError,
-)
+from zpreal.errors import DimensionMismatchError, SingularMatrixError
 from zpreal.linalg import (
-    Block2x2,
-    block_inverse_2x2,
     cond_frobenius,
-    determinant,
     frobenius,
     identity,
     inverse,
-    lu_factor,
-    lu_solve,
-    matmul,
     max_frobenius,
     rank,
     solve,
 )
-
-
-def matmul_oracle(a, b):
-    # naive triple loop, deliberately independent of numpy's product
-    n, m = a.shape
-    m2, p = b.shape
-    assert m == m2
-    out = np.zeros((n, p), dtype=complex)
-    for i in range(n):
-        for j in range(p):
-            acc = 0j
-            for k in range(m):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
 
 
 def random_complex(rng, *shape):
@@ -46,46 +20,7 @@ def random_complex(rng, *shape):
 
 
 # ---------------------------------------------------------------------------
-# matmul
-
-
-def test_matmul_identity():
-    rng = np.random.default_rng(0)
-    m = random_complex(rng, 2, 2)
-    assert_allclose(matmul(identity(2), m), m)
-
-
-def test_matmul_imaginary_unit_squares_to_minus_one():
-    one_i = np.array([[1j]])
-    assert_allclose(matmul(one_i, one_i), np.array([[-1.0 + 0j]]))
-
-
-def test_matmul_against_triple_loop():
-    rng = np.random.default_rng(42)
-    for _ in range(5):
-        a = random_complex(rng, 3, 3)
-        b = random_complex(rng, 3, 3)
-        assert_allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-13)
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def test_matmul_associativity():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        a = random_complex(rng, 4, 3)
-        b = random_complex(rng, 3, 5)
-        c = random_complex(rng, 5, 2)
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert frobenius(left - right) <= 1e-12 * max(1.0, frobenius(left))
-
-
-# ---------------------------------------------------------------------------
-# solve / inverse / determinant
+# solve / inverse
 
 
 def test_solve_identity_case():
@@ -116,27 +51,20 @@ def test_solve_vector_rhs_keeps_shape():
     assert_allclose(a @ x, b, atol=1e-10)
 
 
-def test_solve_singular_reports_pivot_index():
+def test_solve_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        solve(identity(3), np.ones(2))
+
+
+def test_solve_singular_raises():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank one
-    with pytest.raises(SingularMatrixError) as info:
+    with pytest.raises(SingularMatrixError):
         solve(a, np.eye(2))
-    assert info.value.pivot_index == 1
 
 
-def test_solve_zero_matrix_dies_on_first_pivot():
-    with pytest.raises(SingularMatrixError) as info:
+def test_solve_zero_matrix_raises():
+    with pytest.raises(SingularMatrixError):
         solve(np.zeros((3, 3)), np.eye(3))
-    assert info.value.pivot_index == 0
-
-
-def test_lu_reconstruction():
-    rng = np.random.default_rng(11)
-    a = random_complex(rng, 6, 6)
-    lu, perm, sign = lu_factor(a)
-    lower = np.tril(lu, -1) + identity(6)
-    upper = np.triu(lu)
-    assert_allclose(lower @ upper, a[perm, :], atol=1e-12)
-    assert sign in (-1, 1)
 
 
 def test_inverse_diagonal():
@@ -155,11 +83,13 @@ def test_inverse_involution():
 
 @pytest.mark.parametrize("n", [8, 32, 128])
 def test_inverse_agrees_with_hand_lu(n):
+    # the residual stays at the 1e-12·cond scale that LU with partial
+    # pivoting guarantees
     rng = np.random.default_rng(100 + n)
     a = random_complex(rng, n, n)
-    hand = lu_solve(lu_factor(a), identity(n))
-    cond = frobenius(a) * frobenius(hand)
-    assert frobenius(inverse(a) - hand) <= 1e-12 * cond * frobenius(hand)
+    inv = inverse(a)
+    cond = frobenius(a) * frobenius(inv)
+    assert frobenius(a @ inv - identity(n)) <= 1e-12 * cond
 
 
 def test_inverse_well_conditioned_is_lapack_result():
@@ -168,47 +98,45 @@ def test_inverse_well_conditioned_is_lapack_result():
     np.testing.assert_array_equal(inverse(a), np.linalg.inv(a))
 
 
-@pytest.mark.parametrize("a, pivot", [
-    (np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), 1),
-    (np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0 + 1e-14]]), 2),
-])
-def test_inverse_near_singular_still_raises_hand_lu_pivot(a, pivot):
-    # LAPACK inverts these to finite (huge) values; the hand LU decides
+def test_inverse_inside_the_bound_is_lapack_result():
+    # n·‖A‖∞·‖A⁻¹‖∞·1e-13 = 0.02 < 0.1
+    a = np.diag([1.0, 1e-11])
+    np.testing.assert_array_equal(inverse(a), np.linalg.inv(a))
+
+
+def test_inverse_refuses_past_the_bound():
+    # n·‖A‖∞·‖A⁻¹‖∞·1e-13 = 0.63: refused although LAPACK's result is
+    # finite and exact, and no pivot is below 1e-13·‖A‖∞
+    a = np.diag([1.0, 10.0 ** -12.5])
     assert np.isfinite(np.linalg.inv(a)).all()
-    with pytest.raises(SingularMatrixError) as from_lu:
-        lu_factor(a)
-    with pytest.raises(SingularMatrixError) as from_inverse:
+    with pytest.raises(SingularMatrixError):
         inverse(a)
-    assert from_inverse.value.pivot_index == from_lu.value.pivot_index == pivot
-    assert from_inverse.value.pivot_magnitude == from_lu.value.pivot_magnitude
     assert cond_frobenius(a) == float("inf")
 
 
-def test_inverse_respects_explicit_pivot_eps():
-    a = np.diag([1.0, 1e-6])
-    assert_allclose(inverse(a), np.diag([1.0, 1e6]))
-    with pytest.raises(SingularMatrixError) as info:
-        inverse(a, pivot_eps=1e-3)
-    assert info.value.pivot_index == 1
+@pytest.mark.parametrize("a", [
+    np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]),
+    np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0 + 1e-14]]),
+], ids=["nearly_rank_one_2x2", "nearly_singular_3x3"])
+def test_inverse_refuses_near_singular(a):
+    # LAPACK inverts these to finite (huge) values; the bound refuses them
+    assert np.isfinite(np.linalg.inv(a)).all()
+    with pytest.raises(SingularMatrixError):
+        inverse(a)
+    assert cond_frobenius(a) == float("inf")
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[1.0, 2.0], [2.0, 4.0]]),
+    np.zeros((3, 3)),
+], ids=["rank_one", "zero"])
+def test_inverse_refuses_singular(a):
+    with pytest.raises(SingularMatrixError):
+        inverse(a)
 
 
 def test_inverse_empty_matrix():
     assert inverse(np.zeros((0, 0))).shape == (0, 0)
-
-
-def test_determinant_against_numpy():
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 5):
-        a = random_complex(rng, n, n)
-        assert_allclose(determinant(a), np.linalg.det(a), rtol=1e-10)
-
-
-def test_determinant_empty_matrix_is_one():
-    assert determinant(np.zeros((0, 0))) == 1 + 0j
-
-
-def test_determinant_singular_is_zero():
-    assert determinant(np.array([[1.0, 1.0], [1.0, 1.0]])) == 0j
 
 
 def test_cond_frobenius_empty_is_one():
@@ -261,78 +189,6 @@ def test_rank_one_property(fs, gs):
     m = np.outer(f, g)
     expected = 1 if np.abs(m).max() > 0 else 0  # tiny entries can underflow to 0
     assert rank(m) == expected
-
-
-# ---------------------------------------------------------------------------
-# block 2x2 inversion
-
-
-def test_block_inverse_diagonal_blocks():
-    m = Block2x2(np.array([[1.0]]), np.zeros((1, 1)), np.zeros((1, 1)),
-                 np.array([[2.0]]))
-    out = block_inverse_2x2(m)
-    assert_allclose(out.m22, np.array([[0.5]]))
-    assert_allclose(out.m11, np.array([[1.0]]))
-
-
-def test_block_inverse_of_identity():
-    m = Block2x2.split(identity(5), 2)
-    out = block_inverse_2x2(m)
-    assert_allclose(out.assemble(), identity(5), atol=1e-14)
-
-
-def test_block_inverse_matches_dense_inverse():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        n = int(rng.integers(2, 7))
-        n1 = int(rng.integers(0, n + 1))
-        a = random_complex(rng, n, n) + 3 * identity(n)
-        out = block_inverse_2x2(Block2x2.split(a, n1)).assemble()
-        assert frobenius(out - inverse(a)) <= 1e-9
-
-
-def test_block_inverse_singular11_distinguished():
-    m = Block2x2(
-        np.zeros((1, 1)), np.array([[1.0]]), np.array([[1.0]]), np.zeros((1, 1))
-    )
-    # the assembled matrix is invertible, only the 11 block is not
-    assert abs(determinant(m.assemble())) == 1.0
-    with pytest.raises(Singular11Error):
-        block_inverse_2x2(m)
-
-
-def test_block_inverse_singular_schur_distinguished():
-    m = Block2x2(
-        np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]])
-    )
-    with pytest.raises(SingularSchurError):
-        block_inverse_2x2(m)
-
-
-def test_block_inverse_near_singular11_distinguished():
-    # LAPACK inverts the 11 block to finite values; it is still refused
-    m11 = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
-    assert np.isfinite(np.linalg.inv(m11)).all()
-    m = Block2x2(m11, identity(2), identity(2), np.zeros((2, 2)))
-    with pytest.raises(Singular11Error) as info:
-        block_inverse_2x2(m)
-    assert info.value.pivot_index == 1
-
-
-def test_block_inverse_near_singular_schur_distinguished():
-    # Schur complement [[1, 1], [1, 1 + 1e-15]] - I·I⁻¹·I: nearly singular
-    m22 = np.array([[2.0, 1.0], [1.0, 2.0 + 1e-15]])
-    m = Block2x2(identity(2), identity(2), identity(2), m22)
-    with pytest.raises(SingularSchurError) as info:
-        block_inverse_2x2(m)
-    assert info.value.pivot_index == 1
-
-
-def test_block_inverse_empty_split_degenerates_to_plain_inverse():
-    rng = np.random.default_rng(10)
-    a = random_complex(rng, 3, 3) + 2 * identity(3)
-    out = block_inverse_2x2(Block2x2.split(a, 0)).assemble()
-    assert_allclose(out, inverse(a), atol=1e-11)
 
 
 def test_max_frobenius_is_the_running_max_of_frobenius():

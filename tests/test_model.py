@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +8,7 @@ from numpy.testing import assert_allclose
 from conftest import make_scalar_instance
 from helpers import separated_points
 
+import zpreal
 from zpreal.cauchy import ScalarZeroPole, scalar_eval
 from zpreal.errors import (
     CollisionError,
@@ -382,3 +386,12 @@ def test_log_derivative_residues_match_per_point_loop(k, n, seed):
         assert p_poles[j].shape == p_zeros[j].shape == (k, k)
         np.testing.assert_allclose(p_poles[j], want_p, rtol=4 * EPS, atol=0)
         np.testing.assert_allclose(p_zeros[j], want_z, rtol=4 * EPS, atol=0)
+
+
+@pytest.mark.parametrize("module", ["zpreal"] + [
+    f"zpreal.{m.name}" for m in pkgutil.iter_modules(zpreal.__path__)])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ())
+               if not hasattr(mod, name)]
+    assert missing == []
