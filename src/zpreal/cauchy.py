@@ -12,6 +12,11 @@ and solves for the partial-fraction representations of the function and
 its reciprocal. The k-by-k matrix machinery in the rest of the package
 reduces to this module when k = 1, which the tests exploit as an
 independent oracle.
+
+It also holds the package's one clearance rule: _gaps(z, points) refuses
+an evaluation point within EVAL_EPS of a pole or zero and otherwise
+returns z - points, for one point or a 1-d array of points. Every
+evaluator, additive form and scalar form divides by what it returns.
 """
 
 from __future__ import annotations
@@ -63,34 +68,47 @@ def _min_pairwise_distance(pts: np.ndarray) -> float:
     return float(off.min())
 
 
-def _check_separation(poles: np.ndarray, zeros: np.ndarray, sep_eps: float):
+def _check_separation(poles: np.ndarray, zeros: np.ndarray):
     allpts = np.concatenate([poles, zeros])
     d = _min_pairwise_distance(allpts)
-    if d < sep_eps:
+    if d < SEP_EPS:
         raise CollisionError(
-            f"defining points are only {d:.3e} apart (need {sep_eps:.1e})",
+            f"defining points are only {d:.3e} apart (need {SEP_EPS:.1e})",
             separation=d,
         )
 
 
-def _check_clear(z, points: np.ndarray):
-    """Raise PoleHitError when z comes within EVAL_EPS of one of points;
-    for a 1-d array z, name the first entry in array order that does."""
-    if points.size == 0:
-        return
-    if np.ndim(z) == 0:
-        dist = np.abs(points - z)
-        j = int(np.argmin(dist))
-        if dist[j] < EVAL_EPS:
-            raise PoleHitError(z, complex(points[j]), dist[j])
-        return
-    z = np.asarray(z)
-    dist = np.abs(z[:, None] - points[None, :])
-    hit = dist.min(axis=1) < EVAL_EPS
-    if hit.any():
-        i = int(np.argmax(hit))
-        j = int(np.argmin(dist[i]))
-        raise PoleHitError(complex(z[i]), complex(points[j]), dist[i, j])
+def _gaps(z, points: np.ndarray) -> np.ndarray:
+    """z - points after the clearance check, for one point or a 1-d
+    array of points (one row of gaps per point).
+
+    A point within EVAL_EPS of one of `points` raises PoleHitError
+    naming its nearest singularity; in a batch the first such point in
+    array order is named.
+    """
+    if isinstance(z, complex) or np.ndim(z) == 0:
+        gaps = z - points
+        if points.size:
+            dist = np.abs(gaps)
+            j = int(np.argmin(dist))
+            if dist[j] < EVAL_EPS:
+                raise PoleHitError(z, complex(points[j]), float(dist[j]))
+        return gaps
+    z = np.asarray(z, dtype=np.complex128)
+    if z.ndim != 1:
+        raise ValidationError(
+            f"evaluation points must be a scalar or a 1-d array, "
+            f"got shape {z.shape}")
+    gaps = z[:, None] - points[None, :]
+    if points.size:
+        dist = np.abs(gaps)
+        hit = dist.min(axis=1) < EVAL_EPS
+        if hit.any():
+            i = int(np.argmax(hit))
+            j = int(np.argmin(dist[i]))
+            raise PoleHitError(complex(z[i]), complex(points[j]),
+                               float(dist[i, j]))
+    return gaps
 
 
 @dataclass(frozen=True)
@@ -124,7 +142,7 @@ class ScalarZeroPole:
         c = complex(self.c)
         if c == 0:
             raise ValidationError("value at infinity must be nonzero")
-        _check_separation(poles, zeros, SEP_EPS)
+        _check_separation(poles, zeros)
         object.__setattr__(self, "poles", tuple(map(complex, poles)))
         object.__setattr__(self, "zeros", tuple(map(complex, zeros)))
         object.__setattr__(self, "c", c)
@@ -136,17 +154,17 @@ class ScalarZeroPole:
 
 def scalar_eval(d: ScalarZeroPole, z: complex) -> complex:
     """Evaluate r(z) = c * prod(z - mu) / prod(z - lambda)."""
-    poles = np.asarray(d.poles)
     zeros = np.asarray(d.zeros)
-    _check_clear(z, poles)
-    return complex(d.c * np.prod(z - zeros) / np.prod(z - poles))
+    return complex(d.c * np.prod(z - zeros)
+                   / np.prod(_gaps(z, np.asarray(d.poles))))
 
 
-def cauchy_matrix(poles, zeros, sep_eps: float = SEP_EPS) -> np.ndarray:
+def cauchy_matrix(poles, zeros) -> np.ndarray:
     """The n x n matrix with entries 1 / (mu_p - lambda_q).
 
     Rows follow the zeros, columns the poles. Raises Collision when any
-    zero comes within sep_eps of any pole.
+    zero comes within SEP_EPS of any pole. The check is its own code
+    because it reads the gap matrix the entries are divided by.
     """
     lam = _as_points(poles, "poles")
     mu = _as_points(zeros, "zeros")
@@ -154,42 +172,43 @@ def cauchy_matrix(poles, zeros, sep_eps: float = SEP_EPS) -> np.ndarray:
         raise ValidationError(f"{lam.size} poles vs {mu.size} zeros")
     gaps = mu[:, None] - lam[None, :]
     worst = float(np.abs(gaps).min())
-    if worst < sep_eps:
+    if worst < SEP_EPS:
         raise CollisionError(
             f"a zero and a pole are only {worst:.3e} apart", separation=worst
         )
     return 1.0 / gaps
 
 
-def _derivative_at_zeros(lam: np.ndarray, mu: np.ndarray, c: complex) -> np.ndarray:
-    """r'(mu_q) for each zero, from the product form.
+def _critical_derivatives(poles, zeros, c):
+    """(lam, mu, dp, dz): the parsed points, (1/r)'(lambda_p) at each
+    pole and r'(mu_q) at each zero, from the product form.
 
     Differentiating c * prod(z - mu_l) / prod(z - lambda_j) at z = mu_q
     kills every term except the one where the (z - mu_q) factor is
     differentiated, leaving c * prod_{l != q}(mu_q - mu_l) /
-    prod_j(mu_q - lambda_j).
+    prod_j(mu_q - lambda_j); 1/r swaps the roles of the sets. Refuses
+    unequal counts, points closer than SEP_EPS and c = 0.
     """
-    n = mu.size
-    out = np.empty(n, dtype=np.complex128)
-    for q in range(n):
-        gaps = np.delete(mu - mu[q], q)
-        out[q] = c * np.prod(-gaps) / np.prod(mu[q] - lam)
-    return out
-
-
-def _reciprocal_derivative_at_poles(lam: np.ndarray, mu: np.ndarray,
-                                    c: complex) -> np.ndarray:
-    """(1/r)'(lambda_p) for each pole; 1/r swaps the roles of the sets."""
+    lam = _as_points(poles, "poles")
+    mu = _as_points(zeros, "zeros")
+    if lam.size != mu.size:
+        raise ValidationError(f"{lam.size} poles vs {mu.size} zeros")
+    _check_separation(lam, mu)
+    c = complex(c)
+    if c == 0:
+        raise ValidationError("c must be nonzero")
     n = lam.size
-    out = np.empty(n, dtype=np.complex128)
-    for p in range(n):
-        gaps = np.delete(lam - lam[p], p)
-        out[p] = np.prod(-gaps) / (c * np.prod(lam[p] - mu))
-    return out
+    dp = np.empty(n, dtype=np.complex128)
+    dz = np.empty(n, dtype=np.complex128)
+    for j in range(n):
+        mu_gaps = np.delete(mu - mu[j], j)
+        lam_gaps = np.delete(lam - lam[j], j)
+        dz[j] = c * np.prod(-mu_gaps) / np.prod(mu[j] - lam)
+        dp[j] = np.prod(-lam_gaps) / (c * np.prod(lam[j] - mu))
+    return lam, mu, dp, dz
 
 
-def cauchy_inverse_formula(poles, zeros, c: complex = 1.0,
-                           deriv_eps: float = DERIV_EPS) -> np.ndarray:
+def cauchy_inverse_formula(poles, zeros, c: complex = 1.0) -> np.ndarray:
     """Closed-form inverse of cauchy_matrix(poles, zeros).
 
     Entry (p, q) is 1 / [ (1/r)'(lambda_p) * (lambda_p - mu_q) * r'(mu_q) ],
@@ -199,20 +218,11 @@ def cauchy_inverse_formula(poles, zeros, c: complex = 1.0,
     zeros, making the result a left and right inverse of the Cauchy
     matrix.
     """
-    lam = _as_points(poles, "poles")
-    mu = _as_points(zeros, "zeros")
-    if lam.size != mu.size:
-        raise ValidationError(f"{lam.size} poles vs {mu.size} zeros")
-    _check_separation(lam, mu, SEP_EPS)
-    c = complex(c)
-    if c == 0:
-        raise ValidationError("c must be nonzero")
-    dz = _derivative_at_zeros(lam, mu, c)
-    dp = _reciprocal_derivative_at_poles(lam, mu, c)
+    lam, mu, dp, dz = _critical_derivatives(poles, zeros, c)
     small = min(np.abs(dz).min(), np.abs(dp).min())
-    if small < deriv_eps:
+    if small < DERIV_EPS:
         raise DegenerateDerivativeError(
-            f"a critical derivative has magnitude {small:.3e} < {deriv_eps:.1e};"
+            f"a critical derivative has magnitude {small:.3e} < {DERIV_EPS:.1e};"
             f" the closed-form inverse is meaningless here"
         )
     middle = 1.0 / (lam[:, None] - mu[None, :])
@@ -228,13 +238,7 @@ def cauchy_det_squared(poles, zeros) -> complex:
     with every entry negated; on n = 1 sets like ([0], [1]) the signed
     form gives det([[1]])^2 = 1 where the bare product gives -1.
     """
-    lam = _as_points(poles, "poles")
-    mu = _as_points(zeros, "zeros")
-    if lam.size != mu.size:
-        raise ValidationError(f"{lam.size} poles vs {mu.size} zeros")
-    _check_separation(lam, mu, SEP_EPS)
-    dz = _derivative_at_zeros(lam, mu, 1.0 + 0j)
-    dp = _reciprocal_derivative_at_poles(lam, mu, 1.0 + 0j)
+    lam, _, dp, dz = _critical_derivatives(poles, zeros, 1.0)
     return complex((-1.0) ** lam.size * np.prod(dp) * np.prod(dz))
 
 
@@ -272,12 +276,8 @@ def scalar_joint_eval(d: ScalarZeroPole, x: complex, y: complex) -> complex:
     """
     if d.c != 1:
         raise ValidationError(f"joint form needs c = 1, got c = {d.c}")
-    lam = np.asarray(d.poles)
-    mu = np.asarray(d.zeros)
-    _check_clear(x, lam)
-    _check_clear(y, mu)
+    u = 1.0 / _gaps(x, np.asarray(d.poles))    # e (xI - A_P)^-1
+    v = 1.0 / _gaps(y, np.asarray(d.zeros))    # (yI - A_N)^-1 e*
     s = cauchy_matrix(d.poles, d.zeros)
-    u = 1.0 / (x - lam)          # e (xI - A_P)^-1
-    v = 1.0 / (y - mu)           # (yI - A_N)^-1 e*
     w = solve(s, v)
     return complex(1.0 + (x - y) * (u @ w))

@@ -109,17 +109,17 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     data, _ = load_instance(args.path)
     report = check_consistency(data, args.tol)
-    bundle = None
     try:
         bundle = build_bundle(data)
+        diagnostics = bundle.diagnostics
     except InconsistentDataError as exc:
         # keep going: the partial diagnostics tell the user which
         # relation broke
-        for name, value in (exc.diagnostics or {}).items():
-            report.add(name, value, args.tol)
+        bundle = None
+        diagnostics = exc.diagnostics or {}
+    for name, value in diagnostics.items():
+        report.add(name, value, args.tol)
     if bundle is not None:
-        for name, value in bundle.diagnostics.items():
-            report.add(name, value, args.tol)
         if data.n:
             pts = sample_points(data, count=6)
             triples = [(pts[0], pts[1], pts[2]), (pts[3], pts[4], pts[5]),

@@ -35,20 +35,9 @@ from .errors import (
     ValidationError,
     VerificationFailedError,
 )
-from .linalg import (
-    cond_frobenius,
-    frobenius,
-    identity,
-    inverse,
-    max_frobenius,
-)
-from .realization import (
-    RealizationBundle,
-    _form,
-    _weights,
-    build_bundle,
-    eval_R,
-)
+from .cauchy import _gaps
+from .linalg import frobenius, identity, inverse, inverse_cond, max_frobenius
+from .realization import RealizationBundle, _form, build_bundle, eval_R
 from .report import Report
 from .synthesis import SynthesisInput, synthesize, synthesize_hybrid
 from .zero_pole import FAIL_TOL, ZeroPoleData
@@ -66,10 +55,14 @@ __all__ = [
     "BOUNDARY",
     "BOUNDARY_EPS",
     "COND_MAX",
+    "AGREE_TOL",
+    "N_SAMPLES",
 ]
 
 BOUNDARY_EPS = 1e-9
 COND_MAX = 1e8
+AGREE_TOL = 1e-9     # agreement of the two outside-factor constructions
+N_SAMPLES = 40       # verification points of factorize
 
 EXISTS = "Exists"
 NOT_EXISTS = "NotExists"
@@ -130,16 +123,15 @@ class Partition:
         return self.idxN_plus + self.idxN_minus
 
 
-def partition(d: ZeroPoleData, c: CircleContour,
-              boundary_eps: float = BOUNDARY_EPS) -> Partition:
+def partition(d: ZeroPoleData, c: CircleContour) -> Partition:
     """Classify every pole and zero by contour side.
 
-    Points within boundary_eps * radius of the circle are refused:
+    Points within BOUNDARY_EPS * radius of the circle are refused:
     the side of such a point is not numerically meaningful. The inside
     pole and zero counts must agree, otherwise no split factorization
     without extra middle structure exists and we stop.
     """
-    guard = boundary_eps * c.radius
+    guard = BOUNDARY_EPS * c.radius
 
     def classify(points, kind):
         inside, outside = [], []
@@ -173,23 +165,18 @@ def _sample_ring(c: CircleContour, singular: np.ndarray, count: int):
     singular point."""
     on = count // 2
     inner = (count - on) // 2
-    outer = count - on - inner
+    # (points, radius factor, phase factor, angle offset) of each ring
+    rings = ((on, 1.0, 1.0, 0.0), (inner, 0.43, 1.7, 0.4),
+             (count - on - inner, 2.6, 2.3, 0.9))
     best, best_clear = None, -1.0
     for rot in range(64):
         phase = 2.0 * math.pi * rot / 64.0
         pts = []
-        for j in range(on):
-            ang = 2.0 * math.pi * j / on + phase
-            pts.append(c.center + c.radius * complex(math.cos(ang),
-                                                     math.sin(ang)))
-        for j in range(inner):
-            ang = 2.0 * math.pi * j / max(inner, 1) + 1.7 * phase + 0.4
-            pts.append(c.center + 0.43 * c.radius * complex(math.cos(ang),
-                                                            math.sin(ang)))
-        for j in range(outer):
-            ang = 2.0 * math.pi * j / max(outer, 1) + 2.3 * phase + 0.9
-            pts.append(c.center + 2.6 * c.radius * complex(math.cos(ang),
-                                                           math.sin(ang)))
+        for m, radius, turn, offset in rings:
+            for j in range(m):
+                ang = 2.0 * math.pi * j / m + turn * phase + offset
+                pts.append(c.center + radius * c.radius
+                           * complex(math.cos(ang), math.sin(ang)))
         pts = np.array(pts, dtype=np.complex128)
         clear = (np.abs(pts[:, None] - singular[None, :]).min()
                  if singular.size else np.inf)
@@ -200,12 +187,20 @@ def _sample_ring(c: CircleContour, singular: np.ndarray, count: int):
     return best
 
 
+def _leading_block(b: RealizationBundle, c: CircleContour):
+    """(split, S, S11⁻¹, cond_F(S11)): the partition of b's data by c,
+    Sr permuted so the inside zeros and poles come first, and one
+    inversion of its leading block S11 (None, inf when it is singular).
+    """
+    split = partition(b.data, c)
+    s_perm = b.Sr[np.ix_(list(split.zero_order), list(split.pole_order))]
+    inv11, cond_s11 = inverse_cond(s_perm[:split.n_plus, :split.n_plus])
+    return split, s_perm, inv11, cond_s11
+
+
 def factorize(b: RealizationBundle, c: CircleContour,
-              boundary_eps: float = BOUNDARY_EPS,
               cond_max: float = COND_MAX,
-              agree_tol: float = 1e-9,
-              fail_tol: float = FAIL_TOL,
-              n_samples: int = 40) -> FactorizationResult:
+              fail_tol: float = FAIL_TOL) -> FactorizationResult:
     """Split R across the circle and verify the product.
 
     Raises OnContour or CardinalityMismatch if the split is ill-posed,
@@ -215,25 +210,16 @@ def factorize(b: RealizationBundle, c: CircleContour,
     outside factor disagree.
     """
     d = b.data
-    split = partition(d, c, boundary_eps)
+    # the same S11 inverse gives its condition number and the Schur
+    # complement below
+    split, s_perm, inv11, cond_s11 = _leading_block(b, c)
     n_plus, n_minus = split.n_plus, split.n_minus
     p_ord = list(split.pole_order)
     n_ord = list(split.zero_order)
-
-    # right coupling matrix in the permuted order: rows follow zeros,
-    # columns follow poles
-    s_perm = b.Sr[np.ix_(n_ord, p_ord)]
     s11 = s_perm[:n_plus, :n_plus]
     s12 = s_perm[:n_plus, n_plus:]
     s21 = s_perm[n_plus:, :n_plus]
     s22 = s_perm[n_plus:, n_plus:]
-    # S11 is inverted once: the same inverse gives its condition number
-    # (as cond_frobenius would) and the Schur complement below
-    try:
-        inv11 = inverse(s11)
-        cond_s11 = frobenius(s11) * frobenius(inv11) if n_plus else 1.0
-    except SingularMatrixError:
-        cond_s11 = math.inf
     if not math.isfinite(cond_s11) or cond_s11 > cond_max:
         raise NoFactorizationError(
             f"leading coupling block has condition {cond_s11:.3e} "
@@ -305,21 +291,21 @@ def factorize(b: RealizationBundle, c: CircleContour,
         misplaced += 1 if c.contains(complex(z)) else 0
     report.add("factor_singularities_on_own_side", float(misplaced), 0.5)
 
-    samples = _sample_ring(c, d.poles, n_samples)
+    samples = _sample_ring(c, d.poles, N_SAMPLES)
     r_minus = eval_R(minus, samples)
     r_plus = eval_R(plus, samples)
     r_full = eval_R(b, samples)
-    minus_alt = _form(d.k, -1.0, fp_alt, _weights(samples, lam_out),
+    minus_alt = _form(d.k, -1.0, fp_alt, 1.0 / _gaps(samples, lam_out),
                       delta_inv @ gn_alt)
     worst_prod = max_frobenius(r_plus @ r_minus - r_full)
     worst_agree = max_frobenius(r_minus - minus_alt)
     report.add("product_at_samples", worst_prod, fail_tol)
-    report.add("minus_formula_agreement", worst_agree, agree_tol)
+    report.add("minus_formula_agreement", worst_agree, AGREE_TOL)
 
-    if worst_agree > agree_tol:
+    if worst_agree > AGREE_TOL:
         raise VerificationFailedError(
             "two independent constructions of the outside factor disagree",
-            residual=worst_agree, tol=agree_tol)
+            residual=worst_agree, tol=AGREE_TOL)
     if worst_prod > fail_tol:
         raise VerificationFailedError(
             "factor product does not reproduce the function",
@@ -346,7 +332,6 @@ class ExistenceVerdict:
 
 
 def factorization_exists(b: RealizationBundle, c: CircleContour,
-                         boundary_eps: float = BOUNDARY_EPS,
                          cond_max: float = COND_MAX) -> ExistenceVerdict:
     """Decide invertibility of the leading coupling block.
 
@@ -354,9 +339,7 @@ def factorization_exists(b: RealizationBundle, c: CircleContour,
     below cond_max is reported as Boundary rather than forced into a
     boolean the arithmetic cannot support.
     """
-    split = partition(b.data, c, boundary_eps)
-    s11 = b.Sr[np.ix_(list(split.idxN_plus), list(split.idxP_plus))]
-    cond_s11 = cond_frobenius(s11)
+    split, _, _, cond_s11 = _leading_block(b, c)
     if not math.isfinite(cond_s11) or cond_s11 > cond_max:
         verdict = NOT_EXISTS
     elif cond_s11 >= cond_max / 10.0:

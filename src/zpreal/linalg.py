@@ -4,8 +4,11 @@ Every inverse comes from LAPACK's `numpy.linalg.inv` under one refusal
 rule: `inverse` raises SingularMatrixError when LAPACK fails, when its
 result is not finite, or when n·‖A‖∞·‖A⁻¹‖∞·PIVOT_EPS_FACTOR ≥ 0.1, an
 ∞-norm condition number too large for the result to mean anything.
-`solve`, `cond_frobenius` and every caller in the package invert through
-it, so all of them refuse the same matrices. `rank` is a column-pivoted
+`solve`, `inverse_cond` and every caller in the package invert through
+it, so all of them refuse the same matrices. `inverse_cond` is the one
+inverse-with-condition step: it gives the inverse (None when refused)
+and cond_F from the same inversion, for the coupling-matrix and S11
+gates and for `cond_frobenius`. `rank` is a column-pivoted
 elimination whose zero test is relative to the largest entry, the
 semantics that `factor_rank_one` and `obstrollable` rely on.
 """
@@ -29,6 +32,7 @@ __all__ = [
     "frobenius",
     "identity",
     "inverse",
+    "inverse_cond",
     "max_frobenius",
     "norm_inf",
     "rank",
@@ -108,23 +112,28 @@ def solve(a, b) -> np.ndarray:
     return inv @ b
 
 
+def inverse_cond(a):
+    """(inverse(a), cond_F(a)) from one inversion: (None, inf) when
+    inverse refuses a, and cond_F = 1.0 for an empty matrix."""
+    a = as_complex_matrix(a)
+    try:
+        inv = inverse(a)
+    except SingularMatrixError:
+        return None, float("inf")
+    return inv, (frobenius(a) * frobenius(inv) if a.size else 1.0)
+
+
 def cond_frobenius(a) -> float:
     """Frobenius-norm condition number; inf when singular, 1.0 for empty."""
-    a = as_complex_matrix(a)
-    if a.shape[0] == 0:
-        return 1.0
-    try:
-        return frobenius(a) * frobenius(inverse(a))
-    except SingularMatrixError:
-        return float("inf")
+    return inverse_cond(a)[1]
 
 
-def rank(a, rank_eps: float = RANK_EPS) -> int:
+def rank(a) -> int:
     """Numerical rank by column-pivoted elimination.
 
     At each step the column whose remaining part has the largest entry
     is brought forward and eliminated with its largest entry as pivot;
-    entries below rank_eps times the max magnitude of the input count
+    entries below RANK_EPS times the max magnitude of the input count
     as zero.
     """
     a = as_complex_matrix(a).copy()
@@ -140,7 +149,7 @@ def rank(a, rank_eps: float = RANK_EPS) -> int:
     shift = -int(np.frexp(peak)[1])
     np.ldexp(a.real, shift, out=a.real)
     np.ldexp(a.imag, shift, out=a.imag)
-    threshold = rank_eps * float(np.abs(a).max())
+    threshold = RANK_EPS * float(np.abs(a).max())
     if threshold == 0.0:
         return 0
     r = 0

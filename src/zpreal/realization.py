@@ -18,14 +18,15 @@ the result into a RealizationBundle, and evaluates the function, its
 inverse, their joint products, and the hybrid rearrangements straight
 from the coupling data.
 
-All eight evaluators share one kernel, I + scale·F·diag(u)·[M·diag(v)]·G.
-Each takes a point and returns a k×k array, or a 1-d array of M points
-(M pairs for the two-point forms) and returns an M×k×k stack in one
-vectorized pass. The half-products they need (Sr⁻¹G_N, F_P·Sr⁻¹,
+All eight evaluators share one kernel, I + scale·F·diag(u)·[M·diag(v)]·G,
+with weights u = 1/(z - points) from cauchy._gaps, the package's one
+clearance check. Each takes a point and returns a k×k array, or a 1-d
+array of M points (M pairs for the two-point forms) and returns an
+M×k×k stack in one vectorized pass. The half-products they need (Sr⁻¹G_N, F_P·Sr⁻¹,
 Sl⁻¹G_P, F_N·Sl⁻¹) are cached on the bundle the first time an
 evaluator asks for them, so building a bundle computes none of them.
 
-Everything fails closed: data whose diagnostics exceed fail_tol
+Everything fails closed: data whose diagnostics exceed FAIL_TOL
 describes no function and is rejected at build time.
 """
 
@@ -36,13 +37,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .cauchy import EVAL_EPS
+from .cauchy import _gaps
 from .errors import (
     InconsistentDataError,
-    PoleHitError,
     SingularMatrixError,
     SpectraOverlapError,
-    ValidationError,
 )
 from .linalg import frobenius, identity, inverse
 from .report import Report
@@ -71,11 +70,12 @@ __all__ = [
 ]
 
 
-def sylvester_diag_solve(a, b, c, sep_min: float = SEP_MIN) -> np.ndarray:
+def sylvester_diag_solve(a, b, c) -> np.ndarray:
     """Unique X with diag(a) X - X diag(b) = c, entrywise.
 
     The equation decouples: x[p, q] = c[p, q] / (a_p - b_q). Uniqueness
-    needs the spectra disjoint, which is enforced at sep_min.
+    needs the spectra disjoint, which is enforced at SEP_MIN. The check
+    is its own code because it reads the gap matrix c is divided by.
     """
     a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
     b = np.atleast_1d(np.asarray(b, dtype=np.complex128))
@@ -88,9 +88,9 @@ def sylvester_diag_solve(a, b, c, sep_min: float = SEP_MIN) -> np.ndarray:
     gaps = a[:, None] - b[None, :]
     if gaps.size:
         worst = float(np.abs(gaps).min())
-        if worst < sep_min:
+        if worst < SEP_MIN:
             raise SpectraOverlapError(
-                f"spectra approach within {worst:.3e} (need {sep_min:.1e}); "
+                f"spectra approach within {worst:.3e} (need {SEP_MIN:.1e}); "
                 f"the solution is not unique there",
                 min_separation=worst,
             )
@@ -122,7 +122,7 @@ class RealizationBundle:
     """Zero-pole data plus everything derived from it.
 
     diagnostics maps residual names to values; all of them passed
-    fail_tol at build time. Sr_inv and Sl_inv come from linalg.inverse,
+    FAIL_TOL at build time. Sr_inv and Sl_inv come from linalg.inverse,
     never from Sl and Sr, so mutual inverseness stays an executable
     check instead of a tautology. Hr and Hl are read-only aliases of Sl
     and Sr.
@@ -172,51 +172,51 @@ class RealizationBundle:
         return self.data.F_N @ self.Sl_inv
 
 
-def build_bundle(d: ZeroPoleData, fail_tol: float = FAIL_TOL) -> RealizationBundle:
+def build_bundle(d: ZeroPoleData) -> RealizationBundle:
     """Compute all realization matrices and fail closed on bad data.
 
     Consistent data makes every diagnostic vanish to rounding; any
-    diagnostic above fail_tol means the four semiresidual matrices do
+    diagnostic above FAIL_TOL means the four semiresidual matrices do
     not describe a function and its inverse, and the build refuses.
     """
-    return _build_bundle(d, fail_tol)
+    return _build_bundle(d)
 
 
-def _build_bundle(d: ZeroPoleData, fail_tol: float = FAIL_TOL,
-                  known=None) -> RealizationBundle:
+def _build_bundle(d: ZeroPoleData, known=None) -> RealizationBundle:
     """build_bundle, reusing a caller's inversion.
 
     known is None or a pair (S, S⁻¹) the caller has already computed;
     S⁻¹ serves as the inverse of each coupling matrix that equals S
     bitwise, and every other inverse is computed here.
     """
-    sr, sl = coupling_matrices(d)
-    gnfp = d.G_N @ d.F_P
-    gpfn = d.G_P @ d.F_N
-
-    eye = identity(d.n)
-    diagnostics = {
-        "sylvester_r": frobenius(
-            d.zeros[:, None] * sr - sr * d.poles[None, :] - gnfp),
-        "sylvester_l": frobenius(
-            d.poles[:, None] * sl - sl * d.zeros[None, :] - gpfn),
-        # Hr·Hl and Hl·Hr are these same two products
-        "mutual_inverse": max(
-            frobenius(sr @ sl - eye),
-            frobenius(sl @ sr - eye),
-        ),
-        "coupling_a": frobenius(d.G_N + sr @ d.G_P),
-        "coupling_b": frobenius(d.G_P + sl @ d.G_N),
-        "coupling_c": frobenius(d.F_P - d.F_N @ sr),
-        "coupling_d": frobenius(d.F_N - d.F_P @ sl),
-    }
-    # a NaN residual (from overflowing data) fails like a large one
-    bad = {k: v for k, v in diagnostics.items() if not v <= fail_tol}
+    # overflowing data gives inf and NaN here without a warning: a NaN
+    # diagnostic fails the gate below like a large one
+    with np.errstate(over="ignore", invalid="ignore"):
+        sr, sl = coupling_matrices(d)
+        gnfp = d.G_N @ d.F_P
+        gpfn = d.G_P @ d.F_N
+        eye = identity(d.n)
+        diagnostics = {
+            "sylvester_r": frobenius(
+                d.zeros[:, None] * sr - sr * d.poles[None, :] - gnfp),
+            "sylvester_l": frobenius(
+                d.poles[:, None] * sl - sl * d.zeros[None, :] - gpfn),
+            # Hr·Hl and Hl·Hr are these same two products
+            "mutual_inverse": max(
+                frobenius(sr @ sl - eye),
+                frobenius(sl @ sr - eye),
+            ),
+            "coupling_a": frobenius(d.G_N + sr @ d.G_P),
+            "coupling_b": frobenius(d.G_P + sl @ d.G_N),
+            "coupling_c": frobenius(d.F_P - d.F_N @ sr),
+            "coupling_d": frobenius(d.F_N - d.F_P @ sl),
+        }
+    bad = {k: v for k, v in diagnostics.items() if not v <= FAIL_TOL}
     if bad:
         worst = max(bad, key=bad.get)
         raise InconsistentDataError(
             f"data is not self-consistent: {worst} residual "
-            f"{bad[worst]:.3e} > {fail_tol:.1e}",
+            f"{bad[worst]:.3e} > {FAIL_TOL:.1e}",
             diagnostics=diagnostics,
         )
 
@@ -243,13 +243,11 @@ def _build_bundle(d: ZeroPoleData, fail_tol: float = FAIL_TOL,
 
 def check_coupling_relations(b: RealizationBundle,
                              tol: float = REPORT_TOL) -> Report:
-    """The four recovery relations tying the two halves of the data."""
-    d = b.data
+    """The four recovery relations tying the two halves of the data, as
+    the build computed them."""
     rep = Report()
-    rep.add("coupling_a", frobenius(d.G_N + b.Sr @ d.G_P), tol)
-    rep.add("coupling_b", frobenius(d.G_P + b.Sl @ d.G_N), tol)
-    rep.add("coupling_c", frobenius(d.F_P - d.F_N @ b.Sr), tol)
-    rep.add("coupling_d", frobenius(d.F_N - d.F_P @ b.Sl), tol)
+    for name in ("coupling_a", "coupling_b", "coupling_c", "coupling_d"):
+        rep.add(name, b.diagnostics[name], tol)
     return rep
 
 
@@ -260,39 +258,6 @@ def check_coupling_relations(b: RealizationBundle,
 # forms need only half the semiresidual data plus a coupling matrix;
 # cross-checking them against each other and against the additive forms
 # is the executable content of the whole construction.
-
-
-def _weights(z, points: np.ndarray) -> np.ndarray:
-    """1/(z - points) after the clearance check, for one point or a
-    1-d array of points (one row of weights per point).
-
-    A point within EVAL_EPS of one of `points` raises PoleHitError
-    naming its nearest singularity; in a batch the first such point in
-    array order is named.
-    """
-    if isinstance(z, complex) or np.ndim(z) == 0:
-        gaps = z - points
-        if points.size:
-            dist = np.abs(gaps)
-            j = int(np.argmin(dist))
-            if dist[j] < EVAL_EPS:
-                raise PoleHitError(z, complex(points[j]), float(dist[j]))
-        return 1.0 / gaps
-    z = np.asarray(z, dtype=np.complex128)
-    if z.ndim != 1:
-        raise ValidationError(
-            f"evaluation points must be a scalar or a 1-d array, "
-            f"got shape {z.shape}")
-    gaps = z[:, None] - points[None, :]
-    if points.size:
-        dist = np.abs(gaps)
-        hit = dist.min(axis=1) < EVAL_EPS
-        if hit.any():
-            i = int(np.argmax(hit))
-            j = int(np.argmin(dist[i]))
-            raise PoleHitError(complex(z[i]), complex(points[j]),
-                               float(dist[i, j]))
-    return 1.0 / gaps
 
 
 def _form(k: int, scale, left: np.ndarray, u: np.ndarray,
@@ -315,39 +280,39 @@ def _form(k: int, scale, left: np.ndarray, u: np.ndarray,
 def eval_R(b: RealizationBundle, z) -> np.ndarray:
     """R(z) = I - F_P (zI - A_P)^-1 Sr^-1 G_N."""
     d = b.data
-    return _form(d.k, -1.0, d.F_P, _weights(z, d.poles), b.Sr_inv_G_N)
+    return _form(d.k, -1.0, d.F_P, 1.0 / _gaps(z, d.poles), b.Sr_inv_G_N)
 
 
 def eval_Rinv(b: RealizationBundle, z) -> np.ndarray:
     """R^-1(z) = I + F_P Sr^-1 (zI - A_N)^-1 G_N."""
     d = b.data
-    return _form(d.k, 1.0, b.F_P_Sr_inv, _weights(z, d.zeros), d.G_N)
+    return _form(d.k, 1.0, b.F_P_Sr_inv, 1.0 / _gaps(z, d.zeros), d.G_N)
 
 
 def eval_R_left(b: RealizationBundle, z) -> np.ndarray:
     """R(z) = I + F_N Sl^-1 (zI - A_P)^-1 G_P (left-data form)."""
     d = b.data
-    return _form(d.k, 1.0, b.F_N_Sl_inv, _weights(z, d.poles), d.G_P)
+    return _form(d.k, 1.0, b.F_N_Sl_inv, 1.0 / _gaps(z, d.poles), d.G_P)
 
 
 def eval_Rinv_left(b: RealizationBundle, z) -> np.ndarray:
     """R^-1(z) = I - F_N (zI - A_N)^-1 Sl^-1 G_P (left-data form)."""
     d = b.data
-    return _form(d.k, -1.0, d.F_N, _weights(z, d.zeros), b.Sl_inv_G_P)
+    return _form(d.k, -1.0, d.F_N, 1.0 / _gaps(z, d.zeros), b.Sl_inv_G_P)
 
 
 def eval_joint_right(b: RealizationBundle, x, y) -> np.ndarray:
     """R(x) R^-1(y) = I + (x-y) F_P (xI-A_P)^-1 Sr^-1 (yI-A_N)^-1 G_N."""
     d = b.data
-    return _form(d.k, x - y, d.F_P, _weights(x, d.poles), d.G_N,
-                 b.Sr_inv, _weights(y, d.zeros))
+    return _form(d.k, x - y, d.F_P, 1.0 / _gaps(x, d.poles), d.G_N,
+                 b.Sr_inv, 1.0 / _gaps(y, d.zeros))
 
 
 def eval_joint_left(b: RealizationBundle, x, y) -> np.ndarray:
     """R^-1(x) R(y) = I + (x-y) F_N (xI-A_N)^-1 Sl^-1 (yI-A_P)^-1 G_P."""
     d = b.data
-    return _form(d.k, x - y, d.F_N, _weights(x, d.zeros), d.G_P,
-                 b.Sl_inv, _weights(y, d.poles))
+    return _form(d.k, x - y, d.F_N, 1.0 / _gaps(x, d.zeros), d.G_P,
+                 b.Sl_inv, 1.0 / _gaps(y, d.poles))
 
 
 def eval_hybrid_right(b: RealizationBundle, x, y) -> np.ndarray:
@@ -356,8 +321,8 @@ def eval_hybrid_right(b: RealizationBundle, x, y) -> np.ndarray:
         I - (x-y) F_N Sl^-1 (xI-A_P)^-1 Sl (yI-A_N)^-1 Sl^-1 G_P
     """
     d = b.data
-    return _form(d.k, y - x, b.F_N_Sl_inv, _weights(x, d.poles),
-                 b.Sl_inv_G_P, b.Sl, _weights(y, d.zeros))
+    return _form(d.k, y - x, b.F_N_Sl_inv, 1.0 / _gaps(x, d.poles),
+                 b.Sl_inv_G_P, b.Sl, 1.0 / _gaps(y, d.zeros))
 
 
 def eval_hybrid_left(b: RealizationBundle, x, y) -> np.ndarray:
@@ -366,5 +331,5 @@ def eval_hybrid_left(b: RealizationBundle, x, y) -> np.ndarray:
         I - (x-y) F_P Sr^-1 (xI-A_N)^-1 Sr (yI-A_P)^-1 Sr^-1 G_N
     """
     d = b.data
-    return _form(d.k, y - x, b.F_P_Sr_inv, _weights(x, d.zeros),
-                 b.Sr_inv_G_N, b.Sr, _weights(y, d.poles))
+    return _form(d.k, y - x, b.F_P_Sr_inv, 1.0 / _gaps(x, d.zeros),
+                 b.Sr_inv_G_N, b.Sr, 1.0 / _gaps(y, d.poles))

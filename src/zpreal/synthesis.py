@@ -39,17 +39,9 @@ from .errors import (
     DomainViolationError,
     GenerationFailedError,
     SingularCouplingError,
-    SingularMatrixError,
     ValidationError,
 )
-from .linalg import (
-    RANK_EPS,
-    frobenius,
-    identity,
-    inverse,
-    max_frobenius,
-    rank,
-)
+from .linalg import identity, inverse_cond, max_frobenius, rank
 from .report import Report
 from .realization import (
     RealizationBundle,
@@ -121,6 +113,8 @@ class SynthesisInput:
             if f_zero[j]:
                 raise ValidationError(f"column {j} of F is zero")
             raise ValidationError(f"row {j} of G is zero")
+        # not cauchy._min_pairwise_distance: the message names the
+        # first close pair, which that distance alone cannot
         pts = np.concatenate([lam, mu])
         close = np.abs(pts[:, None] - pts[None, :]) < SEP_MIN
         pairs = np.argwhere(np.triu(close, 1))
@@ -140,13 +134,8 @@ class SynthesisInput:
 
 
 def _coupling_or_raise(s: np.ndarray, cond_max: float) -> np.ndarray:
-    """S⁻¹, from the one inversion that also gives cond_F(S) as
-    cond_frobenius would."""
-    try:
-        s_inv = inverse(s)
-        cond = frobenius(s) * frobenius(s_inv) if s.size else 1.0
-    except SingularMatrixError:
-        cond = float("inf")
+    """S⁻¹, from the one inversion that also gives cond_F(S)."""
+    s_inv, cond = inverse_cond(s)
     if not math.isfinite(cond) or cond > cond_max:
         raise SingularCouplingError(
             f"synthesized coupling matrix has condition {cond:.3e} "
@@ -292,7 +281,7 @@ def extract_generator(t: ChainFunction, a):
     return (lambda x: t(x, a)), (lambda y: t(a, y))
 
 
-def obstrollable(mat: np.ndarray, points, rank_eps: float = RANK_EPS) -> bool:
+def obstrollable(mat: np.ndarray, points) -> bool:
     """Row-space reachability of (mat, diag(points)).
 
     True when the stacked rows mat, mat D, ..., mat D^(n-1) with
@@ -314,7 +303,7 @@ def obstrollable(mat: np.ndarray, points, rank_eps: float = RANK_EPS) -> bool:
     for _ in range(n):
         blocks.append(m * power[None, :])
         power = power * pts
-    return rank(np.vstack(blocks), rank_eps) == n
+    return rank(np.vstack(blocks)) == n
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import _check_clear
+from .cauchy import _gaps, _min_pairwise_distance
 from .errors import (
     CollisionError,
     NotRankOneError,
@@ -33,7 +33,6 @@ from .errors import (
     ZeroGaugeEntryError,
 )
 from .linalg import (
-    RANK_EPS,
     as_complex_matrix,
     frobenius,
     identity,
@@ -127,17 +126,13 @@ class ZeroPoleData:
             if n and (norms == 0.0).any():
                 j = int(np.argmin(norms))
                 raise ValidationError(f"row {j} of {name} is zero")
-        allpts = np.concatenate([poles, zeros])
-        if allpts.size >= 2:
-            diff = np.abs(allpts[:, None] - allpts[None, :])
-            off = diff[~np.eye(allpts.size, dtype=bool)]
-            worst = float(off.min())
-            if worst < SEP_MIN:
-                raise CollisionError(
-                    f"poles/zeros are only {worst:.3e} apart "
-                    f"(need {SEP_MIN:.1e})",
-                    separation=worst,
-                )
+        worst = _min_pairwise_distance(np.concatenate([poles, zeros]))
+        if worst < SEP_MIN:
+            raise CollisionError(
+                f"poles/zeros are only {worst:.3e} apart "
+                f"(need {SEP_MIN:.1e})",
+                separation=worst,
+            )
         for field_name, value in (
             ("poles", poles), ("zeros", zeros), ("F_P", F_P),
             ("G_P", G_P), ("F_N", F_N), ("G_N", G_N),
@@ -179,7 +174,7 @@ class GaugePair:
         object.__setattr__(self, "D_N", dn)
 
 
-def factor_rank_one(m, rank_eps: float = RANK_EPS):
+def factor_rank_one(m):
     """Split a rank-one matrix into a column f and a row g with f g = m.
 
     The gauge freedom (f d, d^-1 g) is fixed deterministically: f is the
@@ -188,7 +183,7 @@ def factor_rank_one(m, rank_eps: float = RANK_EPS):
     reconstruction exact for exactly-rank-one input.
     """
     m = as_complex_matrix(m)
-    r = rank(m, rank_eps)
+    r = rank(m)
     if r != 1:
         raise NotRankOneError(
             f"matrix has numerical rank {r}, expected 1", detected_rank=r
@@ -238,28 +233,24 @@ def _scaled(f: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def additive_eval_R(d: ZeroPoleData, z) -> np.ndarray:
     """R(z) = I + sum_j F_P[:, j] G_P[j, :] / (z - lambda_j)."""
-    _check_clear(z, d.poles)
-    w = 1.0 / (np.asarray(z)[..., None] - d.poles)
+    w = 1.0 / _gaps(z, d.poles)
     return identity(d.k) + _scaled(d.F_P, w) @ d.G_P
 
 
 def additive_eval_Rinv(d: ZeroPoleData, z) -> np.ndarray:
     """R^-1(z) = I + sum_j F_N[:, j] G_N[j, :] / (z - mu_j)."""
-    _check_clear(z, d.zeros)
-    w = 1.0 / (np.asarray(z)[..., None] - d.zeros)
+    w = 1.0 / _gaps(z, d.zeros)
     return identity(d.k) + _scaled(d.F_N, w) @ d.G_N
 
 
 def additive_deriv_R(d: ZeroPoleData, z) -> np.ndarray:
     """Exact derivative of the additive form of R; no finite differences."""
-    _check_clear(z, d.poles)
-    w2 = 1.0 / (np.asarray(z)[..., None] - d.poles) ** 2
+    w2 = 1.0 / _gaps(z, d.poles) ** 2
     return -_scaled(d.F_P, w2) @ d.G_P
 
 
 def additive_deriv_Rinv(d: ZeroPoleData, z) -> np.ndarray:
-    _check_clear(z, d.zeros)
-    w2 = 1.0 / (np.asarray(z)[..., None] - d.zeros) ** 2
+    w2 = 1.0 / _gaps(z, d.zeros) ** 2
     return -_scaled(d.F_N, w2) @ d.G_N
 
 
@@ -317,31 +308,34 @@ def check_consistency(d: ZeroPoleData, tol: float = REPORT_TOL) -> Report:
       (d) R_mu R'(mu) R_mu = R_mu at every zero.
 
     Each family is evaluated as one stack over its points. A residual
-    that overflows to NaN is reported as NaN, which fails its check.
+    that overflows to NaN is reported as NaN, which fails its check;
+    numpy's overflow warnings are silenced here.
     Diagnostic only: always returns a report, never raises.
     """
     rep = Report()
     eye = identity(d.k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        zs = np.array(sample_points(d))
+        r = additive_eval_R(d, zs)
+        ri = additive_eval_Rinv(d, zs)
+        rep.add("mutual_inverse_at_samples",
+                max_frobenius(r @ ri - eye, ri @ r - eye), tol)
 
-    zs = np.array(sample_points(d))
-    r = additive_eval_R(d, zs)
-    ri = additive_eval_Rinv(d, zs)
-    rep.add("mutual_inverse_at_samples",
-            max_frobenius(r @ ri - eye, ri @ r - eye), tol)
+        res = _residues(d.F_P, d.G_P)
+        b0 = additive_eval_Rinv(d, d.poles)
+        b1 = additive_deriv_Rinv(d, d.poles)
+        rep.add("annihilation_at_poles",
+                max_frobenius(b0 @ res, res @ b0), tol)
+        rep.add("pole_residue_identity",
+                max_frobenius(res @ b1 @ res - res), tol)
 
-    res = _residues(d.F_P, d.G_P)
-    b0 = additive_eval_Rinv(d, d.poles)
-    b1 = additive_deriv_Rinv(d, d.poles)
-    rep.add("annihilation_at_poles", max_frobenius(b0 @ res, res @ b0), tol)
-    rep.add("pole_residue_identity", max_frobenius(res @ b1 @ res - res),
-            tol)
-
-    res = _residues(d.F_N, d.G_N)
-    a0 = additive_eval_R(d, d.zeros)
-    a1 = additive_deriv_R(d, d.zeros)
-    rep.add("annihilation_at_zeros", max_frobenius(a0 @ res, res @ a0), tol)
-    rep.add("zero_residue_identity", max_frobenius(res @ a1 @ res - res),
-            tol)
+        res = _residues(d.F_N, d.G_N)
+        a0 = additive_eval_R(d, d.zeros)
+        a1 = additive_deriv_R(d, d.zeros)
+        rep.add("annihilation_at_zeros",
+                max_frobenius(a0 @ res, res @ a0), tol)
+        rep.add("zero_residue_identity",
+                max_frobenius(res @ a1 @ res - res), tol)
     return rep
 
 

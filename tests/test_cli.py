@@ -164,7 +164,6 @@ def _overflowing_path(tmp_path):
     return str(path)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ["verify", "{path}"],
     ["eval", "{path}", "R", "0.3", "0.1"],

@@ -105,7 +105,7 @@ def test_factorize_verification_evaluates_each_factor_once_per_sample(monkeypatc
         return rz.eval_R(bundle, z)
 
     monkeypatch.setattr(fz, "eval_R", counting_eval_R)
-    res = fz.factorize(b, UNIT, n_samples=40)
+    res = fz.factorize(b, UNIT)
     assert res.report.passed
     # one batched call each for R-, R+ and R itself, on the 40 samples
     assert len(calls) == 3
@@ -294,3 +294,17 @@ def test_plus_factor_inherits_zero_rows_of_inverse():
 
         np.testing.assert_allclose(row_direction(m_plus),
                                    row_direction(m_full), atol=1e-6)
+
+
+@pytest.mark.parametrize("k, n_plus, n_minus, seed",
+                         [(2, 8, 8, 15), (2, 3, 3, 88), (3, 2, 2, 13),
+                          (1, 3, 0, 5), (2, 0, 3, 6), (1, 4, 4, 1)])
+def test_exists_and_factorize_share_one_s11_condition(k, n_plus, n_minus,
+                                                      seed):
+    b = balanced_instance(k, n_plus, n_minus, seed)
+    verdict = fz.factorization_exists(b, UNIT)
+    assert verdict.cond_S11 == fz.factorize(b, UNIT).cond_S11
+    # the refusal carries the same number
+    with pytest.raises(NoFactorizationError) as exc:
+        fz.factorize(b, UNIT, cond_max=0.5)
+    assert exc.value.cond == verdict.cond_S11

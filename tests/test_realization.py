@@ -1,9 +1,11 @@
 """Coupling matrices, bundle diagnostics, and the eight evaluators."""
 
+import cmath
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zpreal.errors import (
     InconsistentDataError,
@@ -11,7 +13,7 @@ from zpreal.errors import (
     SpectraOverlapError,
     ValidationError,
 )
-from zpreal.cauchy import cauchy_matrix
+from zpreal.cauchy import EVAL_EPS, ScalarZeroPole, cauchy_matrix, scalar_eval
 from zpreal.linalg import frobenius, identity, inverse
 from zpreal import realization as rz
 from zpreal.synthesis import random_instance
@@ -25,6 +27,8 @@ from zpreal.zero_pole import (
 
 from conftest import make_d1, make_scalar_instance
 from helpers import random_complex
+
+EPS = np.finfo(float).eps
 
 
 def test_sylvester_diag_solve_hand_value():
@@ -250,6 +254,71 @@ def test_evaluators_refuse_singular_points():
         rz.eval_joint_right(b, 100.0, complex(b.data.zeros[0]))
     with pytest.raises(PoleHitError):
         rz.eval_hybrid_left(b, complex(b.data.zeros[2]), 100.0)
+
+
+def test_k1_pole_hit_is_one_error_on_every_route():
+    poles, zeros = [0.5, 2.0, -1.0j], [0.3, 3.0, 1.0j]
+    d = make_scalar_instance(poles, zeros)
+    b = rz.build_bundle(d)
+    sd = ScalarZeroPole(poles, zeros)
+    z = 2.0 + 3e-13j
+    seen = []
+    for route in (lambda: rz.eval_R(b, z), lambda: additive_eval_R(d, z),
+                  lambda: scalar_eval(sd, z)):
+        with pytest.raises(PoleHitError) as exc:
+            route()
+        err = exc.value
+        seen.append((err.point, err.singularity, err.distance, str(err)))
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[0][1] == 2.0 and seen[0][2] < EVAL_EPS
+
+
+def _right_values(b, x, y):
+    """R(x) and R(x)R⁻¹(y) over the points, as one stack."""
+    return np.concatenate([rz.eval_R(b, x), rz.eval_joint_right(b, x, y)])
+
+
+def _assert_same_values(got, want, cond):
+    # 1e3·ε·cond·max(1, |R|): over 600 seeded draws of this test the
+    # error stayed below 5·ε·cond·max(1, |R|)
+    scale = max(1.0, float(np.abs(want).max()))
+    assert np.abs(got - want).max() <= 1e3 * EPS * cond * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 3), n=st.integers(1, 6),
+       seed=st.integers(0, 2**16),
+       modulus=st.floats(0.5, 2.0), angle=st.floats(0.0, 6.3),
+       shift_re=st.floats(-2.0, 2.0), shift_im=st.floats(-2.0, 2.0))
+def test_affine_map_and_reordering_leave_values_unchanged(
+        k, n, seed, modulus, angle, shift_re, shift_im):
+    """z -> a·z + shift maps the data exactly: R̃(z) = R(a·z + shift) has
+    singularities (λ - shift)/a, (μ - shift)/a and semiresiduals F/a, G.
+    Reordering the poles and the zeros with their semiresiduals leaves
+    R unchanged."""
+    b = random_instance(k, n, seed)
+    d = b.data
+    a = modulus * cmath.exp(1j * angle)
+    shift = complex(shift_re, shift_im)
+    rng = np.random.default_rng(seed)
+    # on |w| = 3, a distance of at least 1 from every singularity
+    w = 3.0 * np.exp(2j * np.pi * rng.random(6))
+    x, y = w[:3], w[3:]
+    want = _right_values(b, x, y)
+
+    mapped = rz.build_bundle(ZeroPoleData(
+        poles=(d.poles - shift) / a, zeros=(d.zeros - shift) / a,
+        F_P=d.F_P / a, G_P=d.G_P, F_N=d.F_N / a, G_N=d.G_N))
+    _assert_same_values(
+        _right_values(mapped, (x - shift) / a, (y - shift) / a), want,
+        max(b.cond_Sr, mapped.cond_Sr))
+
+    pp, pn = rng.permutation(n), rng.permutation(n)
+    reordered = rz.build_bundle(ZeroPoleData(
+        poles=d.poles[pp], zeros=d.zeros[pn], F_P=d.F_P[:, pp],
+        G_P=d.G_P[pp], F_N=d.F_N[:, pn], G_N=d.G_N[pn]))
+    _assert_same_values(_right_values(reordered, x, y), want,
+                        max(b.cond_Sr, reordered.cond_Sr))
 
 
 def test_empty_instance_realizes_identity():
