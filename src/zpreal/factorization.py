@@ -216,7 +216,6 @@ def factorize(b: RealizationBundle, c: CircleContour,
     n_plus, n_minus = split.n_plus, split.n_minus
     p_ord = list(split.pole_order)
     n_ord = list(split.zero_order)
-    s11 = s_perm[:n_plus, :n_plus]
     s12 = s_perm[:n_plus, n_plus:]
     s21 = s_perm[n_plus:, :n_plus]
     s22 = s_perm[n_plus:, n_plus:]
@@ -273,14 +272,11 @@ def factorize(b: RealizationBundle, c: CircleContour,
     report.info["n_plus"] = n_plus
     report.info["n_minus"] = n_minus
 
-    # the synthesized factors must inherit their coupling blocks from
-    # the permuted parent matrix
-    coins_plus = (frobenius(plus.Sr - s11) / max(frobenius(s11), 1.0)
-                  if n_plus else 0.0)
+    # the outside factor must inherit its coupling matrix from the
+    # Schur complement of the permuted parent matrix (the inside
+    # factor's Sr is S11's own formula on S11's entries)
     coins_minus = (frobenius(minus.Sl - delta_inv)
-                   / max(frobenius(delta_inv), 1.0)
-                   if n_minus else 0.0)
-    report.add("plus_coupling_inherited", coins_plus, 1e-9)
+                   / max(frobenius(delta_inv), 1.0))
     report.add("minus_coupling_inherited", coins_minus, 1e-9)
 
     # location audit, exact: every factor singularity on its own side

@@ -1,8 +1,9 @@
 """Dense complex linear algebra on small matrices.
 
 Every inverse comes from LAPACK's `numpy.linalg.inv` under one refusal
-rule: `inverse` raises SingularMatrixError when LAPACK fails, when its
-result is not finite, or when n·‖A‖∞·‖A⁻¹‖∞·PIVOT_EPS_FACTOR ≥ 0.1, an
+rule: `inverse` raises SingularMatrixError when the matrix has a
+non-finite entry, when LAPACK fails, when its result is not finite, or
+when n·‖A‖∞·‖A⁻¹‖∞·PIVOT_EPS_FACTOR ≥ 0.1, an
 ∞-norm condition number too large for the result to mean anything.
 `solve`, `inverse_cond` and every caller in the package invert through
 it, so all of them refuse the same matrices. `inverse_cond` is the one
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import DimensionMismatchError, SingularMatrixError, ValidationError
 
 # inverse refuses a matrix once n·‖A‖∞·‖A⁻¹‖∞·PIVOT_EPS_FACTOR reaches
 # 0.1; rank counts entries below RANK_EPS times the largest as zero.
@@ -46,7 +47,7 @@ def as_complex_matrix(a) -> np.ndarray:
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d array, got shape {a.shape}")
     if a.size and not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
+        raise ValidationError("matrix contains non-finite entries")
     return a
 
 
@@ -81,10 +82,14 @@ def norm_inf(a) -> float:
 def inverse(a) -> np.ndarray:
     """LAPACK's inverse of a square matrix, or SingularMatrixError.
 
-    The matrix is refused when numpy.linalg.inv fails, when its result
-    is not finite, or when n·‖A‖∞·‖A⁻¹‖∞·PIVOT_EPS_FACTOR ≥ 0.1.
+    The matrix is refused when it has a non-finite entry, when
+    numpy.linalg.inv fails, when its result is not finite, or when
+    n·‖A‖∞·‖A⁻¹‖∞·PIVOT_EPS_FACTOR ≥ 0.1.
     """
-    a = as_complex_matrix(a)
+    try:
+        a = as_complex_matrix(a)
+    except ValidationError as exc:
+        raise SingularMatrixError(f"matrix is singular: {exc}") from exc
     n = a.shape[0]
     if n != a.shape[1]:
         raise DimensionMismatchError(f"inverse needs a square matrix, got {a.shape}")
@@ -115,12 +120,11 @@ def solve(a, b) -> np.ndarray:
 def inverse_cond(a):
     """(inverse(a), cond_F(a)) from one inversion: (None, inf) when
     inverse refuses a, and cond_F = 1.0 for an empty matrix."""
-    a = as_complex_matrix(a)
     try:
         inv = inverse(a)
     except SingularMatrixError:
         return None, float("inf")
-    return inv, (frobenius(a) * frobenius(inv) if a.size else 1.0)
+    return inv, (frobenius(a) * frobenius(inv) if inv.size else 1.0)
 
 
 def cond_frobenius(a) -> float:

@@ -133,8 +133,13 @@ class SynthesisInput:
         return self.F.shape[1]
 
 
-def _coupling_or_raise(s: np.ndarray, cond_max: float) -> np.ndarray:
-    """S⁻¹, from the one inversion that also gives cond_F(S)."""
+def _coupling_or_raise(a, b, inp: SynthesisInput, cond_max: float):
+    """(S, S⁻¹) for the S with diag(a)·S − S·diag(b) = G·F, S⁻¹ from the
+    one inversion that also gives cond_F(S)."""
+    # input that overflows gives a non-finite S here without a warning,
+    # and inverse_cond refuses it as singular
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = sylvester_diag_solve(a, b, inp.G @ inp.F)
     s_inv, cond = inverse_cond(s)
     if not math.isfinite(cond) or cond > cond_max:
         raise SingularCouplingError(
@@ -143,7 +148,7 @@ def _coupling_or_raise(s: np.ndarray, cond_max: float) -> np.ndarray:
             f"extend to a consistent instance",
             cond=cond,
         )
-    return s_inv
+    return s, s_inv
 
 
 def synthesize(inp: SynthesisInput,
@@ -154,9 +159,8 @@ def synthesize(inp: SynthesisInput,
     solution S computed here, so the inverse taken for the condition
     check is the bundle's Sr_inv.
     """
-    s = sylvester_diag_solve(inp.zero_points, inp.pole_points,
-                             inp.G @ inp.F)
-    s_inv = _coupling_or_raise(s, cond_max)
+    s, s_inv = _coupling_or_raise(inp.zero_points, inp.pole_points, inp,
+                                  cond_max)
     data = ZeroPoleData(
         poles=inp.pole_points,
         zeros=inp.zero_points,
@@ -176,9 +180,8 @@ def synthesize_hybrid(inp: SynthesisInput,
     from the completed data satisfies Sl == S bitwise, and S's inverse
     becomes its Sl_inv.
     """
-    s = sylvester_diag_solve(inp.pole_points, inp.zero_points,
-                             inp.G @ inp.F)
-    s_inv = _coupling_or_raise(s, cond_max)
+    s, s_inv = _coupling_or_raise(inp.pole_points, inp.zero_points, inp,
+                                  cond_max)
     data = ZeroPoleData(
         poles=inp.pole_points,
         zeros=inp.zero_points,

@@ -15,8 +15,7 @@ inverse functions.
 The additive forms take one point or a 1-d array of points; for an array
 they return a stack of k×k values, each with the bits of the one-point
 value. check_consistency and log_derivative_residues evaluate them that
-way, one stacked call per family of points, and sample_points tests its
-ring against the singularities with one distance matrix.
+way, one stacked call per family of points.
 """
 
 from __future__ import annotations
@@ -117,13 +116,13 @@ class ZeroPoleData:
                     f"{name} has shape {m.shape}, expected {shape}"
                 )
         for name, m in (("F_P", F_P), ("F_N", F_N)):
-            norms = np.abs(m).max(axis=0) if n else np.empty(0)
-            if n and (norms == 0.0).any():
+            norms = np.abs(m).max(axis=0)
+            if (norms == 0.0).any():
                 j = int(np.argmin(norms))
                 raise ValidationError(f"column {j} of {name} is zero")
         for name, m in (("G_P", G_P), ("G_N", G_N)):
-            norms = np.abs(m).max(axis=1) if n else np.empty(0)
-            if n and (norms == 0.0).any():
+            norms = np.abs(m).max(axis=1)
+            if (norms == 0.0).any():
                 j = int(np.argmin(norms))
                 raise ValidationError(f"row {j} of {name} is zero")
         worst = _min_pairwise_distance(np.concatenate([poles, zeros]))
@@ -269,25 +268,14 @@ def sample_points(d: ZeroPoleData, count: int = 8) -> list:
 
     A ring around the centroid of the singular points, at 1.5 times
     (1 + max spread), keeps at least distance 1.5 from all of them, so
-    no rejection is normally needed; a small rotation loop guards the
-    degenerate cases anyway.
+    no point needs testing or moving.
     """
     allpts = np.concatenate([d.poles, d.zeros])
     center = complex(allpts.mean()) if allpts.size else 0j
     spread = float(np.abs(allpts - center).max()) if allpts.size else 0.0
     rho = 1.5 * (1.0 + spread)
-    for attempt in range(32):
-        shift = 2.0 * np.pi * attempt / (count * 37.0)
-        pts = [
-            center + rho * np.exp(1j * (2.0 * np.pi * j / count + shift))
-            for j in range(count)
-        ]
-        if allpts.size == 0:
-            return pts
-        clear = np.abs(np.array(pts)[:, None] - allpts[None, :]).min()
-        if clear > 1e-6:
-            return pts
-    raise RuntimeError("could not place sample points clear of singularities")
+    return [center + rho * np.exp(1j * (2.0 * np.pi * j / count))
+            for j in range(count)]
 
 
 def _residues(f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -5,8 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from zpreal import cli
 from zpreal.cli import format_complex, main
-from zpreal.errors import ParseError
+from zpreal.errors import (
+    InconsistentDataError,
+    NoFactorizationError,
+    ParseError,
+    VerificationFailedError,
+    ZprealError,
+)
 from zpreal.serialize import (
     instance_from_dict,
     instance_to_dict,
@@ -136,7 +143,7 @@ def test_verify_names_broken_relation(tmp_path, capsys):
 VERIFY_CHECKS = [
     "mutual_inverse_at_samples", "annihilation_at_poles",
     "pole_residue_identity", "annihilation_at_zeros", "zero_residue_identity",
-    "sylvester_r", "sylvester_l", "mutual_inverse",
+    "mutual_inverse",
     "coupling_a", "coupling_b", "coupling_c", "coupling_d",
     "chain_identity", "diagonal_unity",
 ]
@@ -177,11 +184,51 @@ def test_nan_diagnostics_fail_the_build(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     if argv[0] == "verify":
         checks = captured.out.splitlines()[:-1]
-        assert len(checks) == 12
+        assert len(checks) == 10
         assert all(line.startswith("FAIL") and "nan" in line
                    for line in checks)
     else:
         assert captured.err.startswith("error: data is not self-consistent")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{path}"],
+    ["eval", "{path}", "R", "0.3", "0.1"],
+], ids=["verify", "eval"])
+def test_non_finite_semiresidual_exits_4(tmp_path, capsys, argv):
+    obj = instance_to_dict(make_d2())
+    obj["F_P"][0][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))
+    assert main([a.format(path=path) for a in argv]) == 4
+    assert capsys.readouterr().err == (
+        "error: matrix contains non-finite entries\n")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# the exit codes of the cli module docstring; 4 for every other class
+EXIT_CODES = {ParseError: 3, NoFactorizationError: 5,
+              VerificationFailedError: 6, InconsistentDataError: 6}
+
+
+@pytest.mark.parametrize("error", list(_subclasses(ZprealError)),
+                         ids=lambda cls: cls.__name__)
+def test_every_error_class_has_its_documented_exit_code(
+        monkeypatch, capsys, error):
+    exc = error.__new__(error)
+    Exception.__init__(exc, "raised on purpose")
+
+    def raise_it(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_verify", raise_it)
+    assert main(["verify", "any.json"]) == EXIT_CODES.get(error, 4)
+    assert capsys.readouterr().err == "error: raised on purpose\n"
 
 
 def test_verify_malformed_file(tmp_path, capsys):

@@ -129,7 +129,9 @@ def test_inverse_refuses_near_singular(a):
 @pytest.mark.parametrize("a", [
     np.array([[1.0, 2.0], [2.0, 4.0]]),
     np.zeros((3, 3)),
-], ids=["rank_one", "zero"])
+    np.array([[1.0, np.nan], [0.0, 1.0]]),
+    np.array([[1.0, np.inf], [0.0, 1.0]]),
+], ids=["rank_one", "zero", "nan", "inf"])
 def test_inverse_refuses_singular(a):
     with pytest.raises(SingularMatrixError):
         inverse(a)

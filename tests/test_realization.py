@@ -126,6 +126,29 @@ def test_check_coupling_relations_passes(d2):
     }
 
 
+def test_check_coupling_relations_reads_the_bundle_it_is_given():
+    b = random_instance(2, 4, seed=17)
+    d = b.data
+    f_p = 2.0 * d.F_P
+    doubled = dataclasses.replace(b, data=ZeroPoleData(
+        poles=d.poles, zeros=d.zeros, F_P=f_p, G_P=d.G_P,
+        F_N=d.F_N, G_N=d.G_N))
+    rep = rz.check_coupling_relations(doubled)
+    got = {c.name: c.residual for c in rep.checks}
+    assert got["coupling_c"] == frobenius(f_p - d.F_N @ b.Sr)
+    assert got["coupling_d"] == frobenius(d.F_N - f_p @ b.Sl)
+    assert got["coupling_c"] > 1.0 and not rep.passed
+
+    # a bundle built by hand carries no build diagnostics
+    by_hand = rz.RealizationBundle(data=d, Sr=b.Sr, Sl=b.Sl,
+                                   Sr_inv=b.Sr_inv, Sl_inv=b.Sl_inv,
+                                   cond_Sr=b.cond_Sr)
+    rep = rz.check_coupling_relations(by_hand)
+    assert rep.passed
+    assert {c.name: c.residual for c in rep.checks} == {
+        name: b.diagnostics[name] for name in got}
+
+
 def test_build_bundle_rejects_tampered_data(d1):
     broken = ZeroPoleData(
         poles=d1.poles, zeros=d1.zeros,
@@ -363,6 +386,22 @@ def test_gauge_invariance_of_joint_values():
         bg = rz.build_bundle(gauge_transform(b.data, gp))
         np.testing.assert_allclose(rz.eval_joint_right(bg, x, y), base,
                                    atol=1e-10)
+
+
+@pytest.mark.parametrize("s", [1e5, 1e6])
+def test_large_scalar_gauge_builds_and_keeps_values(s):
+    """D_P = s·I and D_N = I/s multiply G_N·F_P and Sr by s², which
+    leaves the data consistent and every value of R unchanged."""
+    # on |w| = 3, a distance of at least 1 from every singularity
+    x = 3.0 * np.exp(1j * (2.0 * np.pi * np.arange(8) / 8 + 0.1))
+    y = np.roll(x, 3)
+    for seed in range(40):
+        b = random_instance(2, 6, seed)
+        bg = rz.build_bundle(gauge_transform(
+            b.data, GaugePair(D_P=np.full(6, s), D_N=np.full(6, 1.0 / s))))
+        _assert_same_values(rz.eval_R(bg, x), rz.eval_R(b, x), b.cond_Sr)
+        for form in (rz.eval_joint_left, rz.eval_hybrid_right):
+            _assert_same_values(form(bg, x, y), form(b, x, y), b.cond_Sr)
 
 
 def test_scalar_gauge_reduces_coupling_to_cauchy():

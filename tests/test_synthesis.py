@@ -214,6 +214,20 @@ def test_synthesize_rejects_ill_conditioned_coupling():
     assert exc.value.cond > 1.9
 
 
+@pytest.mark.parametrize("route", [sy.synthesize, sy.synthesize_hybrid],
+                         ids=lambda f: f.__name__)
+def test_synthesize_refuses_overflowing_input_as_singular(route):
+    # every entry of G·F overflows, so the coupling matrix is not finite;
+    # the pytest settings turn any RuntimeWarning on the way into an error
+    inp = sy.SynthesisInput(F=np.full((2, 3), 1e200),
+                            G=np.full((3, 2), 1e200),
+                            pole_points=[0.0, 1.0, 2.0],
+                            zero_points=[3.0, 4.0, 5.0j])
+    with pytest.raises(SingularCouplingError) as exc:
+        route(inp)
+    assert exc.value.cond == float("inf")
+
+
 def test_chain_identity_holds():
     b = sy.random_instance(2, 6, seed=23)
     t = sy.chain_from_bundle(b)
