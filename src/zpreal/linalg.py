@@ -16,6 +16,8 @@ semantics that `factor_rank_one` and `obstrollable` rely on.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError, ValidationError
@@ -52,7 +54,18 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def identity(n: int) -> np.ndarray:
+    """A fresh, writable n×n complex identity."""
     return np.eye(n, dtype=np.complex128)
+
+
+@cache
+def _shared_identity(n: int) -> np.ndarray:
+    """One read-only n×n complex identity per n, for formulas that only
+    add it to a product: I + X allocates a new array, so no caller can
+    write into the shared one, and a write attempt raises."""
+    eye = identity(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def frobenius(a) -> float:

@@ -25,13 +25,18 @@ the rounding of that one division, whatever the data, and their
 residuals grow with ‖G_N·F_P‖, which a diagonal gauge rescaling of
 consistent data makes as large as it likes.
 
-All eight evaluators share one kernel, I + scale·F·diag(u)·[M·diag(v)]·G,
+All eight evaluators share one kernel, I + scale·F·diag(u)·M·diag(v)·G,
 with weights u = 1/(z - points) from cauchy._gaps, the package's one
 clearance check. Each takes a point and returns a k×k array, or a 1-d
 array of M points (M pairs for the two-point forms) and returns an
 M×k×k stack in one vectorized pass. The half-products they need (Sr⁻¹G_N, F_P·Sr⁻¹,
 Sl⁻¹G_P, F_N·Sl⁻¹) are cached on the bundle the first time an
 evaluator asks for them, so building a bundle computes none of them.
+Two temporaries are kept out of every call. The identity is one
+shared, read-only k×k array per k (I + X makes a new array, so every
+result is still fresh and writable). The two-point middle is formed
+as M·(diag(v)·G), which scales the n×k factor G instead of making an
+n×n scaled copy of M.
 
 Everything fails closed: data whose diagnostics exceed FAIL_TOL
 describes no function and is rejected at build time.
@@ -50,13 +55,14 @@ from .errors import (
     SingularMatrixError,
     SpectraOverlapError,
 )
-from .linalg import frobenius, identity, inverse
+from .linalg import _shared_identity, frobenius, identity, inverse
 from .report import Report
 from .zero_pole import (
     FAIL_TOL,
     REPORT_TOL,
     SEP_MIN,
     ZeroPoleData,
+    _scaled,
 )
 
 __all__ = [
@@ -272,19 +278,24 @@ def check_coupling_relations(b: RealizationBundle,
 
 def _form(k: int, scale, left: np.ndarray, u: np.ndarray,
           right: np.ndarray, mid=None, v=None) -> np.ndarray:
-    """I + scale·(left·diag(u))·[mid·diag(v)]·right.
+    """I + scale·(left·diag(u))·(mid·(diag(v)·right)).
 
     u and v are weight vectors, or stacks of them with a leading axis of
     M points, in which case scale is a scalar or has length M and the
     result is M×k×k. The products associate as left·(mid·right), the
-    order every evaluator formula below is written in.
+    order every evaluator formula below is written in, and the middle
+    scales the n×k right factor, never the n×n mid. A factor scaled by
+    a stack of weights gets a leading axis as in _scaled, so each slice
+    of a stack has the bits of the one-point call.
     """
     if mid is not None:
-        right = (mid * v[..., None, :]) @ right
-    prod = (left * u[..., None, :]) @ right
+        if v.ndim > 1:
+            right = right[None]
+        right = mid @ (v[..., :, None] * right)
+    prod = _scaled(left, u) @ right
     if isinstance(scale, np.ndarray):
         scale = scale[:, None, None]
-    return identity(k) + scale * prod
+    return _shared_identity(k) + scale * prod
 
 
 def eval_R(b: RealizationBundle, z) -> np.ndarray:

@@ -268,15 +268,32 @@ def test_joint_tends_to_single_point_form():
 
 
 def test_evaluators_refuse_singular_points():
+    # every argument of every evaluator is checked against its own set,
+    # and the error names the singularity hit and the distance |z - s|
     b = random_instance(2, 3, seed=81)
-    with pytest.raises(PoleHitError):
-        rz.eval_R(b, complex(b.data.poles[0]))
-    with pytest.raises(PoleHitError):
-        rz.eval_Rinv(b, complex(b.data.zeros[1]))
-    with pytest.raises(PoleHitError):
-        rz.eval_joint_right(b, 100.0, complex(b.data.zeros[0]))
-    with pytest.raises(PoleHitError):
-        rz.eval_hybrid_left(b, complex(b.data.zeros[2]), 100.0)
+    d = b.data
+    calls = [(lambda z, fn=fn: fn(b, z), pts) for fn, pts in (
+        (rz.eval_R, d.poles), (rz.eval_Rinv, d.zeros),
+        (rz.eval_R_left, d.poles), (rz.eval_Rinv_left, d.zeros))]
+    for fn, xs, ys in ((rz.eval_joint_right, d.poles, d.zeros),
+                       (rz.eval_joint_left, d.zeros, d.poles),
+                       (rz.eval_hybrid_right, d.poles, d.zeros),
+                       (rz.eval_hybrid_left, d.zeros, d.poles)):
+        calls.append((lambda z, fn=fn: fn(b, z, 100.0), xs))
+        calls.append((lambda z, fn=fn: fn(b, 100.0, z), ys))
+    for call, pts in calls:
+        for j in range(d.n):
+            for offset in (0.0, 3e-13j, -4e-13):
+                z = complex(pts[j]) + offset
+                with pytest.raises(PoleHitError) as exc:
+                    call(z)
+                assert exc.value.point == z
+                assert exc.value.singularity == complex(pts[j])
+                assert exc.value.distance == float(np.abs(z - pts)[j])
+    # a NaN point is not a hit: it evaluates to NaN
+    with np.errstate(invalid="ignore"):
+        for call, _ in calls:
+            assert np.isnan(call(complex("nan"))).all()
 
 
 def test_k1_pole_hit_is_one_error_on_every_route():
@@ -427,7 +444,17 @@ def test_bundle_dimensions_exposed():
 #
 # Reference copies of the per-formula evaluators the kernel replaced. The
 # kernel keeps each formula's association order, so one-point results must
-# match these bit for bit.
+# match these bit for bit. The two-point middle M·diag(v)·G associates as
+# M·(diag(v)·G), which scales n×k entries; the older (M·diag(v))·G scaled
+# n×n entries and is kept as the accuracy reference.
+
+def _middle(m, v, g):
+    return m @ (v[:, None] * g)
+
+
+def _old_middle(m, v, g):
+    return (m * v[None, :]) @ g
+
 
 def _ref_R(b, z):
     d = b.data
@@ -461,46 +488,46 @@ def _ref_Rinv_left(b, z):
     return identity(d.k) - (d.F_N * w[None, :]) @ (b.Sl_inv @ d.G_P)
 
 
-def _ref_joint_right(b, x, y):
+def _ref_joint_right(b, x, y, middle=_middle):
     d = b.data
     if d.n == 0:
         return identity(d.k)
     u = 1.0 / (x - d.poles)
     v = 1.0 / (y - d.zeros)
-    core = (b.Sr_inv * v[None, :]) @ d.G_N
+    core = middle(b.Sr_inv, v, d.G_N)
     return identity(d.k) + (x - y) * ((d.F_P * u[None, :]) @ core)
 
 
-def _ref_joint_left(b, x, y):
+def _ref_joint_left(b, x, y, middle=_middle):
     d = b.data
     if d.n == 0:
         return identity(d.k)
     u = 1.0 / (x - d.zeros)
     v = 1.0 / (y - d.poles)
-    core = (b.Sl_inv * v[None, :]) @ d.G_P
+    core = middle(b.Sl_inv, v, d.G_P)
     return identity(d.k) + (x - y) * ((d.F_N * u[None, :]) @ core)
 
 
-def _ref_hybrid_right(b, x, y):
+def _ref_hybrid_right(b, x, y, middle=_middle):
     d = b.data
     if d.n == 0:
         return identity(d.k)
     u = 1.0 / (x - d.poles)
     v = 1.0 / (y - d.zeros)
-    middle = (b.Sl * v[None, :]) @ (b.Sl_inv @ d.G_P)
+    core = middle(b.Sl, v, b.Sl_inv @ d.G_P)
     return identity(d.k) - (x - y) * (
-        ((d.F_N @ b.Sl_inv) * u[None, :]) @ middle)
+        ((d.F_N @ b.Sl_inv) * u[None, :]) @ core)
 
 
-def _ref_hybrid_left(b, x, y):
+def _ref_hybrid_left(b, x, y, middle=_middle):
     d = b.data
     if d.n == 0:
         return identity(d.k)
     u = 1.0 / (x - d.zeros)
     v = 1.0 / (y - d.poles)
-    middle = (b.Sr * v[None, :]) @ (b.Sr_inv @ d.G_N)
+    core = middle(b.Sr, v, b.Sr_inv @ d.G_N)
     return identity(d.k) - (x - y) * (
-        ((d.F_P @ b.Sr_inv) * u[None, :]) @ middle)
+        ((d.F_P @ b.Sr_inv) * u[None, :]) @ core)
 
 
 ONE_POINT = ((rz.eval_R, _ref_R), (rz.eval_Rinv, _ref_Rinv),
@@ -535,7 +562,7 @@ def _clear_points(b, rng, count):
     return np.array(out)
 
 
-KERNEL_BUNDLES = ((3, 0, None), (4, 8, 5), (1, 8, 7), (4, 32, 9),
+KERNEL_BUNDLES = ((3, 0, None), (1, 1, 3), (4, 8, 5), (1, 8, 7), (4, 32, 9),
                   (4, 128, 11))
 
 
@@ -573,22 +600,62 @@ def test_two_point_evaluators_bitwise_equal_reference(kernel_bundle):
             assert _same_bits(got, ref(b, complex(x), y)), fn.__name__
 
 
+def test_two_point_forms_within_rounding_of_the_old_association(
+        kernel_bundle):
+    # over 1184 pairs on 148 random_instance draws (k in {1, 4}, n in
+    # {8, 32, 128}) the two associations differed by at most
+    # 0.18·ε·cond_Sr·max(1, ‖T‖_F)
+    b = kernel_bundle
+    rng = np.random.default_rng(b.n + 4)
+    xs, ys = _clear_points(b, rng, 5), _clear_points(b, rng, 5)
+    for fn, ref in TWO_POINT:
+        for x, y in zip(xs, ys):
+            got = fn(b, complex(x), y)
+            old = ref(b, complex(x), y, middle=_old_middle)
+            bound = 4 * EPS * b.cond_Sr * max(1.0, frobenius(old))
+            assert frobenius(got - old) <= bound, fn.__name__
+
+
 def test_batch_equals_stacked_one_point_results(kernel_bundle):
+    # every slice of a stack, a stack of one included, has the bits of
+    # the one-point call; at k = n = 1 the parent's layout missed them
     b = kernel_bundle
     rng = np.random.default_rng(b.n + 3)
     xs, ys = _clear_points(b, rng, 7), _clear_points(b, rng, 7)
-    scale = max(frobenius(rz.eval_R(b, complex(xs[0]))), 1.0)
     for fn, _ in ONE_POINT:
+        want = np.stack([fn(b, complex(z)) for z in xs])
         got = fn(b, xs)
         assert got.shape == (7, b.k, b.k)
-        want = np.stack([fn(b, complex(z)) for z in xs])
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
+        assert _same_bits(got, want), fn.__name__
+        for i in range(7):
+            assert _same_bits(fn(b, xs[i:i + 1])[0], want[i]), fn.__name__
     for fn, _ in TWO_POINT:
-        got = fn(b, xs, ys)
-        assert got.shape == (7, b.k, b.k)
         want = np.stack([fn(b, complex(x), complex(y))
                          for x, y in zip(xs, ys)])
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
+        got = fn(b, xs, ys)
+        assert got.shape == (7, b.k, b.k)
+        assert _same_bits(got, want), fn.__name__
+        for i in range(7):
+            assert _same_bits(fn(b, xs[i:i + 1], ys[i:i + 1])[0],
+                              want[i]), fn.__name__
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_results_are_fresh_writable_arrays(n):
+    b = _empty_bundle(2) if n == 0 else random_instance(2, n, seed=81)
+    pts = np.array([100.0, -50.0j])
+    for call in (lambda: rz.eval_R(b, 100.0), lambda: rz.eval_R(b, pts),
+                 lambda: rz.eval_joint_left(b, 100.0, -50.0j),
+                 lambda: rz.eval_joint_left(b, pts, pts[::-1])):
+        want = call().copy()
+        got = call()
+        assert got.flags.writeable
+        got[...] = 7.0
+        assert _same_bits(call(), want)
+    eye = identity(2)
+    assert eye.flags.writeable
+    eye[0, 0] = 7.0
+    assert identity(2)[0, 0] == 1.0
 
 
 def test_empty_batch_has_no_rows():
