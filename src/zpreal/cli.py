@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     InconsistentDataError,
     NoFactorizationError,
     ParseError,
+    ValidationError,
     VerificationFailedError,
     ZprealError,
 )
@@ -157,6 +159,12 @@ def cmd_eval(args, parser) -> int:
         parser.error(f"{args.which} needs both y_re and y_im")
     if arity == 1 and have_y:
         parser.error(f"{args.which} takes a single point")
+    # the evaluators map a NaN or infinite point to NaN; a command that
+    # prints a value refuses such a point instead
+    coords = (args.x_re, args.x_im) + ((args.y_re, args.y_im) if have_y
+                                       else ())
+    if not all(math.isfinite(v) for v in coords):
+        raise ValidationError("evaluation points must be finite")
     data, _ = load_instance(args.path)
     bundle = build_bundle(data)
     if arity == 1:

@@ -16,6 +16,18 @@ Schur-complement formula for Rminus cross-checks the construction.
 
 Everything downstream of the split is verified numerically before the
 result is handed back.
+
+No step is done twice. S11 is inverted once, for its condition number,
+the Schur complement and the inside factor: that factor's coupling
+matrix is S11's formula on S11's entries, and its synthesis takes the
+inversion whenever the two agree bitwise. The factor inputs are slices
+of the bundle's validated data and go to the synthesis routine without
+a second validation; the synthesized factor data is still validated
+and built under every gate. An empty side is a copy of one n = 0
+bundle per k. A two-sided factorize so makes four Sylvester solves
+and five inversions (S11, the inside factor's Sl, the outside factor's
+Sl and Sr, and the Schur complement), or six when the inside factor's
+coupling matrix and S11 differ in their last bits.
 """
 
 from __future__ import annotations
@@ -37,9 +49,9 @@ from .errors import (
 )
 from .cauchy import _gaps
 from .linalg import frobenius, identity, inverse, inverse_cond, max_frobenius
-from .realization import RealizationBundle, _form, build_bundle, eval_R
+from .realization import RealizationBundle, _form, eval_R
 from .report import Report
-from .synthesis import SynthesisInput, synthesize, synthesize_hybrid
+from .synthesis import _check_cond_max, _empty_bundle, _synthesize
 from .zero_pole import FAIL_TOL, ZeroPoleData
 
 __all__ = [
@@ -162,7 +174,14 @@ class FactorizationResult:
 def _sample_ring(c: CircleContour, singular: np.ndarray, count: int):
     """Deterministic verification points: half on the circle, a quarter
     well inside, a quarter well outside, rotated to clear every
-    singular point."""
+    singular point.
+
+    The first of 64 rotations that keeps 1e-3·radius clear of every
+    singular point wins, or else the clearest of them. Each rotation's
+    points are computed in one pass, with the angles in the order of
+    operations of 2π·j/m + turn·phase + offset and libm cos and sin per
+    angle, so every point has the bits of the scalar formula.
+    """
     on = count // 2
     inner = (count - on) // 2
     # (points, radius factor, phase factor, angle offset) of each ring
@@ -171,13 +190,18 @@ def _sample_ring(c: CircleContour, singular: np.ndarray, count: int):
     best, best_clear = None, -1.0
     for rot in range(64):
         phase = 2.0 * math.pi * rot / 64.0
-        pts = []
+        pts = np.empty(count, dtype=np.complex128)
+        start = 0
         for m, radius, turn, offset in rings:
-            for j in range(m):
-                ang = 2.0 * math.pi * j / m + turn * phase + offset
-                pts.append(c.center + radius * c.radius
-                           * complex(math.cos(ang), math.sin(ang)))
-        pts = np.array(pts, dtype=np.complex128)
+            ang = (2.0 * math.pi * np.arange(m) / m + turn * phase
+                   + offset).tolist()
+            scale = radius * c.radius
+            ring = pts[start:start + m]
+            ring.real = c.center.real + scale * np.fromiter(
+                map(math.cos, ang), np.float64, m)
+            ring.imag = c.center.imag + scale * np.fromiter(
+                map(math.sin, ang), np.float64, m)
+            start += m
         clear = (np.abs(pts[:, None] - singular[None, :]).min()
                  if singular.size else np.inf)
         if clear > best_clear:
@@ -209,9 +233,12 @@ def factorize(b: RealizationBundle, c: CircleContour,
     not multiply back to R or the two independent constructions of the
     outside factor disagree.
     """
+    _check_cond_max(cond_max)
+    if math.isnan(fail_tol):
+        raise ValidationError("fail_tol must not be NaN")
     d = b.data
-    # the same S11 inverse gives its condition number and the Schur
-    # complement below
+    # the same S11 inverse gives its condition number, the inside
+    # factor's coupling inverse and the Schur complement below
     split, s_perm, inv11, cond_s11 = _leading_block(b, c)
     n_plus, n_minus = split.n_plus, split.n_minus
     p_ord = list(split.pole_order)
@@ -231,23 +258,27 @@ def factorize(b: RealizationBundle, c: CircleContour,
     lam_out = d.poles[list(split.idxP_minus)]
     mu_out = d.zeros[list(split.idxN_minus)]
 
+    # slices of b's validated data pass every SynthesisInput check, so
+    # they go to the core unchecked; the inside factor's S is S11's
+    # formula on S11's entries, and the core reuses S11's inversion when
+    # the two agree bitwise
     try:
         if n_plus:
-            plus = synthesize(SynthesisInput(
-                F=d.F_P[:, list(split.idxP_plus)],
-                G=d.G_N[list(split.idxN_plus), :],
-                pole_points=lam_in, zero_points=mu_in,
-            ), cond_max=cond_max)
+            s11 = s_perm[:n_plus, :n_plus]
+            plus = _synthesize(
+                d.F_P[:, list(split.idxP_plus)],
+                d.G_N[list(split.idxN_plus), :],
+                lam_in, mu_in, False, cond_max,
+                known=(s11, inv11, cond_s11))
         else:
-            plus = build_bundle(ZeroPoleData.empty(d.k))
+            plus = _empty_bundle(d.k)
         if n_minus:
-            minus = synthesize_hybrid(SynthesisInput(
-                F=d.F_N[:, list(split.idxN_minus)],
-                G=d.G_P[list(split.idxP_minus), :],
-                pole_points=lam_out, zero_points=mu_out,
-            ), cond_max=cond_max)
+            minus = _synthesize(
+                d.F_N[:, list(split.idxN_minus)],
+                d.G_P[list(split.idxP_minus), :],
+                lam_out, mu_out, True, cond_max)
         else:
-            minus = build_bundle(ZeroPoleData.empty(d.k))
+            minus = _empty_bundle(d.k)
     except (SingularCouplingError, SingularMatrixError) as exc:
         raise NoFactorizationError(
             f"factor synthesis failed: {exc}", cond=cond_s11) from exc
@@ -280,11 +311,14 @@ def factorize(b: RealizationBundle, c: CircleContour,
     report.add("minus_coupling_inherited", coins_minus, 1e-9)
 
     # location audit, exact: every factor singularity on its own side
-    misplaced = 0
-    for z in np.concatenate([plus.data.poles, plus.data.zeros]):
-        misplaced += 0 if c.contains(complex(z)) else 1
-    for z in np.concatenate([minus.data.poles, minus.data.zeros]):
-        misplaced += 1 if c.contains(complex(z)) else 0
+    # (numpy's |z − c| may differ from abs()'s in the last bit, which
+    # cannot flip a side: partition kept every point BOUNDARY_EPS·radius
+    # off the circle)
+    misplaced = int(
+        (np.abs(np.concatenate([plus.data.poles, plus.data.zeros])
+                - c.center) >= c.radius).sum()
+        + (np.abs(np.concatenate([minus.data.poles, minus.data.zeros])
+                  - c.center) < c.radius).sum())
     report.add("factor_singularities_on_own_side", float(misplaced), 0.5)
 
     samples = _sample_ring(c, d.poles, N_SAMPLES)
@@ -335,6 +369,7 @@ def factorization_exists(b: RealizationBundle, c: CircleContour,
     below cond_max is reported as Boundary rather than forced into a
     boolean the arithmetic cannot support.
     """
+    _check_cond_max(cond_max)
     split, _, _, cond_s11 = _leading_block(b, c)
     if not math.isfinite(cond_s11) or cond_s11 > cond_max:
         verdict = NOT_EXISTS

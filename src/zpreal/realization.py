@@ -110,6 +110,14 @@ def sylvester_diag_solve(a, b, c) -> np.ndarray:
     return c / gaps
 
 
+def _right_coupling(d: ZeroPoleData) -> np.ndarray:
+    return sylvester_diag_solve(d.zeros, d.poles, d.G_N @ d.F_P)
+
+
+def _left_coupling(d: ZeroPoleData) -> np.ndarray:
+    return sylvester_diag_solve(d.poles, d.zeros, d.G_P @ d.F_N)
+
+
 def coupling_matrices(d: ZeroPoleData):
     """Coupling matrices (Sr, Sl), the solutions of
 
@@ -118,9 +126,7 @@ def coupling_matrices(d: ZeroPoleData):
 
     Sr couples the zero rows to the pole columns, Sl the reverse.
     """
-    sr = sylvester_diag_solve(d.zeros, d.poles, d.G_N @ d.F_P)
-    sl = sylvester_diag_solve(d.poles, d.zeros, d.G_P @ d.F_N)
-    return sr, sl
+    return _right_coupling(d), _left_coupling(d)
 
 
 def core_matrices(d: ZeroPoleData):
@@ -207,17 +213,19 @@ def _coupling_residuals(d: ZeroPoleData, sr: np.ndarray,
     }
 
 
-def _build_bundle(d: ZeroPoleData, known=None) -> RealizationBundle:
-    """build_bundle, reusing a caller's inversion.
+def _build_bundle(d: ZeroPoleData, sr=None, sl=None) -> RealizationBundle:
+    """build_bundle, reusing a synthesis's solved coupling.
 
-    known is None or a pair (S, S⁻¹) the caller has already computed;
-    S⁻¹ serves as the inverse of each coupling matrix that equals S
-    bitwise, and every other inverse is computed here.
+    A synthesis solves one of the two Sylvester equations from d's own
+    data and inverts the solution. It hands that (S, S⁻¹) in as sr or
+    sl, and only the other coupling matrix and its inverse are computed
+    here. Every gate runs on the handed-in pair as on a computed one.
     """
     # overflowing data gives inf and NaN here without a warning: a NaN
     # diagnostic fails the gate below like a large one
     with np.errstate(over="ignore", invalid="ignore"):
-        sr, sl = coupling_matrices(d)
+        sr, sr_inv = sr or (_right_coupling(d), None)
+        sl, sl_inv = sl or (_left_coupling(d), None)
         eye = identity(d.n)
         diagnostics = {
             # Hr·Hl and Hl·Hr are these same two products
@@ -235,15 +243,11 @@ def _build_bundle(d: ZeroPoleData, known=None) -> RealizationBundle:
             f"{bad[worst]:.3e} > {FAIL_TOL:.1e}",
             diagnostics=diagnostics,
         )
-
-    def invert(s: np.ndarray) -> np.ndarray:
-        if known is not None and np.array_equal(s, known[0]):
-            return known[1]
-        return inverse(s)
-
     try:
-        sr_inv = invert(sr)
-        sl_inv = invert(sl)
+        if sr_inv is None:
+            sr_inv = inverse(sr)
+        if sl_inv is None:
+            sl_inv = inverse(sl)
     except SingularMatrixError as exc:
         raise InconsistentDataError(
             f"coupling matrix not invertible ({exc})", diagnostics=diagnostics

@@ -13,8 +13,16 @@ consistent instance:
         diag(poles) S - S diag(zeros) = G F
     and set F_P = F S^-1, G_N = -S^-1 G.
 
-Both run the result through build_bundle, so a synthesized instance is
-never handed back without its diagnostics passing.
+Both routes are one private routine, _synthesize, with the roles of the
+point sets and of the two halves swapped. It solves its Sylvester
+equation and inverts S once, and hands (S, S^-1) to the build as that
+side's coupling matrix and inverse. The build solves and inverts only
+the other coupling matrix, so a synthesis makes two Sylvester solves and
+two inversions, and every build gate still runs: a synthesized instance
+is never handed back without its diagnostics passing. synthesize and
+synthesize_hybrid validate a SynthesisInput first; factorize calls the
+routine directly with slices of data it has validated already, and may
+hand it an inversion of its own, which is used only for a bitwise equal S.
 
 The module also carries the two-point chain function T(x, y), whose
 algebra T(x, y) T(y, z) = T(x, z) is what makes one-point generator
@@ -30,7 +38,8 @@ generator state afterwards are those of drawing one candidate at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -133,14 +142,53 @@ class SynthesisInput:
         return self.F.shape[1]
 
 
-def _coupling_or_raise(a, b, inp: SynthesisInput, cond_max: float):
-    """(S, S⁻¹) for the S with diag(a)·S − S·diag(b) = G·F, S⁻¹ from the
-    one inversion that also gives cond_F(S)."""
+@cache
+def _shared_empty_bundle(k: int) -> RealizationBundle:
+    return build_bundle(ZeroPoleData.empty(k))
+
+
+def _empty_bundle(k: int) -> RealizationBundle:
+    """build_bundle(ZeroPoleData.empty(k)), built once per k.
+
+    The n = 0 bundle's arrays are all empty, so its copies can share
+    them; each copy gets a diagnostics dict of its own.
+    """
+    e = _shared_empty_bundle(k)
+    return replace(e, diagnostics=dict(e.diagnostics))
+
+
+def _check_cond_max(cond_max: float) -> None:
+    """Refuse a NaN limit: every condition number passes `cond > nan`,
+    so a NaN would switch the gate it sets off."""
+    if math.isnan(cond_max):
+        raise ValidationError("cond_max must not be NaN")
+
+
+def _synthesize(F, G, poles, zeros, hybrid: bool, cond_max: float,
+                known=None) -> RealizationBundle:
+    """The one synthesis routine behind synthesize and synthesize_hybrid.
+
+    The right route (hybrid False) takes (F, G) as (F_P, G_N) and solves
+    diag(zeros)·S − S·diag(poles) = G·F for S = Sr; the hybrid route
+    takes them as (F_N, G_P) and solves the mirror equation for S = Sl.
+    Either way the derived half is F·S⁻¹ and −S⁻¹·G, and S with the S⁻¹
+    of its condition check goes on to the build, which then solves and
+    inverts only the other coupling matrix.
+
+    The arguments are not validated here: they must satisfy what
+    SynthesisInput checks, as slices of validated ZeroPoleData do.
+    known is None or (S, S⁻¹, cond_F(S)) from the caller's own
+    inversion; it is used only when S equals the solved matrix bitwise.
+    """
+    a, b = (poles, zeros) if hybrid else (zeros, poles)
     # input that overflows gives a non-finite S here without a warning,
     # and inverse_cond refuses it as singular
     with np.errstate(over="ignore", invalid="ignore"):
-        s = sylvester_diag_solve(a, b, inp.G @ inp.F)
-    s_inv, cond = inverse_cond(s)
+        s = sylvester_diag_solve(a, b, G @ F)
+    if known is not None and np.array_equal(s, known[0]):
+        s_inv, cond = known[1], known[2]
+    else:
+        s_inv, cond = inverse_cond(s)
     if not math.isfinite(cond) or cond > cond_max:
         raise SingularCouplingError(
             f"synthesized coupling matrix has condition {cond:.3e} "
@@ -148,7 +196,15 @@ def _coupling_or_raise(a, b, inp: SynthesisInput, cond_max: float):
             f"extend to a consistent instance",
             cond=cond,
         )
-    return s, s_inv
+    derived_f = F @ s_inv
+    derived_g = -(s_inv @ G)
+    if hybrid:
+        data = ZeroPoleData(poles=poles, zeros=zeros, F_P=derived_f, G_P=G,
+                            F_N=F, G_N=derived_g)
+        return _build_bundle(data, sl=(s, s_inv))
+    data = ZeroPoleData(poles=poles, zeros=zeros, F_P=F, G_P=derived_g,
+                        F_N=derived_f, G_N=G)
+    return _build_bundle(data, sr=(s, s_inv))
 
 
 def synthesize(inp: SynthesisInput,
@@ -159,17 +215,9 @@ def synthesize(inp: SynthesisInput,
     solution S computed here, so the inverse taken for the condition
     check is the bundle's Sr_inv.
     """
-    s, s_inv = _coupling_or_raise(inp.zero_points, inp.pole_points, inp,
-                                  cond_max)
-    data = ZeroPoleData(
-        poles=inp.pole_points,
-        zeros=inp.zero_points,
-        F_P=inp.F,
-        G_P=-(s_inv @ inp.G),
-        F_N=inp.F @ s_inv,
-        G_N=inp.G,
-    )
-    return _build_bundle(data, known=(s, s_inv))
+    _check_cond_max(cond_max)
+    return _synthesize(inp.F, inp.G, inp.pole_points, inp.zero_points,
+                       False, cond_max)
 
 
 def synthesize_hybrid(inp: SynthesisInput,
@@ -180,17 +228,9 @@ def synthesize_hybrid(inp: SynthesisInput,
     from the completed data satisfies Sl == S bitwise, and S's inverse
     becomes its Sl_inv.
     """
-    s, s_inv = _coupling_or_raise(inp.pole_points, inp.zero_points, inp,
-                                  cond_max)
-    data = ZeroPoleData(
-        poles=inp.pole_points,
-        zeros=inp.zero_points,
-        F_P=inp.F @ s_inv,
-        G_P=inp.G,
-        F_N=inp.F,
-        G_N=-(s_inv @ inp.G),
-    )
-    return _build_bundle(data, known=(s, s_inv))
+    _check_cond_max(cond_max)
+    return _synthesize(inp.F, inp.G, inp.pole_points, inp.zero_points,
+                       True, cond_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,11 +359,12 @@ class GeneratorGeometry:
     max_retries: int = 50
 
     def __post_init__(self):
-        if self.disk_radius <= 0:
+        # `not x > 0` also refuses NaN, which every `<=` test lets pass
+        if not self.disk_radius > 0:
             raise ValidationError("disk_radius must be positive")
-        if self.min_separation <= 0:
+        if not self.min_separation > 0:
             raise ValidationError("min_separation must be positive")
-        if self.cond_limit <= 1:
+        if not self.cond_limit > 1:
             raise ValidationError("cond_limit must exceed 1")
         if self.max_retries < 1:
             raise ValidationError("max_retries must be at least 1")
@@ -391,7 +432,7 @@ def random_instance(k: int, n: int, seed: int,
     if k < 1 or n < 0:
         raise ValidationError("need k >= 1 and n >= 0")
     if n == 0:
-        return build_bundle(ZeroPoleData.empty(k))
+        return _empty_bundle(k)
     rng = np.random.default_rng(seed)
     for _ in range(geometry.max_retries):
         pts = _draw_separated(rng, 2 * n, geometry.disk_radius,

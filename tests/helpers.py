@@ -85,3 +85,21 @@ def partial_fraction_residues(poles, zeros):
         den = np.prod([lam - other for i, other in enumerate(poles) if i != j])
         res.append(complex(num / den))
     return res
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+def assert_same_bundle(got, want):
+    """got and want hold the same data, coupling matrices, inverses,
+    condition number and diagnostics, bit for bit."""
+    for name in ("poles", "zeros", "F_P", "G_P", "F_N", "G_N"):
+        assert same_bits(getattr(got.data, name), getattr(want.data, name))
+    for name in ("Sr", "Sl", "Sr_inv", "Sl_inv", "cond_Sr"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+    for name, value in want.diagnostics.items():
+        assert same_bits(got.diagnostics[name], value), name

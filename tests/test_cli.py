@@ -254,6 +254,20 @@ def test_eval_pole_hit(tmp_path, capsys):
     assert "singularity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["R", "nan", "0"], ["R", "0", "inf"], ["Rinv", "inf", "0"],
+    ["jointR", "1", "0", "inf", "0"], ["jointL", "nan", "0", "2", "0"],
+    ["hybridR", "2", "0", "1", "nan"],
+], ids=lambda args: "-".join(args))
+def test_eval_refuses_non_finite_points(tmp_path, capsys, args):
+    # the evaluators map such a point to NaN; the command prints no value
+    path = _d1_path(tmp_path)
+    assert main(["eval", path, *args]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: evaluation points must be finite\n"
+
+
 def test_eval_joint_needs_second_point(tmp_path):
     path = _d1_path(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -303,6 +317,22 @@ def test_factorize_all_outside_writes_identity_plus(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", str(plus), "R", "0.5", "0"]) == 0
     assert capsys.readouterr().out == "1 + 0i\n"
+
+
+@pytest.mark.parametrize("option, name", [("--tol", "fail_tol"),
+                                          ("--cond-max", "cond_max")])
+def test_factorize_refuses_nan_threshold(tmp_path, capsys, option, name):
+    # a NaN tolerance or limit would let every residual or condition
+    # number pass its gate
+    src = tmp_path / "d2.json"
+    save_instance(make_d2(), src)
+    plus, minus = tmp_path / "p.json", tmp_path / "m.json"
+    assert main(["factorize", str(src), "0", "0", "1", str(plus), str(minus),
+                 option, "nan"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} must not be NaN\n"
+    assert not plus.exists() and not minus.exists()
 
 
 def test_factorize_cardinality_mismatch_exit(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Contour splitting: partition, factor construction, existence sweeps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,20 @@ from zpreal.errors import (
     ValidationError,
 )
 from zpreal import factorization as fz
+from zpreal import linalg
 from zpreal import realization as rz
+from zpreal import synthesis as sy
 from zpreal.linalg import frobenius, identity
-from zpreal.synthesis import SynthesisInput, synthesize
-from zpreal.zero_pole import check_consistency, factor_rank_one, pole_residue
+from zpreal.synthesis import SynthesisInput, synthesize, synthesize_hybrid
+from zpreal.zero_pole import (
+    ZeroPoleData,
+    check_consistency,
+    factor_rank_one,
+    pole_residue,
+)
 
 from conftest import make_d2, make_scalar_instance
-from helpers import balanced_instance
+from helpers import assert_same_bundle, balanced_instance, same_bits
 
 UNIT = fz.CircleContour(0.0, 1.0)
 
@@ -308,3 +317,183 @@ def test_exists_and_factorize_share_one_s11_condition(k, n_plus, n_minus,
     with pytest.raises(NoFactorizationError) as exc:
         fz.factorize(b, UNIT, cond_max=0.5)
     assert exc.value.cond == verdict.cond_S11
+
+
+@pytest.mark.parametrize("kwargs", [{"fail_tol": float("nan")},
+                                    {"cond_max": float("nan")}],
+                         ids=["fail_tol", "cond_max"])
+def test_factorize_refuses_nan_threshold(d2, kwargs):
+    # a NaN tolerance or limit would let every residual or condition
+    # number pass its gate
+    (name,) = kwargs
+    with pytest.raises(ValidationError, match=f"{name} must not be NaN"):
+        fz.factorize(rz.build_bundle(d2), UNIT, **kwargs)
+
+
+def test_factorization_exists_refuses_nan_cond_max(d2):
+    with pytest.raises(ValidationError, match="cond_max must not be NaN"):
+        fz.factorization_exists(rz.build_bundle(d2), UNIT,
+                                cond_max=float("nan"))
+
+
+def _factorize_through_public_path(monkeypatch, b, c):
+    """factorize with its factors made the public way: synthesize and
+    synthesize_hybrid on validated SynthesisInput slices, and a fresh
+    build_bundle of the empty data for an empty side."""
+    def public(F, G, poles, zeros, hybrid, cond_max, known=None):
+        route = synthesize_hybrid if hybrid else synthesize
+        return route(SynthesisInput(F=F, G=G, pole_points=poles,
+                                    zero_points=zeros), cond_max=cond_max)
+
+    with monkeypatch.context() as m:
+        m.setattr(fz, "_synthesize", public)
+        m.setattr(fz, "_empty_bundle",
+                  lambda k: rz.build_bundle(ZeroPoleData.empty(k)))
+        return fz.factorize(b, c)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n_plus, n_minus",
+                         [(0, 3), (3, 0), (2, 2), (1, 3), (4, 4), (5, 2)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_factorize_equals_public_path_bitwise(monkeypatch, k, n_plus,
+                                              n_minus, seed):
+    b = balanced_instance(k, n_plus, n_minus, seed)
+    got = fz.factorize(b, UNIT)
+    want = _factorize_through_public_path(monkeypatch, b, UNIT)
+    assert_same_bundle(got.plus, want.plus)
+    assert_same_bundle(got.minus, want.minus)
+    assert got.split == want.split
+    assert same_bits(got.cond_S11, want.cond_S11)
+    assert got.report.info == want.report.info
+    assert [(c.name, c.tol) for c in got.report.checks] == [
+        (c.name, c.tol) for c in want.report.checks]
+    for mine, theirs in zip(got.report.checks, want.report.checks):
+        assert same_bits(mine.residual, theirs.residual), mine.name
+
+
+def test_empty_bundles_do_not_share_diagnostics(d2):
+    # factorize's empty side and random_instance(k, 0, seed) are copies
+    # of one bundle per k
+    b = rz.build_bundle(d2)
+    far = fz.CircleContour(50.0, 1.0)
+    fresh = rz.build_bundle(ZeroPoleData.empty(1))
+    for make in (lambda: fz.factorize(b, far).plus,
+                 lambda: sy.random_instance(1, 0, seed=3)):
+        first = make()
+        first.diagnostics["mutual_inverse"] = 1.0
+        first.diagnostics["extra"] = 2.0
+        assert_same_bundle(make(), fresh)
+
+
+def _count_calls(monkeypatch, fn):
+    """Count the calls of fn made through any zpreal module's binding."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in (linalg, rz, sy, fz):
+        for name, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_two_sided_factorize_inverts_five_times_and_solves_four(monkeypatch):
+    b = balanced_instance(1, 3, 3, seed=5)
+    d = b.data
+    split = fz.partition(d, UNIT)
+    # the inside factor solves S11's formula on S11's entries; when the
+    # two agree bitwise (as they do here), S11's inversion serves both
+    s11 = b.Sr[np.ix_(list(split.idxN_plus), list(split.idxP_plus))]
+    inside = rz.sylvester_diag_solve(
+        d.zeros[list(split.idxN_plus)], d.poles[list(split.idxP_plus)],
+        d.G_N[list(split.idxN_plus), :] @ d.F_P[:, list(split.idxP_plus)])
+    assert np.array_equal(inside, s11)
+    inverses = _count_calls(monkeypatch, linalg.inverse)
+    solves = _count_calls(monkeypatch, rz.sylvester_diag_solve)
+    res = fz.factorize(b, UNIT)
+    assert res.split.n_plus == 3 and res.split.n_minus == 3
+    # S11; the plus factor's Sl; the minus factor's Sl and Sr; the
+    # Schur complement
+    assert len(inverses) == 5
+    # two per factor synthesis
+    assert len(solves) == 4
+
+
+@pytest.mark.parametrize("route", ["synthesize", "synthesize_hybrid"])
+def test_each_synthesis_solves_twice_and_inverts_twice(monkeypatch, route):
+    b = balanced_instance(2, 2, 3, seed=7)
+    inp = SynthesisInput(F=b.data.F_P, G=b.data.G_N,
+                         pole_points=b.data.poles, zero_points=b.data.zeros)
+    inverses = _count_calls(monkeypatch, linalg.inverse)
+    solves = _count_calls(monkeypatch, rz.sylvester_diag_solve)
+    getattr(sy, route)(inp)
+    assert len(solves) == 2
+    assert len(inverses) == 2
+
+
+def _sample_ring_reference(c, singular, count):
+    """_sample_ring as a loop over every point of every rotation."""
+    on = count // 2
+    inner = (count - on) // 2
+    rings = ((on, 1.0, 1.0, 0.0), (inner, 0.43, 1.7, 0.4),
+             (count - on - inner, 2.6, 2.3, 0.9))
+    best, best_clear = None, -1.0
+    for rot in range(64):
+        phase = 2.0 * math.pi * rot / 64.0
+        pts = []
+        for m, radius, turn, offset in rings:
+            for j in range(m):
+                ang = 2.0 * math.pi * j / m + turn * phase + offset
+                pts.append(c.center + radius * c.radius
+                           * complex(math.cos(ang), math.sin(ang)))
+        pts = np.array(pts, dtype=np.complex128)
+        clear = (np.abs(pts[:, None] - singular[None, :]).min()
+                 if singular.size else np.inf)
+        if clear > best_clear:
+            best, best_clear = pts, clear
+        if clear > 1e-3 * c.radius:
+            return pts
+    return best
+
+
+def _ring_cover(c, spacing, rng):
+    """Points on the three sample radii, at most `spacing`·radius apart
+    along each circle, jittered so that no two rotations are equally
+    clear of them."""
+    pts = []
+    for factor in (1.0, 0.43, 2.6):
+        m = int(2.0 * math.pi * factor / spacing) + 1
+        ang = 2.0 * math.pi * (np.arange(m) + 0.3 * rng.random(m)) / m
+        pts.append(c.center + factor * c.radius * np.exp(1j * ang))
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("case", ["free", "scattered", "first_blocked",
+                                  "all_blocked"])
+@pytest.mark.parametrize("count", [1, 4, 7, 40])
+def test_sample_ring_matches_reference_loop(case, count):
+    rng = np.random.default_rng(count)
+    c = fz.CircleContour(0.3 - 0.2j, 1.7)
+    singular = {
+        "free": np.zeros(0, dtype=np.complex128),
+        "scattered": 3.0 * (rng.random(9) - 0.5 + 1j * (rng.random(9) - 0.5)),
+        # the last point of the first rotation is a singular point
+        "first_blocked": _sample_ring_reference(c, np.zeros(0), count)[-1:],
+        # no rotation keeps 1e-3·radius clear: the clearest one is taken
+        "all_blocked": _ring_cover(c, 1.2e-3, rng),
+    }[case]
+    got = fz._sample_ring(c, singular, count)
+    want = _sample_ring_reference(c, singular, count)
+    assert same_bits(got, want)
+    first = _sample_ring_reference(c, np.zeros(0), count)
+    clear = (np.abs(got[:, None] - singular[None, :]).min()
+             if singular.size else np.inf)
+    if case == "first_blocked":
+        assert not same_bits(got, first)
+        assert clear > 1e-3 * c.radius
+    if case == "all_blocked":
+        assert clear < 1e-3 * c.radius

@@ -15,7 +15,7 @@ from zpreal.linalg import frobenius, identity, inverse
 from zpreal import realization as rz
 from zpreal import synthesis as sy
 
-from helpers import random_complex
+from helpers import assert_same_bundle, random_complex
 
 
 def _one():
@@ -453,3 +453,53 @@ def test_coupling_recoverable_from_samples_by_least_squares():
     m = m_vec.reshape(4, 4)
     assert frobenius(m - b.Sr_inv) < 1e-8 * frobenius(b.Sr_inv)
     assert frobenius(inverse(m) - b.Sr) < 1e-7 * frobenius(b.Sr)
+
+
+@pytest.mark.parametrize("route", ["synthesize", "synthesize_hybrid"])
+def test_synthesis_refuses_nan_cond_max(route):
+    # every condition number passes `cond > nan`: a NaN limit would
+    # switch the coupling gate off
+    inp = sy.SynthesisInput(F=_one(), G=_one(), pole_points=[0.0],
+                            zero_points=[1.0])
+    with pytest.raises(ValidationError, match="cond_max must not be NaN"):
+        getattr(sy, route)(inp, cond_max=float("nan"))
+
+
+@pytest.mark.parametrize("field, message", [
+    ("disk_radius", "must be positive"), ("min_separation", "must be positive"),
+    ("cond_limit", "must exceed 1")])
+def test_geometry_refuses_nan(field, message):
+    with pytest.raises(ValidationError, match=f"{field} {message}"):
+        sy.GeneratorGeometry(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("hybrid", [False, True], ids=["right", "hybrid"])
+def test_synthesis_core_uses_a_known_inverse_only_for_its_own_matrix(hybrid):
+    rng = np.random.default_rng(31)
+    n = 6
+    inp = sy.SynthesisInput(
+        F=random_complex(rng, 2, n), G=random_complex(rng, n, 2),
+        pole_points=np.arange(n) * 0.3, zero_points=np.arange(n) * 0.3 + 0.1j)
+    public = sy.synthesize_hybrid if hybrid else sy.synthesize
+    want = public(inp)
+    a, b = ((inp.pole_points, inp.zero_points) if hybrid
+            else (inp.zero_points, inp.pole_points))
+    s = sy.sylvester_diag_solve(a, b, inp.G @ inp.F)
+    s_inv = inverse(s)
+
+    def core(known):
+        return sy._synthesize(inp.F, inp.G, inp.pole_points,
+                              inp.zero_points, hybrid,
+                              sy.DEFAULT_COND_MAX, known=known)
+
+    # a matrix one ulp off is not the solved S: its pair is ignored and
+    # the bundle is the freshly computed one
+    off = s.copy()
+    off[2, 3] = complex(np.nextafter(off[2, 3].real, np.inf), off[2, 3].imag)
+    got = core((off, 2.0 * s_inv, 1.0))
+    assert_same_bundle(got, want)
+    # the solved S itself: its inverse is taken as handed in
+    mine = s_inv.copy()
+    got = core((s.copy(), mine, frobenius(s) * frobenius(s_inv)))
+    assert (got.Sl_inv if hybrid else got.Sr_inv) is mine
+    assert_same_bundle(got, want)
