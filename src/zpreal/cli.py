@@ -4,8 +4,8 @@ Subcommands: generate, verify, eval, factorize, cauchy. Matrices print
 at 15 significant digits, one row per line, entries as "a + bi". Exit
 codes are a stable contract:
 
-    0 success, 2 usage, 3 parse, 4 validation,
-    5 no factorization, 6 verification failed.
+    0 success, 2 usage (also an output path that cannot be written),
+    3 parse, 4 validation, 5 no factorization, 6 verification failed.
 """
 
 from __future__ import annotations
@@ -109,6 +109,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # every residual fails a NaN tolerance, so no line could pass
+    if math.isnan(args.tol):
+        raise ValidationError("tol must not be NaN")
     data, _ = load_instance(args.path)
     report = check_consistency(data, args.tol)
     try:
@@ -157,7 +160,7 @@ def cmd_eval(args, parser) -> int:
     have_y = args.y_re is not None and args.y_im is not None
     if arity == 2 and not have_y:
         parser.error(f"{args.which} needs both y_re and y_im")
-    if arity == 1 and have_y:
+    if arity == 1 and args.y_re is not None:
         parser.error(f"{args.which} takes a single point")
     # the evaluators map a NaN or infinite point to NaN; a command that
     # prints a value refuses such a point instead
@@ -290,6 +293,12 @@ def main(argv=None) -> int:
     except ZprealError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # load_instance maps a file it cannot read to ParseError, so this
+        # is an output path that cannot be written
+        print(f"error: cannot write {exc.filename}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -151,7 +151,9 @@ def rank(a) -> int:
     At each step the column whose remaining part has the largest entry
     is brought forward and eliminated with its largest entry as pivot;
     entries below RANK_EPS times the max magnitude of the input count
-    as zero.
+    as zero. The input is first scaled by a power of two that puts its
+    largest entry in [0.5, 1), so that threshold is at least RANK_EPS/2
+    even when every entry is subnormal.
     """
     a = as_complex_matrix(a).copy()
     m, n = a.shape
@@ -167,8 +169,6 @@ def rank(a) -> int:
     np.ldexp(a.real, shift, out=a.real)
     np.ldexp(a.imag, shift, out=a.imag)
     threshold = RANK_EPS * float(np.abs(a).max())
-    if threshold == 0.0:
-        return 0
     r = 0
     for step in range(min(m, n)):
         block = np.abs(a[step:, step:])

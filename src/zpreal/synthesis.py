@@ -44,9 +44,11 @@ from typing import Callable
 
 import numpy as np
 
+from .cauchy import _gaps
 from .errors import (
     DomainViolationError,
     GenerationFailedError,
+    PoleHitError,
     SingularCouplingError,
     ValidationError,
 )
@@ -148,7 +150,8 @@ def _shared_empty_bundle(k: int) -> RealizationBundle:
 
 
 def _empty_bundle(k: int) -> RealizationBundle:
-    """build_bundle(ZeroPoleData.empty(k)), built once per k.
+    """build_bundle(ZeroPoleData.empty(k)), built once per k, for
+    factorize's empty side.
 
     The n = 0 bundle's arrays are all empty, so its copies can share
     them; each copy gets a diagnostics dict of its own.
@@ -293,21 +296,18 @@ def chain_identity_check(t: ChainFunction, triples,
     return rep
 
 
-def _is_infinite(a) -> bool:
-    if a is None:
-        return True
-    return not math.isfinite(abs(complex(a)))
-
-
 def extract_generator(t: ChainFunction, a):
     """Split the chain at anchor a: phi(x) = T(x, a), phi_inv(y) = T(a, y).
 
     Then phi(x) phi_inv(y) = T(x, y) and phi_inv is the pointwise
     inverse of phi. The anchor may be infinity when the chain carries
     closed-form limits; it must stay clear of both singularity sets
-    otherwise.
+    otherwise. A NaN anchor is refused.
     """
-    if _is_infinite(a):
+    size = math.inf if a is None else abs(complex(a))
+    if math.isnan(size):
+        raise DomainViolationError(f"anchor {a} is not a number")
+    if math.isinf(size):
         fx = t.eval_with_y_at_infinity
         fy = t.eval_with_x_at_infinity
         if fx is None or fy is None:
@@ -317,10 +317,12 @@ def extract_generator(t: ChainFunction, a):
         return fx, fy
     a = complex(a)
     for pts in (t.x_singularities, t.y_singularities):
-        if pts.size and np.abs(pts - a).min() <= 1e-12:
+        try:
+            _gaps(a, pts)
+        except PoleHitError as exc:
             raise DomainViolationError(
                 f"anchor {a} sits on a singularity of the chain"
-            )
+            ) from exc
     return (lambda x: t(x, a)), (lambda y: t(a, y))
 
 
@@ -431,8 +433,6 @@ def random_instance(k: int, n: int, seed: int,
         geometry = GeneratorGeometry()
     if k < 1 or n < 0:
         raise ValidationError("need k >= 1 and n >= 0")
-    if n == 0:
-        return _empty_bundle(k)
     rng = np.random.default_rng(seed)
     for _ in range(geometry.max_retries):
         pts = _draw_separated(rng, 2 * n, geometry.disk_radius,

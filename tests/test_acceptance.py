@@ -276,7 +276,14 @@ def test_criterion_08_contour_factorization():
         by_name = {c.name: c.residual for c in res.report.checks}
         worst_prod = max(worst_prod, by_name["product_at_samples"])
         worst_agree = max(worst_agree, by_name["minus_formula_agreement"])
-        misplaced += int(by_name["factor_singularities_on_own_side"])
+        # every factor singularity on its own side, counted from the
+        # factor data itself
+        plus_pts = np.concatenate([res.plus.data.poles, res.plus.data.zeros])
+        minus_pts = np.concatenate([res.minus.data.poles,
+                                    res.minus.data.zeros])
+        misplaced += int((np.abs(plus_pts - UNIT.center) >= UNIT.radius).sum()
+                         + (np.abs(minus_pts - UNIT.center)
+                            < UNIT.radius).sum())
         factors_ok = factors_ok and check_consistency(res.plus.data).passed \
             and check_consistency(res.minus.data).passed
     elapsed = time.perf_counter() - start

@@ -1,6 +1,7 @@
 """File format round-trips and the command-line contract."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +160,68 @@ def test_verify_prints_the_check_names_in_order(tmp_path, capsys):
     assert lines[-1] == "OK    all checks passed"
 
 
+def test_verify_refuses_nan_tol(tmp_path, capsys):
+    # refused before the file is read: a missing file exits 4, not 3
+    for path in (_d1_path(tmp_path), str(tmp_path / "missing.json")):
+        assert main(["verify", path, "--tol", "nan"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol must not be NaN\n"
+
+
+FACTORIZE_CHECKS = [
+    "minus_coupling_inherited", "product_at_samples",
+    "minus_formula_agreement",
+]
+
+
+def _factorize_d2_lines(tmp_path, capsys):
+    src = tmp_path / "d2.json"
+    save_instance(make_d2(), src)
+    assert main(["factorize", str(src), "0", "0", "1",
+                 str(tmp_path / "p.json"), str(tmp_path / "m.json")]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_factorize_prints_the_check_names_in_order(tmp_path, capsys):
+    lines = _factorize_d2_lines(tmp_path, capsys)
+    assert [line.split()[1] for line in lines[:-2]] == FACTORIZE_CHECKS
+    assert lines[-2] == "OK    split 1/1, cond S11 = 1"
+    assert lines[-1].startswith("wrote ")
+
+
+def test_readme_factorize_example_names_the_printed_checks(tmp_path,
+                                                             capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("$ zpreal factorize d2.json", 1)[1]
+    example = example.split("```", 1)[0]
+    documented = [line.split()[1] for line in example.splitlines()
+                  if line.startswith(("PASS", "FAIL"))]
+    printed = [line.split()[1]
+               for line in _factorize_d2_lines(tmp_path, capsys)[:-2]]
+    assert documented == printed
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "2", "3", "1", "{missing}/f.json"],
+    ["verify", "{src}", "--report-out", "{missing}/r.json"],
+    ["factorize", "{src}", "0", "0", "1", "{missing}/p.json", "{tmp}/m.json"],
+    ["factorize", "{src}", "0", "0", "1", "{tmp}/p.json", "{missing}/m.json"],
+    ["factorize", "{src}", "0", "0", "1", "{tmp}/p.json", "{tmp}/m.json",
+     "--report-out", "{missing}/r.json"],
+], ids=["generate", "verify-report", "factorize-plus", "factorize-minus",
+        "factorize-report"])
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
+    src = tmp_path / "d2.json"
+    save_instance(make_d2(), src)
+    missing = tmp_path / "no-such-dir"
+    argv = [a.format(src=src, tmp=tmp_path, missing=missing) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    bad = next(a for a in argv if a.startswith(str(missing)))
+    assert err == f"error: cannot write {bad}: No such file or directory\n"
+
+
 def _overflowing_path(tmp_path):
     # every product of an F and a G overflows, so every diagnostic of
     # the build reads NaN
@@ -280,6 +343,15 @@ def test_eval_single_point_rejects_second(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["eval", path, "R", "2", "0", "3", "0"])
     assert exc.value.code == 2
+
+
+def test_eval_single_point_rejects_a_stray_coordinate(tmp_path, capsys):
+    # one coordinate of a second point is as wrong as a whole one
+    path = _d1_path(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", path, "R", "2", "0", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_factorize_d2_round_trip(tmp_path, capsys):

@@ -169,6 +169,14 @@ def test_rank_outer_product_is_one():
     assert rank(np.outer(f, g)) == 1
 
 
+def test_rank_of_subnormal_rank_one_matrix_is_one():
+    # every entry a multiple of the smallest subnormal: the power-of-two
+    # scaling makes them exact small integers
+    m = np.outer([1.0, 2.0, 3.0], [1.0, 3.0]) * 5e-324
+    assert np.abs(m).max() < np.finfo(float).tiny
+    assert rank(m) == 1
+
+
 def test_rank_identity():
     assert rank(identity(3)) == 3
 

@@ -14,6 +14,7 @@ from zpreal.errors import (
 from zpreal.linalg import frobenius, identity, inverse
 from zpreal import realization as rz
 from zpreal import synthesis as sy
+from zpreal.zero_pole import ZeroPoleData
 
 from helpers import assert_same_bundle, random_complex
 
@@ -309,6 +310,27 @@ def test_extract_generator_anchor_at_infinity():
     np.testing.assert_array_equal(phi2(x), phi(x))
 
 
+@pytest.mark.parametrize("anchor", [complex("nan"), float("nan"),
+                                    complex(0.0, float("nan"))])
+def test_extract_generator_refuses_nan_anchor(anchor):
+    # a NaN anchor is neither infinity nor a finite point
+    t = sy.chain_from_bundle(sy.random_instance(2, 3, 1))
+    with pytest.raises(DomainViolationError, match="is not a number"):
+        sy.extract_generator(t, anchor)
+
+
+def test_extract_generator_refuses_anchor_on_a_pole():
+    b = sy.random_instance(2, 3, 1)
+    t = sy.chain_from_bundle(b)
+    pole = complex(b.data.poles[1])
+    with pytest.raises(DomainViolationError,
+                       match="sits on a singularity of the chain"):
+        sy.extract_generator(t, pole)
+    with pytest.raises(DomainViolationError,
+                       match="sits on a singularity of the chain"):
+        sy.extract_generator(t, pole + 5e-13)
+
+
 def test_extract_generator_rejects_singular_anchor():
     b = sy.random_instance(2, 3, seed=43)
     t = sy.chain_from_bundle(b)
@@ -424,6 +446,16 @@ def test_random_instance_empty():
     b = sy.random_instance(2, 0, seed=71)
     np.testing.assert_array_equal(rz.eval_R(b, 0.5), identity(2))
     assert b.cond_Sr == 1.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_random_instance_empty_is_the_built_empty_bundle(k, seed):
+    # n = 0 takes the general path, which draws nothing
+    first = sy.random_instance(k, 0, seed)
+    assert_same_bundle(first, rz.build_bundle(ZeroPoleData.empty(k)))
+    second = sy.random_instance(k, 0, seed)
+    assert first.diagnostics is not second.diagnostics
 
 
 def test_coupling_recoverable_from_samples_by_least_squares():
