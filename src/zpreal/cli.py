@@ -6,13 +6,21 @@ codes are a stable contract:
 
     0 success, 2 usage (also an output path that cannot be written),
     3 parse, 4 validation, 5 no factorization, 6 verification failed.
+
+The argument parser is built once per process, on the first call of
+`main`, and reused by every later call; the command handlers are still
+looked up by name on each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -36,7 +44,7 @@ from .realization import (
     eval_joint_left,
     eval_joint_right,
 )
-from .report import Report
+from .report import Report, check_tolerance
 from .serialize import load_instance, save_instance
 from .synthesis import (
     GeneratorGeometry,
@@ -62,7 +70,11 @@ def format_matrix(m: np.ndarray) -> str:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, "
+                                         f"got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, "
                                          f"got {value}")
@@ -89,6 +101,37 @@ def _write_report(report: Report, path):
             fh.write("\n")
 
 
+def _write_all(writes) -> None:
+    """Write the files of one command: all of them or, on failure, none.
+
+    `writes` holds (path, write) pairs, and write(name) writes one
+    output to name. Each output goes to a temporary name beside its
+    path, and only when all are written are they renamed into place. A
+    failure removes what this call wrote and raises an OSError that
+    names the user's path. A file that existed before stays as it was,
+    unless a rename fails after an earlier one replaced it.
+    """
+    temps, created = [], []
+    try:
+        for i, (path, write) in enumerate(writes):
+            # a directory would only be refused by the rename below,
+            # after other outputs were already in place
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            head, tail = os.path.split(path)
+            temps.append(os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp"))
+            write(temps[-1])
+        for (path, _), temp in zip(writes, temps):
+            if not os.path.lexists(path):
+                created.append(path)
+            os.replace(temp, path)
+    except OSError as exc:
+        for name in temps + created:
+            with contextlib.suppress(OSError):
+                os.remove(name)
+        raise OSError(exc.errno, exc.strerror, path) from exc
+
+
 def cmd_generate(args) -> int:
     geometry = GeneratorGeometry()
     bundle = random_instance(args.k, args.n, args.seed, geometry=geometry)
@@ -109,9 +152,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # every residual fails a NaN tolerance, so no line could pass
-    if math.isnan(args.tol):
-        raise ValidationError("tol must not be NaN")
+    check_tolerance(args.tol, "tol")
     data, _ = load_instance(args.path)
     report = check_consistency(data, args.tol)
     try:
@@ -179,6 +220,8 @@ def cmd_eval(args, parser) -> int:
 
 
 def cmd_factorize(args) -> int:
+    # factorize refuses the same tolerance, but only after the file is read
+    check_tolerance(args.tol, "fail_tol")
     data, _ = load_instance(args.path)
     bundle = build_bundle(data)
     contour = CircleContour(complex(args.center_re, args.center_im),
@@ -191,22 +234,31 @@ def cmd_factorize(args) -> int:
                     "radius": contour.radius},
         "cond_S11": result.cond_S11,
     }
-    save_instance(result.plus.data, args.out_plus, {
+    plus_meta = {
         **base_meta, "role": "plus_factor",
         "parent_pole_indices": list(result.split.idxP_plus),
         "parent_zero_indices": list(result.split.idxN_plus),
-    })
-    save_instance(result.minus.data, args.out_minus, {
+    }
+    minus_meta = {
         **base_meta, "role": "minus_factor",
         "parent_pole_indices": list(result.split.idxP_minus),
         "parent_zero_indices": list(result.split.idxN_minus),
-    })
+    }
+    writes = [
+        (args.out_plus,
+         lambda name: save_instance(result.plus.data, name, plus_meta)),
+        (args.out_minus,
+         lambda name: save_instance(result.minus.data, name, minus_meta)),
+    ]
+    if args.report_out:
+        writes.append((args.report_out,
+                       lambda name: _write_report(result.report, name)))
+    _write_all(writes)
     for line in result.report.lines():
         print(line)
     print(f"OK    split {result.split.n_plus}/{result.split.n_minus}, "
           f"cond S11 = {result.cond_S11:.6g}")
     print(f"wrote {args.out_plus} and {args.out_minus}")
-    _write_report(result.report, args.report_out)
     return 0
 
 
@@ -222,7 +274,10 @@ def cmd_cauchy(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; `main` only calls its parse_args,
+    which leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="zpreal",
         description="Zero-pole data: coupling matrices, evaluation, "

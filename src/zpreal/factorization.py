@@ -50,7 +50,7 @@ from .errors import (
 from .cauchy import _gaps
 from .linalg import frobenius, identity, inverse, inverse_cond, max_frobenius
 from .realization import RealizationBundle, _form, eval_R
-from .report import Report
+from .report import Report, check_tolerance
 from .synthesis import _check_cond_max, _empty_bundle, _synthesize
 from .zero_pole import FAIL_TOL, ZeroPoleData
 
@@ -227,15 +227,15 @@ def factorize(b: RealizationBundle, c: CircleContour,
               fail_tol: float = FAIL_TOL) -> FactorizationResult:
     """Split R across the circle and verify the product.
 
-    Raises OnContour or CardinalityMismatch if the split is ill-posed,
+    Raises Validation when cond_max is NaN or fail_tol is not in
+    (0, inf), OnContour or CardinalityMismatch if the split is ill-posed,
     NoFactorization when the leading coupling block is not usably
     invertible, and VerificationFailed when the constructed factors do
     not multiply back to R or the two independent constructions of the
     outside factor disagree.
     """
     _check_cond_max(cond_max)
-    if math.isnan(fail_tol):
-        raise ValidationError("fail_tol must not be NaN")
+    check_tolerance(fail_tol, "fail_tol")
     d = b.data
     # the same S11 inverse gives its condition number, the inside
     # factor's coupling inverse and the Schur complement below

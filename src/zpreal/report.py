@@ -2,7 +2,22 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+from .errors import ValidationError
+
+
+def check_tolerance(tol: float, name: str) -> None:
+    """Refuse a tolerance outside (0, inf). Every residual passes inf
+    and fails NaN, so either would decide a gate without reading it,
+    and a tolerance at or below zero fails every check that is not
+    exact."""
+    if math.isnan(tol):
+        raise ValidationError(f"{name} must not be NaN")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, "
+                              f"got {tol!r}")
 
 
 @dataclass(frozen=True)

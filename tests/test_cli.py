@@ -1,6 +1,10 @@
 """File format round-trips and the command-line contract."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +115,14 @@ def test_generate_rejects_zero_n(tmp_path):
     assert exc.value.code == 2
 
 
+def test_generate_names_a_non_integer_count(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "2", "x", "1", str(tmp_path / "f.json")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument n: expected a positive integer, got 'x'\n")
+
+
 def test_generated_instance_verifies(tmp_path, capsys):
     path = tmp_path / "g.json"
     assert main(["generate", "3", "6", "5", str(path)]) == 0
@@ -169,6 +181,19 @@ def test_verify_refuses_nan_tol(tmp_path, capsys):
         assert captured.err == "error: tol must not be NaN\n"
 
 
+@pytest.mark.parametrize("tol", ["inf", "0", "-1"])
+def test_verify_refuses_a_tolerance_outside_zero_to_inf(tmp_path, capsys,
+                                                        tol):
+    # inf passes every residual and a tolerance at or below 0 fails every
+    # inexact one; refused before the file is read, like NaN
+    for path in (_d1_path(tmp_path), str(tmp_path / "missing.json")):
+        assert main(["verify", path, "--tol", tol]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: tol must be positive and finite, "
+                                f"got {float(tol)!r}\n")
+
+
 FACTORIZE_CHECKS = [
     "minus_coupling_inherited", "product_at_samples",
     "minus_formula_agreement",
@@ -220,6 +245,37 @@ def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     bad = next(a for a in argv if a.startswith(str(missing)))
     assert err == f"error: cannot write {bad}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("minus, report, bad, reason", [
+    ("{missing}", None, "{missing}", "No such file or directory"),
+    ("{old}", "{missing}", "{missing}", "No such file or directory"),
+    ("{old}", "{dir}", "{dir}", "Is a directory"),
+], ids=["minus", "report", "report-is-a-directory"])
+def test_refused_factorize_writes_nothing(tmp_path, capsys, minus, report,
+                                          bad, reason):
+    # the plus factor's file would be new and the minus factor's may
+    # exist already; a refusal must neither create the one nor change
+    # the other
+    src = tmp_path / "d2.json"
+    save_instance(make_d2(), src)
+    out = tmp_path / "out"
+    (out / "dir").mkdir(parents=True)
+    (out / "old.json").write_text("kept\n")
+    fill = {"missing": str(tmp_path / "no-such-dir" / "x.json"),
+            "old": str(out / "old.json"), "dir": str(out / "dir")}
+    argv = ["factorize", str(src), "0", "0", "1", str(out / "p.json"),
+            minus.format(**fill)]
+    if report:
+        argv += ["--report-out", report.format(**fill)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {bad.format(**fill)}: "
+                            f"{reason}\n")
+    assert sorted(os.listdir(out)) == ["dir", "old.json"]
+    assert os.listdir(out / "dir") == []
+    assert (out / "old.json").read_text() == "kept\n"
 
 
 def _overflowing_path(tmp_path):
@@ -407,6 +463,23 @@ def test_factorize_refuses_nan_threshold(tmp_path, capsys, option, name):
     assert not plus.exists() and not minus.exists()
 
 
+@pytest.mark.parametrize("tol", ["inf", "0", "-1"])
+def test_factorize_refuses_a_tolerance_outside_zero_to_inf(tmp_path, capsys,
+                                                           tol):
+    # inf would waive product_at_samples; refused before the file is read
+    src = tmp_path / "d2.json"
+    save_instance(make_d2(), src)
+    plus, minus = tmp_path / "p.json", tmp_path / "m.json"
+    for path in (str(src), str(tmp_path / "missing.json")):
+        assert main(["factorize", path, "0", "0", "1", str(plus), str(minus),
+                     "--tol", tol]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: fail_tol must be positive and finite, "
+                                f"got {float(tol)!r}\n")
+        assert not plus.exists() and not minus.exists()
+
+
 def test_factorize_cardinality_mismatch_exit(tmp_path, capsys):
     src = tmp_path / "mis.json"
     save_instance(make_scalar_instance([0.5, 0.6], [3.0, 4.0]), src)
@@ -455,3 +528,68 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+
+
+# --- one parser per process ------------------------------------------------
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli.build_parser.cache_clear()
+    path = _d1_path(tmp_path)
+    for _ in range(3):
+        assert main(["eval", path, "R", "2", "0"]) == 0
+        assert main(["cauchy", "detsq", "--poles", "0", "--zeros", "1"]) == 0
+        with pytest.raises(SystemExit):
+            main(["nonsense"])
+    # the root and one parser per subcommand, all built by the first call
+    assert len(built) == 1 + 5
+
+
+def _in_this_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+def _in_a_fresh_process(argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "zpreal.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def test_reused_parser_carries_nothing_from_call_to_call(tmp_path, capsys,
+                                                         monkeypatch):
+    # usage lines wrap at the terminal width, which both processes read
+    monkeypatch.setenv("COLUMNS", "80")
+    path = str(tmp_path / "g.json")
+    save_instance(random_instance(2, 4, 3).data, path)
+    report = tmp_path / "r.json"
+
+    def run(argv, code):
+        got = _in_this_process(argv, capsys)
+        assert got == _in_a_fresh_process(argv)
+        assert got[2] == code
+        return got[0]
+
+    assert "1.0e-300" in run(["verify", path, "--tol", "1e-300"], 6)
+    out = run(["verify", path], 0)
+    assert "1.0e-300" not in out and "tol 1.0e-08" in out
+    run(["verify", path, "--report-out", str(report)], 0)
+    report.unlink()
+    run(["verify", path], 0)
+    assert not report.exists()
+    run(["eval", path, "R", "2", "0", "3"], 2)
+    run(["eval", path, "R", "2", "0"], 0)

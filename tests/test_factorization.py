@@ -330,6 +330,15 @@ def test_factorize_refuses_nan_threshold(d2, kwargs):
         fz.factorize(rz.build_bundle(d2), UNIT, **kwargs)
 
 
+@pytest.mark.parametrize("fail_tol", [float("inf"), 0.0, -1.0])
+def test_factorize_refuses_a_tolerance_outside_zero_to_inf(d2, fail_tol):
+    # inf would waive product_at_samples, and a tolerance at or below 0
+    # fails every inexact product
+    with pytest.raises(ValidationError,
+                       match="fail_tol must be positive and finite"):
+        fz.factorize(rz.build_bundle(d2), UNIT, fail_tol=fail_tol)
+
+
 def test_factorization_exists_refuses_nan_cond_max(d2):
     with pytest.raises(ValidationError, match="cond_max must not be NaN"):
         fz.factorization_exists(rz.build_bundle(d2), UNIT,

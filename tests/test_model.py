@@ -218,6 +218,13 @@ def test_check_consistency_d2(d2):
     assert check_consistency(d2).passed
 
 
+def test_check_consistency_judges_any_tolerance(d1):
+    # a library diagnostic that never raises; the commands refuse a
+    # tolerance outside (0, inf) before they call it
+    for tol in (float("inf"), 0.0, -1.0, float("nan")):
+        assert len(check_consistency(d1, tol=tol).checks) == 5
+
+
 def test_check_consistency_flags_broken_inverse(d1):
     broken = ZeroPoleData(poles=d1.poles, zeros=d1.zeros,
                           F_P=d1.F_P, G_P=d1.G_P,
