@@ -105,31 +105,48 @@ def _write_all(writes) -> None:
     """Write the files of one command: all of them or, on failure, none.
 
     `writes` holds (path, write) pairs, and write(name) writes one
-    output to name. Each output goes to a temporary name beside its
-    path, and only when all are written are they renamed into place. A
-    failure removes what this call wrote and raises an OSError that
-    names the user's path. A file that existed before stays as it was,
-    unless a rename fails after an earlier one replaced it.
+    output to name. A new file is written to a temporary name beside
+    the file its path resolves to; an existing one (a regular file, a
+    symlink's target, a device) is only checked for write permission.
+    When every new file is written, the new files are renamed into
+    place and then the existing ones are written through in place, as
+    open(path, "w") would, so links, mode and owner stay as they were.
+    A failure removes what this call created and raises an OSError that
+    names the user's path. Only an I/O error while an existing file is
+    rewritten, which no check can foresee, leaves the existing files
+    written before it changed.
     """
-    temps, created = [], []
+    staged, existing, created = [], [], []
+    done = False
     try:
         for i, (path, write) in enumerate(writes):
-            # a directory would only be refused by the rename below,
-            # after other outputs were already in place
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            head, tail = os.path.split(path)
-            temps.append(os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp"))
-            write(temps[-1])
-        for (path, _), temp in zip(writes, temps):
-            if not os.path.lexists(path):
-                created.append(path)
-            os.replace(temp, path)
+            if os.path.exists(path):
+                if not os.access(path, os.W_OK):
+                    raise PermissionError(errno.EACCES,
+                                          os.strerror(errno.EACCES))
+                existing.append((path, write))
+                continue
+            # a dangling symlink's target is created, not the link replaced
+            real = os.path.realpath(path)
+            head, tail = os.path.split(real)
+            temp = os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp")
+            staged.append((path, real, temp))
+            write(temp)
+        for path, real, temp in staged:
+            os.replace(temp, real)
+            created.append(real)
+        for path, write in existing:
+            write(path)
+        done = True
     except OSError as exc:
-        for name in temps + created:
-            with contextlib.suppress(OSError):
-                os.remove(name)
         raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if not done:
+            for name in [temp for _, _, temp in staged] + created:
+                with contextlib.suppress(OSError):
+                    os.remove(name)
 
 
 def cmd_generate(args) -> int:

@@ -278,6 +278,63 @@ def test_refused_factorize_writes_nothing(tmp_path, capsys, minus, report,
     assert (out / "old.json").read_text() == "kept\n"
 
 
+def test_factorize_writes_existing_outputs_in_place(tmp_path, capsys):
+    # an existing output is written through, as open(path, "w") would: a
+    # symlink stays a link to its updated target, a hard link sees the new
+    # content, and the file keeps its inode and mode
+    src = tmp_path / "d2.json"
+    save_instance(make_d2(), src)
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    assert main(["factorize", str(src), "0", "0", "1", str(fresh / "p.json"),
+                 str(fresh / "m.json")]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "p-target.json").write_text("old\n")
+    (out / "p.json").symlink_to(out / "p-target.json")
+    (out / "m.json").write_text("old\n")
+    os.chmod(out / "m.json", 0o600)
+    os.link(out / "m.json", out / "m-link.json")
+    inode = os.stat(out / "m.json").st_ino
+    (out / "r-target.json").symlink_to(out / "r.json")   # dangling
+    assert main(["factorize", str(src), "0", "0", "1", str(out / "p.json"),
+                 str(out / "m.json"), "--report-out",
+                 str(out / "r-target.json")]) == 0
+    capsys.readouterr()
+    assert os.path.islink(out / "p.json")
+    assert (out / "p-target.json").read_text() == \
+        (fresh / "p.json").read_text()
+    assert os.stat(out / "m.json").st_ino == inode
+    assert os.stat(out / "m.json").st_mode & 0o777 == 0o600
+    assert (out / "m-link.json").read_text() == (fresh / "m.json").read_text()
+    assert os.path.islink(out / "r-target.json")
+    assert json.loads((out / "r.json").read_text())["passed"] is True
+    assert sorted(os.listdir(out)) == ["m-link.json", "m.json", "p-target.json",
+                                       "p.json", "r-target.json", "r.json"]
+
+
+def test_interrupted_factorize_leaves_no_temporary_file(tmp_path, capsys,
+                                                        monkeypatch):
+    src = tmp_path / "d2.json"
+    save_instance(make_d2(), src)
+    out = tmp_path / "out"
+    out.mkdir()
+    calls = []
+
+    def save_then_interrupt(data, path, metadata=None):
+        calls.append(path)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        save_instance(data, path, metadata)
+
+    monkeypatch.setattr(cli, "save_instance", save_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["factorize", str(src), "0", "0", "1", str(out / "p.json"),
+              str(out / "m.json")])
+    assert capsys.readouterr().out == ""
+    assert os.listdir(out) == []
+
+
 def _overflowing_path(tmp_path):
     # every product of an F and a G overflows, so every diagnostic of
     # the build reads NaN
