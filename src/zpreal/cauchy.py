@@ -63,12 +63,18 @@ def _as_points(values, what: str) -> np.ndarray:
     return pts
 
 
+def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
+    """|pts[i] - pts[j]| for every pair, with inf on the diagonal, so
+    the minimum runs over distinct pairs only."""
+    dist = np.abs(pts[:, None] - pts[None, :])
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
 def _min_pairwise_distance(pts: np.ndarray) -> float:
     if pts.size < 2:
         return float("inf")
-    diff = pts[:, None] - pts[None, :]
-    off = np.abs(diff)[~np.eye(pts.size, dtype=bool)]
-    return float(off.min())
+    return float(_pairwise_distances(pts).min())
 
 
 def _check_separation(poles: np.ndarray, zeros: np.ndarray):

@@ -192,9 +192,11 @@ def cmd_verify(args) -> int:
             for check in chain.checks:
                 report.add(check.name, check.residual, check.tol)
         report.info["cond_Sr"] = bundle.cond_Sr
+    # written before anything is printed: a report path that cannot be
+    # written fails the command with nothing on stdout
+    _write_report(report, args.report_out)
     for line in report.lines():
         print(line)
-    _write_report(report, args.report_out)
     if not report.passed:
         print(f"FAIL  {len(report.failures())} checks above tolerance")
         return 6
@@ -319,6 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("x_im", type=float)
     p_eval.add_argument("y_re", type=float, nargs="?", default=None)
     p_eval.add_argument("y_im", type=float, nargs="?", default=None)
+    # cmd_eval reports its own usage errors through this subparser
+    p_eval.set_defaults(eval_parser=p_eval)
 
     p_fac = sub.add_parser("factorize",
                            help="split across a circle into two factors")
@@ -349,7 +353,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "eval":
-            return cmd_eval(args, parser)
+            return cmd_eval(args, args.eval_parser)
         if args.command == "factorize":
             return cmd_factorize(args)
         return cmd_cauchy(args)

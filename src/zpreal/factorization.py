@@ -227,8 +227,8 @@ def factorize(b: RealizationBundle, c: CircleContour,
               fail_tol: float = FAIL_TOL) -> FactorizationResult:
     """Split R across the circle and verify the product.
 
-    Raises Validation when cond_max is NaN or fail_tol is not in
-    (0, inf), OnContour or CardinalityMismatch if the split is ill-posed,
+    Raises Validation when cond_max is NaN or below 1 or fail_tol is not
+    in (0, inf), OnContour or CardinalityMismatch if the split is ill-posed,
     NoFactorization when the leading coupling block is not usably
     invertible, and VerificationFailed when the constructed factors do
     not multiply back to R or the two independent constructions of the

@@ -16,6 +16,7 @@ semantics that `factor_rank_one` and `obstrollable` rely on.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -37,7 +38,6 @@ __all__ = [
     "inverse",
     "inverse_cond",
     "max_frobenius",
-    "norm_inf",
     "rank",
     "solve",
 ]
@@ -69,8 +69,11 @@ def _shared_identity(n: int) -> np.ndarray:
 
 
 def frobenius(a) -> float:
+    # np.add.reduce is the pairwise sum behind ndarray.sum, and
+    # math.sqrt is correctly rounded like np.sqrt, without either's
+    # per-call wrapper
     a = np.asarray(a, dtype=np.complex128)
-    return float(np.sqrt((np.abs(a) ** 2).sum()))
+    return math.sqrt(np.add.reduce(np.abs(a) ** 2, axis=None))
 
 
 def max_frobenius(*stacks) -> float:
@@ -84,14 +87,6 @@ def max_frobenius(*stacks) -> float:
     return float(worst)
 
 
-def norm_inf(a) -> float:
-    """Max absolute row sum; 0.0 for empty matrices."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a).sum(axis=1).max())
-
-
 def inverse(a) -> np.ndarray:
     """LAPACK's inverse of a square matrix, or SingularMatrixError.
 
@@ -99,10 +94,15 @@ def inverse(a) -> np.ndarray:
     numpy.linalg.inv fails, when its result is not finite, or when
     n·‖A‖∞·‖A⁻¹‖∞·PIVOT_EPS_FACTOR ≥ 0.1.
     """
-    try:
-        a = as_complex_matrix(a)
-    except ValidationError as exc:
-        raise SingularMatrixError(f"matrix is singular: {exc}") from exc
+    # as_complex_matrix's checks and the two ∞-norms written out: this
+    # runs on every coupling matrix, and at n ≤ 32 helper calls cost as
+    # much as LAPACK's inversion
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2:
+        raise DimensionMismatchError(f"expected a 2-d array, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise SingularMatrixError(
+            "matrix is singular: matrix contains non-finite entries")
     n = a.shape[0]
     if n != a.shape[1]:
         raise DimensionMismatchError(f"inverse needs a square matrix, got {a.shape}")
@@ -110,9 +110,12 @@ def inverse(a) -> np.ndarray:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"matrix is singular ({exc})") from exc
+    if not n:
+        return inv
     if not np.isfinite(inv).all():
         raise SingularMatrixError("matrix is singular: its inverse overflows")
-    bound = n * norm_inf(inv) * (PIVOT_EPS_FACTOR * norm_inf(a))
+    bound = n * float(np.abs(inv).sum(axis=1).max()) * (
+        PIVOT_EPS_FACTOR * float(np.abs(a).sum(axis=1).max()))
     if not bound < 0.1:
         raise SingularMatrixError(
             f"matrix is numerically singular: n·‖A‖∞·‖A⁻¹‖∞·"

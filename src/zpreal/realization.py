@@ -55,7 +55,7 @@ from .errors import (
     SingularMatrixError,
     SpectraOverlapError,
 )
-from .linalg import _shared_identity, frobenius, identity, inverse
+from .linalg import _shared_identity, frobenius, inverse
 from .report import Report
 from .zero_pole import (
     FAIL_TOL,
@@ -217,16 +217,18 @@ def _build_bundle(d: ZeroPoleData, sr=None, sl=None) -> RealizationBundle:
     """build_bundle, reusing a synthesis's solved coupling.
 
     A synthesis solves one of the two Sylvester equations from d's own
-    data and inverts the solution. It hands that (S, S⁻¹) in as sr or
-    sl, and only the other coupling matrix and its inverse are computed
-    here. Every gate runs on the handed-in pair as on a computed one.
+    data and inverts the solution. It hands that (S, S⁻¹, cond_F(S))
+    in as sr or sl, and only the other coupling matrix and its inverse
+    are computed here. Every gate runs on the handed-in pair as on a
+    computed one; a handed-in Sr's condition is the bundle's cond_Sr,
+    which is the formula below on the same two arrays.
     """
     # overflowing data gives inf and NaN here without a warning: a NaN
     # diagnostic fails the gate below like a large one
     with np.errstate(over="ignore", invalid="ignore"):
-        sr, sr_inv = sr or (_right_coupling(d), None)
-        sl, sl_inv = sl or (_left_coupling(d), None)
-        eye = identity(d.n)
+        sr, sr_inv, cond_sr = sr or (_right_coupling(d), None, None)
+        sl, sl_inv, _ = sl or (_left_coupling(d), None, None)
+        eye = _shared_identity(d.n)
         diagnostics = {
             # Hr·Hl and Hl·Hr are these same two products
             "mutual_inverse": max(
@@ -252,7 +254,8 @@ def _build_bundle(d: ZeroPoleData, sr=None, sl=None) -> RealizationBundle:
         raise InconsistentDataError(
             f"coupling matrix not invertible ({exc})", diagnostics=diagnostics
         ) from exc
-    cond_sr = frobenius(sr) * frobenius(sr_inv) if d.n else 1.0
+    if cond_sr is None:
+        cond_sr = frobenius(sr) * frobenius(sr_inv) if d.n else 1.0
 
     return RealizationBundle(
         data=d, Sr=sr, Sl=sl,

@@ -19,10 +19,17 @@ equation and inverts S once, and hands (S, S^-1) to the build as that
 side's coupling matrix and inverse. The build solves and inverts only
 the other coupling matrix, so a synthesis makes two Sylvester solves and
 two inversions, and every build gate still runs: a synthesized instance
-is never handed back without its diagnostics passing. synthesize and
-synthesize_hybrid validate a SynthesisInput first; factorize calls the
-routine directly with slices of data it has validated already, and may
-hand it an inversion of its own, which is used only for a bitwise equal S.
+is never handed back without its diagnostics passing. The condition
+number of that inversion is also the bundle's cond_Sr on the right
+route.
+
+Each datum is validated once. synthesize and synthesize_hybrid validate
+a SynthesisInput first; factorize calls the routine directly with
+slices of data it has validated already, and may hand it an inversion
+of its own, which is used only for a bitwise equal S. The routine then
+checks only what it computed: the completed ZeroPoleData is made by
+ZeroPoleData._completed, which checks the derived half and not again
+the points and free half it was handed.
 
 The module also carries the two-point chain function T(x, y), whose
 algebra T(x, y) T(y, z) = T(x, z) is what makes one-point generator
@@ -44,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cauchy import _gaps
+from .cauchy import _gaps, _pairwise_distances
 from .errors import (
     DomainViolationError,
     GenerationFailedError,
@@ -117,20 +124,19 @@ class SynthesisInput:
         if not (np.isfinite(f).all() and np.isfinite(g).all()
                 and np.isfinite(lam).all() and np.isfinite(mu).all()):
             raise ValidationError("non-finite synthesis input")
-        f_zero = ~(np.abs(f).max(axis=0) > 0)
-        g_zero = ~(np.abs(g).max(axis=1) > 0)
+        f_zero = ~f.any(axis=0)
+        g_zero = ~g.any(axis=1)
         if (f_zero | g_zero).any():
             j = int(np.argmax(f_zero | g_zero))
             if f_zero[j]:
                 raise ValidationError(f"column {j} of F is zero")
             raise ValidationError(f"row {j} of G is zero")
-        # not cauchy._min_pairwise_distance: the message names the
-        # first close pair, which that distance alone cannot
-        pts = np.concatenate([lam, mu])
-        close = np.abs(pts[:, None] - pts[None, :]) < SEP_MIN
-        pairs = np.argwhere(np.triu(close, 1))
-        if pairs.size:
-            i, j = pairs[0]
+        # one pass over the distances: their minimum is tested first,
+        # and the first close pair in row-major order is looked up only
+        # for the message
+        dist = _pairwise_distances(np.concatenate([lam, mu]))
+        if dist.size and dist.min() < SEP_MIN:
+            i, j = np.argwhere(np.triu(dist < SEP_MIN, 1))[0]
             raise ValidationError(
                 f"points {i} and {j} closer than {SEP_MIN:.1e}"
             )
@@ -161,10 +167,14 @@ def _empty_bundle(k: int) -> RealizationBundle:
 
 
 def _check_cond_max(cond_max: float) -> None:
-    """Refuse a NaN limit: every condition number passes `cond > nan`,
-    so a NaN would switch the gate it sets off."""
+    """Refuse a NaN limit and a limit below 1. Every condition number
+    passes `cond > nan`, so a NaN would switch the gate it sets off; and
+    cond_F(S) ≥ n for n ≥ 1 (1 for the empty S), so a limit below 1
+    refuses every matrix and asks an ill-posed question."""
     if math.isnan(cond_max):
         raise ValidationError("cond_max must not be NaN")
+    if not cond_max >= 1:
+        raise ValidationError(f"cond_max must be at least 1, got {cond_max:g}")
 
 
 def _synthesize(F, G, poles, zeros, hybrid: bool, cond_max: float,
@@ -179,7 +189,8 @@ def _synthesize(F, G, poles, zeros, hybrid: bool, cond_max: float,
     inverts only the other coupling matrix.
 
     The arguments are not validated here: they must satisfy what
-    SynthesisInput checks, as slices of validated ZeroPoleData do.
+    SynthesisInput checks, as slices of validated ZeroPoleData do. Only
+    the derived half is checked, by ZeroPoleData._completed.
     known is None or (S, S⁻¹, cond_F(S)) from the caller's own
     inversion; it is used only when S equals the solved matrix bitwise.
     """
@@ -199,15 +210,14 @@ def _synthesize(F, G, poles, zeros, hybrid: bool, cond_max: float,
             f"extend to a consistent instance",
             cond=cond,
         )
-    derived_f = F @ s_inv
-    derived_g = -(s_inv @ G)
+    # an overflowing derived half is refused below as non-finite, with
+    # no warning on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        derived = (F @ s_inv, -(s_inv @ G))
+    data = ZeroPoleData._completed(poles, zeros, (F, G), derived, hybrid)
     if hybrid:
-        data = ZeroPoleData(poles=poles, zeros=zeros, F_P=derived_f, G_P=G,
-                            F_N=F, G_N=derived_g)
-        return _build_bundle(data, sl=(s, s_inv))
-    data = ZeroPoleData(poles=poles, zeros=zeros, F_P=F, G_P=derived_g,
-                        F_N=derived_f, G_N=G)
-    return _build_bundle(data, sr=(s, s_inv))
+        return _build_bundle(data, sl=(s, s_inv, cond))
+    return _build_bundle(data, sr=(s, s_inv, cond))
 
 
 def synthesize(inp: SynthesisInput,

@@ -16,6 +16,12 @@ The additive forms take one point or a 1-d array of points; for an array
 they return a stack of k×k values, each with the bits of the one-point
 value. check_consistency and log_derivative_residues evaluate them that
 way, one stacked call per family of points.
+
+ZeroPoleData(...) validates everything it is given. Its one private
+constructor, ZeroPoleData._completed, serves one caller,
+synthesis._synthesize: there the points and the free half are already
+validated, so it checks only the derived half the synthesis computed,
+with the same refusals and messages.
 """
 
 from __future__ import annotations
@@ -73,6 +79,22 @@ def _as_point_vector(values, what: str) -> np.ndarray:
     return pts
 
 
+def _check_columns(name: str, m: np.ndarray) -> None:
+    """Refuse a finite k×n matrix with an all-zero column."""
+    nonzero = m.any(axis=0)
+    if not nonzero.all():
+        raise ValidationError(
+            f"column {int(np.argmin(nonzero))} of {name} is zero")
+
+
+def _check_rows(name: str, m: np.ndarray) -> None:
+    """Refuse a finite n×k matrix with an all-zero row."""
+    nonzero = m.any(axis=1)
+    if not nonzero.all():
+        raise ValidationError(
+            f"row {int(np.argmin(nonzero))} of {name} is zero")
+
+
 @dataclass(frozen=True, eq=False)
 class ZeroPoleData:
     """Validated zero-pole data. Treat instances as immutable.
@@ -115,16 +137,10 @@ class ZeroPoleData:
                 raise ValidationError(
                     f"{name} has shape {m.shape}, expected {shape}"
                 )
-        for name, m in (("F_P", F_P), ("F_N", F_N)):
-            norms = np.abs(m).max(axis=0)
-            if (norms == 0.0).any():
-                j = int(np.argmin(norms))
-                raise ValidationError(f"column {j} of {name} is zero")
-        for name, m in (("G_P", G_P), ("G_N", G_N)):
-            norms = np.abs(m).max(axis=1)
-            if (norms == 0.0).any():
-                j = int(np.argmin(norms))
-                raise ValidationError(f"row {j} of {name} is zero")
+        _check_columns("F_P", F_P)
+        _check_columns("F_N", F_N)
+        _check_rows("G_P", G_P)
+        _check_rows("G_N", G_N)
         worst = _min_pairwise_distance(np.concatenate([poles, zeros]))
         if worst < SEP_MIN:
             raise CollisionError(
@@ -137,6 +153,37 @@ class ZeroPoleData:
             ("G_P", G_P), ("F_N", F_N), ("G_N", G_N),
         ):
             object.__setattr__(self, field_name, value)
+
+    @classmethod
+    def _completed(cls, poles, zeros, free, derived,
+                   hybrid: bool) -> "ZeroPoleData":
+        """The data a synthesis completes, validated only where it is new.
+
+        free is the synthesis's own (F, G) and derived its (F·S⁻¹,
+        −S⁻¹·G): (F_P, G_N) and (F_N, G_P) on the right route,
+        (F_N, G_P) and (F_P, G_N) on the hybrid one. The points and the
+        free half must already satisfy what SynthesisInput checks, so
+        only the derived half is checked, as __post_init__ checks it and
+        with its messages: finite, no zero column in F·S⁻¹, no zero row
+        in −S⁻¹·G. The arrays are stored as given, complex128 already.
+        """
+        derived_f, derived_g = derived
+        if not (np.isfinite(derived_f).all() and np.isfinite(derived_g).all()):
+            raise ValidationError("matrix contains non-finite entries")
+        f_name, g_name = ("F_P", "G_N") if hybrid else ("F_N", "G_P")
+        _check_columns(f_name, derived_f)
+        _check_rows(g_name, derived_g)
+        if hybrid:
+            (F_N, G_P), (F_P, G_N) = free, derived
+        else:
+            (F_P, G_N), (F_N, G_P) = free, derived
+        d = object.__new__(cls)
+        for field_name, value in (
+            ("poles", poles), ("zeros", zeros), ("F_P", F_P),
+            ("G_P", G_P), ("F_N", F_N), ("G_N", G_N),
+        ):
+            object.__setattr__(d, field_name, value)
+        return d
 
     @classmethod
     def empty(cls, k: int) -> "ZeroPoleData":

@@ -103,3 +103,81 @@ def assert_same_bundle(got, want):
     assert got.diagnostics.keys() == want.diagnostics.keys()
     for name, value in want.diagnostics.items():
         assert same_bits(got.diagnostics[name], value), name
+
+
+# --- reference implementations ----------------------------------------------
+# Straightforward versions of validation steps that the package computes
+# more cheaply; the tests hold the package to their bits and messages.
+
+def reference_min_pairwise_distance(pts):
+    """Smallest |p_i - p_j| over i != j, gathered through an off-diagonal
+    mask; inf for fewer than two points."""
+    pts = np.asarray(pts, dtype=np.complex128)
+    if pts.size < 2:
+        return float("inf")
+    diff = pts[:, None] - pts[None, :]
+    off = np.abs(diff)[~np.eye(pts.size, dtype=bool)]
+    return float(off.min())
+
+
+def reference_close_pair_message(pole_points, zero_points, sep):
+    """SynthesisInput's message for the first pair of points, in row-major
+    order over the concatenated points, closer than sep; None if none is."""
+    pts = np.concatenate([np.asarray(pole_points, dtype=np.complex128),
+                          np.asarray(zero_points, dtype=np.complex128)])
+    close = np.abs(pts[:, None] - pts[None, :]) < sep
+    pairs = np.argwhere(np.triu(close, 1))
+    if pairs.size:
+        i, j = pairs[0]
+        return f"points {i} and {j} closer than {sep:.1e}"
+    return None
+
+
+def reference_frobenius(a):
+    a = np.asarray(a, dtype=np.complex128)
+    return float(np.sqrt((np.abs(a) ** 2).sum()))
+
+
+def _reference_norm_inf(a):
+    a = np.asarray(a, dtype=np.complex128)
+    if a.size == 0:
+        return 0.0
+    return float(np.abs(a).sum(axis=1).max())
+
+
+def reference_inverse(a):
+    """linalg.inverse through linalg.as_complex_matrix and two norm_inf
+    calls, with the refusal rule and messages of linalg's docstring."""
+    from zpreal.errors import (DimensionMismatchError, SingularMatrixError,
+                               ValidationError)
+    from zpreal.linalg import PIVOT_EPS_FACTOR, as_complex_matrix
+
+    try:
+        a = as_complex_matrix(a)
+    except ValidationError as exc:
+        raise SingularMatrixError(f"matrix is singular: {exc}") from exc
+    n = a.shape[0]
+    if n != a.shape[1]:
+        raise DimensionMismatchError(
+            f"inverse needs a square matrix, got {a.shape}")
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"matrix is singular ({exc})") from exc
+    if not np.isfinite(inv).all():
+        raise SingularMatrixError("matrix is singular: its inverse overflows")
+    bound = n * _reference_norm_inf(inv) * (PIVOT_EPS_FACTOR
+                                            * _reference_norm_inf(a))
+    if not bound < 0.1:
+        raise SingularMatrixError(
+            f"matrix is numerically singular: n·‖A‖∞·‖A⁻¹‖∞·"
+            f"{PIVOT_EPS_FACTOR:.0e} = {bound:.3e} ≥ 0.1")
+    return inv
+
+
+def outcome(fn, *args):
+    """('ok', result) or (error class, message) of fn(*args)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc), str(exc)

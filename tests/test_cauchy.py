@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import partial_fraction_residues, separated_points
+from helpers import (
+    partial_fraction_residues,
+    reference_min_pairwise_distance,
+    same_bits,
+    separated_points,
+)
 
 from zpreal.cauchy import (
     ScalarZeroPole,
+    _min_pairwise_distance,
     cauchy_det_squared,
     cauchy_inverse_formula,
     cauchy_matrix,
@@ -20,6 +27,7 @@ from zpreal.errors import (
     ValidationError,
 )
 from zpreal.linalg import frobenius, identity, inverse
+from zpreal.zero_pole import SEP_MIN
 
 
 D1 = ScalarZeroPole(poles=(0,), zeros=(1,))  # r(z) = (z-1)/z
@@ -249,3 +257,28 @@ def test_sylvester_identity_entrywise():
     lhs = np.diag(mu) @ s - s @ np.diag(lam)
     rhs = np.ones((6, 6), dtype=complex)
     assert np.abs(lhs - rhs).max() <= 1e-12
+
+
+# --- the pairwise separation ------------------------------------------------
+
+# few distinct coordinates, so duplicate points and repeated distances are
+# common; SEP_MIN and its neighbours put pairs on the separation boundary
+_coordinate = st.sampled_from([0.0, 1.0, -1.0, SEP_MIN, -SEP_MIN,
+                               np.nextafter(SEP_MIN, 0.0),
+                               np.nextafter(SEP_MIN, 1.0), 2.5e-7, 1e300,
+                               -1e300, 6e307, -6e307]) | st.floats(-4.0, 4.0)
+_points = st.lists(st.builds(complex, _coordinate, _coordinate), max_size=9)
+
+
+@given(_points)
+@example([])
+@example([1j])
+@example([0j, 0j])
+@example([0j, SEP_MIN])
+@example([0j, complex(np.nextafter(SEP_MIN, 0.0)), 3.0])
+@example([1e300, -1e300, 0j])
+@example([6e307, -6e307])
+def test_min_pairwise_distance_has_the_bits_of_the_masked_gather(points):
+    pts = np.array(points, dtype=np.complex128)
+    assert same_bits(_min_pairwise_distance(pts),
+                     reference_min_pairwise_distance(pts))

@@ -467,6 +467,53 @@ def test_eval_single_point_rejects_a_stray_coordinate(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["R", "2", "0", "3", "0"], "R takes a single point"),
+    (["Rinv", "2", "0", "3"], "Rinv takes a single point"),
+    (["jointR", "2", "0"], "jointR needs both y_re and y_im"),
+    (["hybridL", "2", "0", "3"], "hybridL needs both y_re and y_im"),
+], ids=["R", "Rinv", "jointR", "hybridL"])
+def test_eval_arity_errors_print_the_eval_usage(tmp_path, capsys, argv,
+                                                message):
+    # as argparse's own errors for the subcommand do
+    path = _d1_path(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", path] + argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: zpreal eval ")
+    assert captured.err.endswith(f"\nzpreal eval: error: {message}\n")
+
+
+def test_verify_with_an_unwritable_report_prints_no_checks(tmp_path, capsys):
+    # a caller reading stdout must not see a PASS list for a failed command
+    src = tmp_path / "d2.json"
+    save_instance(make_d2(), src)
+    report = tmp_path / "no-such-dir" / "r.json"
+    assert main(["verify", str(src), "--report-out", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {report}: "
+                            f"No such file or directory\n")
+
+
+@pytest.mark.parametrize("limit", ["0.5", "0", "-1"])
+def test_factorize_refuses_a_cond_max_below_one(tmp_path, capsys, limit):
+    # no split can pass such a limit, so exit 5 (a proven no) would be
+    # wrong: the question is ill-posed
+    src = tmp_path / "d2.json"
+    save_instance(make_d2(), src)
+    plus, minus = tmp_path / "p.json", tmp_path / "m.json"
+    assert main(["factorize", str(src), "0", "0", "1", str(plus), str(minus),
+                 "--cond-max", limit]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cond_max must be at least 1, "
+                            f"got {float(limit):g}\n")
+    assert not plus.exists() and not minus.exists()
+
+
 def test_factorize_d2_round_trip(tmp_path, capsys):
     src = tmp_path / "d2.json"
     save_instance(make_d2(), src)

@@ -313,10 +313,13 @@ def test_exists_and_factorize_share_one_s11_condition(k, n_plus, n_minus,
     b = balanced_instance(k, n_plus, n_minus, seed)
     verdict = fz.factorization_exists(b, UNIT)
     assert verdict.cond_S11 == fz.factorize(b, UNIT).cond_S11
-    # the refusal carries the same number
-    with pytest.raises(NoFactorizationError) as exc:
-        fz.factorize(b, UNIT, cond_max=0.5)
-    assert exc.value.cond == verdict.cond_S11
+    # the refusal carries the same number; cond_F(S11) ≥ n_plus, so the
+    # smallest allowed limit, 1, refuses every nonempty S11 here, and no
+    # allowed limit refuses the empty one (its cond is 1)
+    if n_plus:
+        with pytest.raises(NoFactorizationError) as exc:
+            fz.factorize(b, UNIT, cond_max=1.0)
+        assert exc.value.cond == verdict.cond_S11
 
 
 @pytest.mark.parametrize("kwargs", [{"fail_tol": float("nan")},
@@ -343,6 +346,16 @@ def test_factorization_exists_refuses_nan_cond_max(d2):
     with pytest.raises(ValidationError, match="cond_max must not be NaN"):
         fz.factorization_exists(rz.build_bundle(d2), UNIT,
                                 cond_max=float("nan"))
+
+
+@pytest.mark.parametrize("limit", [0.5, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["factorize", "factorization_exists"])
+def test_a_cond_max_below_one_is_ill_posed(d2, name, limit):
+    # cond_F(S11) ≥ 1 for every split, the empty one included: no split
+    # can pass such a limit, so that is no proof that none exists
+    with pytest.raises(ValidationError) as exc:
+        getattr(fz, name)(rz.build_bundle(d2), UNIT, cond_max=limit)
+    assert str(exc.value) == f"cond_max must be at least 1, got {limit:g}"
 
 
 def _factorize_through_public_path(monkeypatch, b, c):

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
+from helpers import outcome, reference_frobenius, reference_inverse, same_bits
+
 from zpreal.errors import DimensionMismatchError, SingularMatrixError
 from zpreal.linalg import (
     cond_frobenius,
@@ -214,3 +216,53 @@ def test_max_frobenius_is_the_running_max_of_frobenius():
     a[1, 0, 0] = np.nan
     assert np.isnan(max_frobenius(b, a))
     assert np.isnan(max_frobenius(a, b))
+
+
+# --- the inverse's guards and the Frobenius norm against references ---------
+
+_REFUSED = {
+    "nan": np.array([[np.nan, 0], [0, 1]]),
+    "inf": np.array([[1, 0], [0, -np.inf]]),
+    "complex-inf": np.array([[1, complex(0, np.inf)], [0, 1]]),
+    "non-finite-non-square": np.full((2, 3), np.nan),
+    "singular": np.zeros((2, 2)),
+    "rank-deficient": np.ones((3, 3)),
+    "ill-conditioned": np.array([[1, 1], [1, 1 + 1e-12]]),
+    "near-singular-diagonal": np.diag([1.0, 1e-14]),
+    # row sums, not column sums, go into the bound it prints
+    "ill-conditioned-non-symmetric": np.array([[1, 1e3], [1, 1e3 + 1e-7]]),
+    "inverse-overflows": np.diag([1.0, 1e-310]),
+    "norm-overflows": np.diag([1e300, 1e-300]),
+    "1-d": np.ones(3),
+    "0-d": np.array(2.0),
+    "3-d": np.ones((2, 2, 2)),
+    "non-square": np.ones((2, 3)),
+    "empty-non-square": np.zeros((0, 3)),
+}
+
+
+@pytest.mark.parametrize("a", list(_REFUSED.values()), ids=list(_REFUSED))
+def test_inverse_refuses_as_the_reference_does(a):
+    want = outcome(reference_inverse, a)
+    assert want[0] in (SingularMatrixError, DimensionMismatchError)
+    assert outcome(inverse, a) == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
+def test_inverse_accepts_as_the_reference_does(n):
+    rng = np.random.default_rng(n)
+    a = random_complex(rng, n, n) + 2 * identity(n)
+    assert same_bits(inverse(a), reference_inverse(a))
+    assert same_bits(inverse(a.real), reference_inverse(a.real))
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 0), (1, 1), (3,), (4, 7),
+                                   (33, 33), (2, 3, 4)])
+def test_frobenius_has_the_bits_of_the_reference(shape):
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    a = random_complex(rng, *shape) * 1e5 ** rng.standard_normal(shape)
+    got = frobenius(a)
+    assert type(got) is float
+    assert same_bits(got, reference_frobenius(a))
+    assert same_bits(frobenius(a.real), reference_frobenius(a.real))
+    assert same_bits(frobenius(a.tolist()), reference_frobenius(a))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from zpreal.errors import (
     DomainViolationError,
@@ -14,9 +15,15 @@ from zpreal.errors import (
 from zpreal.linalg import frobenius, identity, inverse
 from zpreal import realization as rz
 from zpreal import synthesis as sy
-from zpreal.zero_pole import ZeroPoleData
+from zpreal.zero_pole import SEP_MIN, ZeroPoleData
 
-from helpers import assert_same_bundle, random_complex
+from helpers import (
+    assert_same_bundle,
+    outcome,
+    random_complex,
+    reference_close_pair_message,
+    same_bits,
+)
 
 
 def _one():
@@ -535,3 +542,143 @@ def test_synthesis_core_uses_a_known_inverse_only_for_its_own_matrix(hybrid):
     got = core((s.copy(), mine, frobenius(s) * frobenius(s_inv)))
     assert (got.Sl_inv if hybrid else got.Sr_inv) is mine
     assert_same_bundle(got, want)
+
+
+@pytest.mark.parametrize("route", ["synthesize", "synthesize_hybrid"])
+@pytest.mark.parametrize("limit", [0.5, 0.0, -1.0, -math.inf])
+def test_synthesis_refuses_a_cond_max_below_one(route, limit):
+    # cond_F(S) ≥ n ≥ 1, so no coupling matrix meets such a limit: the
+    # question is ill-posed, not a refusal of this input
+    inp = sy.SynthesisInput(F=_one(), G=_one(), pole_points=[0.0],
+                            zero_points=[1.0])
+    with pytest.raises(ValidationError) as exc:
+        getattr(sy, route)(inp, cond_max=limit)
+    assert str(exc.value) == f"cond_max must be at least 1, got {limit:g}"
+
+
+@pytest.mark.parametrize("route", ["synthesize", "synthesize_hybrid"])
+def test_synthesis_accepts_a_cond_max_of_one(route):
+    # the empty coupling matrix has cond 1, which a limit of 1 admits
+    inp = sy.SynthesisInput(F=np.ones((2, 0)), G=np.ones((0, 2)),
+                            pole_points=[], zero_points=[])
+    assert getattr(sy, route)(inp, cond_max=1.0).cond_Sr == 1.0
+
+
+# --- validate once ----------------------------------------------------------
+
+# coordinates from a short list, so that points coincide or sit within
+# SEP_MIN of each other often, several pairs at a time
+_near = st.sampled_from([0.0, 5e-7, SEP_MIN, 1.0, 1.0 + 5e-7, 2.0, 3e-7])
+_complex_near = st.builds(complex, _near, _near)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(_complex_near, min_size=n, max_size=n),
+    st.lists(_complex_near, min_size=n, max_size=n))))
+@example(([0j, 1 + 0j, 2 + 0j, 3 + 0j],
+          [1 + 1e-7j, 5 + 0j, 5e-7 + 0j, 3 + 0j]))
+@example(([0j, 2 + 0j], [SEP_MIN + 0j, 3 + 0j]))
+def test_synthesis_input_names_the_first_close_pair(points):
+    poles, zeros = points
+    n = len(poles)
+    want = reference_close_pair_message(poles, zeros, SEP_MIN)
+    got = outcome(lambda: sy.SynthesisInput(
+        F=np.ones((1, n)), G=np.ones((n, 1)), pole_points=poles,
+        zero_points=zeros))
+    if want is None:
+        assert got[0] == "ok"
+    else:
+        assert got == (ValidationError, want)
+
+
+def _completed_by_hand(inp, hybrid):
+    """The data _synthesize completes, put through the full validation
+    of the public ZeroPoleData: the reference for its refusals."""
+    a, b = ((inp.pole_points, inp.zero_points) if hybrid
+            else (inp.zero_points, inp.pole_points))
+    s_inv = inverse(rz.sylvester_diag_solve(a, b, inp.G @ inp.F))
+    with np.errstate(over="ignore", invalid="ignore"):
+        derived_f, derived_g = inp.F @ s_inv, -(s_inv @ inp.G)
+    if hybrid:
+        halves = dict(F_P=derived_f, G_P=inp.G, F_N=inp.F, G_N=derived_g)
+    else:
+        halves = dict(F_P=inp.F, G_P=derived_g, F_N=derived_f, G_N=inp.G)
+    return ZeroPoleData(poles=inp.pole_points, zeros=inp.zero_points,
+                        **halves)
+
+
+_G0, _G1 = 0.5 / 1.5e308, 0.5e300 / 1.5e308
+
+
+# Each S is a well-conditioned 2×2 matrix, [[1, ±1], [±1, 1]] or a
+# half of it, whose entries round exactly: a pair at distance 1e300 loses
+# its 1e-6 offset. Its exact inverse then cancels or doubles the free
+# half's two entries, so the derived half has an exactly zero column or
+# row, or overflows.
+@pytest.mark.parametrize("hybrid, F, G, poles, zeros, message", [
+    (False, [[1, 1]], [[1e-6], [1e300]], [-1e-6, 1e-6], [0, 1e300],
+     "column 0 of F_N is zero"),
+    (True, [[1, 1]], [[1e-6], [1e300]], [0, 1e300], [-1e-6, 1e-6],
+     "column 0 of F_P is zero"),
+    (False, [[1e-6, 1e300]], [[1], [1]], [0, -1e300], [1e-6, -1e-6],
+     "row 0 of G_P is zero"),
+    (True, [[1e-6, 1e300]], [[1], [1]], [1e-6, -1e-6], [0, -1e300],
+     "row 0 of G_N is zero"),
+    (False, [[1.5e308, 1.5e308]], [[_G0], [_G1]], [-1, 1], [0, 1e300],
+     "matrix contains non-finite entries"),
+    (True, [[_G0, _G1]], [[1.5e308], [1.5e308]], [1, -1], [0, -1e300],
+     "matrix contains non-finite entries"),
+], ids=["right-zero-column", "hybrid-zero-column", "right-zero-row",
+        "hybrid-zero-row", "right-overflow", "hybrid-overflow"])
+def test_synthesis_refuses_a_degenerate_derived_half_as_full_validation_does(
+        hybrid, F, G, poles, zeros, message):
+    inp = sy.SynthesisInput(F=F, G=G, pole_points=poles, zero_points=zeros)
+    want = outcome(_completed_by_hand, inp, hybrid)
+    assert want == (ValidationError, message)
+    route = sy.synthesize_hybrid if hybrid else sy.synthesize
+    assert outcome(route, inp) == want
+
+
+def test_synthesis_validates_each_datum_once(monkeypatch):
+    b = sy.random_instance(2, 12, seed=5)
+    d = b.data
+    inputs = [sy.SynthesisInput(F=d.F_P, G=d.G_N, pole_points=d.poles,
+                                zero_points=d.zeros),
+              sy.SynthesisInput(F=d.F_N, G=d.G_P, pole_points=d.poles,
+                                zero_points=d.zeros)]
+    full = []
+    post_init = ZeroPoleData.__post_init__
+
+    def counted(self):
+        full.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ZeroPoleData, "__post_init__", counted)
+    sy.synthesize(inputs[0])
+    sy.synthesize_hybrid(inputs[1])
+    # the completed data is not validated again from scratch
+    assert full == []
+
+    # SynthesisInput forms the 2n×2n distance matrix once
+    square = []
+    absolute = np.abs
+
+    def spy(x, *args, **kwargs):
+        if np.shape(x) == (24, 24):
+            square.append(x)
+        return absolute(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", spy)
+    sy.SynthesisInput(F=d.F_P, G=d.G_N, pole_points=d.poles,
+                      zero_points=d.zeros)
+    assert len(square) == 1
+
+
+@pytest.mark.parametrize("route", [sy.synthesize, sy.synthesize_hybrid],
+                         ids=lambda f: f.__name__)
+def test_synthesized_cond_sr_is_the_frobenius_formula(route):
+    d = sy.random_instance(3, 9, seed=8).data
+    fs = (d.F_N, d.G_P) if route is sy.synthesize_hybrid else (d.F_P, d.G_N)
+    b = route(sy.SynthesisInput(F=fs[0], G=fs[1], pole_points=d.poles,
+                                zero_points=d.zeros))
+    assert same_bits(b.cond_Sr, frobenius(b.Sr) * frobenius(b.Sr_inv))
