@@ -19,7 +19,10 @@ returns z - points, for one point or a 1-d array of points. Every
 evaluator, additive form and scalar form divides by what it returns.
 The check tests the smallest distance first and looks up which
 singularity it belongs to only when that test trips, so a point clear
-of every singularity pays for one reduction, not two.
+of every singularity pays for one reduction, not two. The batch path
+does the same with one minimum over the whole batch, a minimum that
+skips NaN: a NaN point raises nothing, and must not hide a point that
+hits a pole.
 """
 
 from __future__ import annotations
@@ -111,14 +114,17 @@ def _gaps(z, points: np.ndarray) -> np.ndarray:
             f"evaluation points must be a scalar or a 1-d array, "
             f"got shape {z.shape}")
     gaps = z[:, None] - points[None, :]
-    if points.size:
+    if gaps.size:
         dist = np.abs(gaps)
-        hit = dist.min(axis=1) < EVAL_EPS
-        if hit.any():
-            i = int(np.argmax(hit))
-            j = int(np.argmin(dist[i]))
-            raise PoleHitError(complex(z[i]), complex(points[j]),
-                               float(dist[i, j]))
+        # fmin skips NaN, so a NaN point cannot hide a hit elsewhere in
+        # the batch; the rows are searched only once this test trips
+        if np.fmin.reduce(dist, axis=None) < EVAL_EPS:
+            hit = dist.min(axis=1) < EVAL_EPS
+            if hit.any():
+                i = int(np.argmax(hit))
+                j = int(np.argmin(dist[i]))
+                raise PoleHitError(complex(z[i]), complex(points[j]),
+                                   float(dist[i, j]))
     return gaps
 
 

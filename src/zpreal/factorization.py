@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -48,7 +49,13 @@ from .errors import (
     VerificationFailedError,
 )
 from .cauchy import _gaps
-from .linalg import frobenius, identity, inverse, inverse_cond, max_frobenius
+from .linalg import (
+    _shared_identity,
+    frobenius,
+    inverse,
+    inverse_cond,
+    max_frobenius,
+)
 from .realization import RealizationBundle, _form, eval_R
 from .report import Report, check_tolerance
 from .synthesis import _check_cond_max, _empty_bundle, _synthesize
@@ -171,6 +178,24 @@ class FactorizationResult:
     report: Report
 
 
+@cache
+def _ring_layout(count: int):
+    """Read-only per-point (2π·j/m, phase factor, angle offset, radius
+    factor) of _sample_ring's three rings of count points in all: half
+    on the circle, a quarter well inside, a quarter well outside."""
+    on = count // 2
+    inner = (count - on) // 2
+    sizes = (on, inner, count - on - inner)
+    layout = (np.concatenate([2.0 * math.pi * np.arange(m) / m
+                              for m in sizes]),
+              np.repeat((1.0, 1.7, 2.3), sizes),
+              np.repeat((0.0, 0.4, 0.9), sizes),
+              np.repeat((1.0, 0.43, 2.6), sizes))
+    for column in layout:
+        column.flags.writeable = False
+    return layout
+
+
 def _sample_ring(c: CircleContour, singular: np.ndarray, count: int):
     """Deterministic verification points: half on the circle, a quarter
     well inside, a quarter well outside, rotated to clear every
@@ -178,30 +203,21 @@ def _sample_ring(c: CircleContour, singular: np.ndarray, count: int):
 
     The first of 64 rotations that keeps 1e-3·radius clear of every
     singular point wins, or else the clearest of them. Each rotation's
-    points are computed in one pass, with the angles in the order of
-    operations of 2π·j/m + turn·phase + offset and libm cos and sin per
-    angle, so every point has the bits of the scalar formula.
+    three rings are computed in one pass, with every angle in the order
+    of operations of 2π·j/m + turn·phase + offset and libm cos and sin
+    per angle, so every point has the bits of the scalar formula.
     """
-    on = count // 2
-    inner = (count - on) // 2
-    # (points, radius factor, phase factor, angle offset) of each ring
-    rings = ((on, 1.0, 1.0, 0.0), (inner, 0.43, 1.7, 0.4),
-             (count - on - inner, 2.6, 2.3, 0.9))
+    base, turn, offset, factor = _ring_layout(count)
+    scale = factor * c.radius
     best, best_clear = None, -1.0
     for rot in range(64):
         phase = 2.0 * math.pi * rot / 64.0
+        ang = (base + turn * phase + offset).tolist()
         pts = np.empty(count, dtype=np.complex128)
-        start = 0
-        for m, radius, turn, offset in rings:
-            ang = (2.0 * math.pi * np.arange(m) / m + turn * phase
-                   + offset).tolist()
-            scale = radius * c.radius
-            ring = pts[start:start + m]
-            ring.real = c.center.real + scale * np.fromiter(
-                map(math.cos, ang), np.float64, m)
-            ring.imag = c.center.imag + scale * np.fromiter(
-                map(math.sin, ang), np.float64, m)
-            start += m
+        pts.real = c.center.real + scale * np.fromiter(
+            map(math.cos, ang), np.float64, count)
+        pts.imag = c.center.imag + scale * np.fromiter(
+            map(math.sin, ang), np.float64, count)
         clear = (np.abs(pts[:, None] - singular[None, :]).min()
                  if singular.size else np.inf)
         if clear > best_clear:
@@ -217,7 +233,9 @@ def _leading_block(b: RealizationBundle, c: CircleContour):
     inversion of its leading block S11 (None, inf when it is singular).
     """
     split = partition(b.data, c)
-    s_perm = b.Sr[np.ix_(list(split.zero_order), list(split.pole_order))]
+    rows = np.array(split.zero_order, dtype=np.intp)
+    cols = np.array(split.pole_order, dtype=np.intp)
+    s_perm = b.Sr[rows[:, None], cols]
     inv11, cond_s11 = inverse_cond(s_perm[:split.n_plus, :split.n_plus])
     return split, s_perm, inv11, cond_s11
 
@@ -295,8 +313,8 @@ def factorize(b: RealizationBundle, c: CircleContour,
         raise NoFactorizationError(
             f"the Schur complement of the leading coupling block is not "
             f"invertible: {exc}", cond=cond_s11) from exc
-    u = np.vstack([-w12, identity(n_minus)])
-    v = np.hstack([-w21, identity(n_minus)])
+    u = np.vstack([-w12, _shared_identity(n_minus)])
+    v = np.hstack([-w21, _shared_identity(n_minus)])
     fp_alt = d.F_P[:, p_ord] @ u
     gn_alt = v @ d.G_N[n_ord, :]
 

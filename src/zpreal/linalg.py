@@ -5,19 +5,23 @@ rule: `inverse` raises SingularMatrixError when the matrix has a
 non-finite entry, when LAPACK fails, when its result is not finite, or
 when n·‖A‖∞·‖A⁻¹‖∞·PIVOT_EPS_FACTOR ≥ 0.1, an
 ∞-norm condition number too large for the result to mean anything.
-`solve`, `inverse_cond` and every caller in the package invert through
-it, so all of them refuse the same matrices. `inverse_cond` is the one
-inverse-with-condition step: it gives the inverse (None when refused)
-and cond_F from the same inversion, for the coupling-matrix and S11
-gates and for `cond_frobenius`. `rank` is a column-pivoted
-elimination whose zero test is relative to the largest entry, the
-semantics that `factor_rank_one` and `obstrollable` rely on.
+The bound is tested first, on LAPACK's result, since a finite bound
+implies finite entries in the matrix and its inverse; the other causes
+are looked up, in the order listed, only for a refused matrix, to name
+it in the message. `solve`, `inverse_cond` and every caller in the
+package invert through it, so all of them refuse the same matrices.
+`inverse_cond` is the one inverse-with-condition step: it gives the
+inverse (None when refused) and cond_F from the same inversion, for the
+coupling-matrix and S11 gates and for `cond_frobenius`. `rank` is a
+column-pivoted elimination whose zero test is relative to the largest
+entry, the semantics that `factor_rank_one` and `obstrollable` rely on.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
+from typing import NoReturn
 
 import numpy as np
 
@@ -82,8 +86,8 @@ def max_frobenius(*stacks) -> float:
     is summed as frobenius sums it."""
     worst = 0.0
     for s in stacks:
-        norms = np.sqrt((np.abs(s) ** 2).sum(axis=(-2, -1)))
-        worst = np.max(norms, initial=worst)
+        norms = np.sqrt(np.add.reduce(np.abs(s) ** 2, axis=(-2, -1)))
+        worst = np.maximum.reduce(norms, axis=None, initial=worst)
     return float(worst)
 
 
@@ -93,34 +97,59 @@ def inverse(a) -> np.ndarray:
     The matrix is refused when it has a non-finite entry, when
     numpy.linalg.inv fails, when its result is not finite, or when
     n·‖A‖∞·‖A⁻¹‖∞·PIVOT_EPS_FACTOR ≥ 0.1.
+
+    The bound is tested first, on LAPACK's result: a finite bound below
+    0.1 means every entry of A and A⁻¹ is finite, so an accepted matrix
+    pays for no other check. Only a refused one is looked at again, by
+    _refuse, to name the first of those causes in the order above.
     """
-    # as_complex_matrix's checks and the two ∞-norms written out: this
-    # runs on every coupling matrix, and at n ≤ 32 helper calls cost as
-    # much as LAPACK's inversion
+    # this runs on every coupling matrix, and at n ≤ 32 helper calls and
+    # array method wrappers cost as much as LAPACK's inversion; the
+    # ufunc reductions are the ones behind .sum and .max, so the bound
+    # has the same bits
     a = np.asarray(a, dtype=np.complex128)
+    inv = exc = bound = None
+    if a.ndim == 2 and a.shape[0] == a.shape[1]:
+        n = a.shape[0]
+        try:
+            inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError as err:
+            exc = err
+        else:
+            if not n:
+                return inv
+            # a NaN or infinite entry of A or A⁻¹ makes its row sum and
+            # the bound NaN or inf, or 0·inf = NaN when A⁻¹ is zero; a
+            # row sum of finite entries that overflows makes it inf too,
+            # without a warning
+            with np.errstate(over="ignore"):
+                bound = n * float(np.maximum.reduce(
+                    np.add.reduce(np.abs(inv), axis=1))) * (
+                    PIVOT_EPS_FACTOR * float(np.maximum.reduce(
+                        np.add.reduce(np.abs(a), axis=1))))
+            if bound < 0.1:
+                return inv
+    _refuse(a, inv, exc, bound)
+
+
+def _refuse(a: np.ndarray, inv, exc, bound) -> NoReturn:
+    """Raise inverse's refusal of a: the first cause of its docstring's
+    list that holds, with inv, exc and bound from its one LAPACK call
+    (None where that step was not reached)."""
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d array, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise SingularMatrixError(
             "matrix is singular: matrix contains non-finite entries")
-    n = a.shape[0]
-    if n != a.shape[1]:
+    if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"inverse needs a square matrix, got {a.shape}")
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
+    if exc is not None:
         raise SingularMatrixError(f"matrix is singular ({exc})") from exc
-    if not n:
-        return inv
     if not np.isfinite(inv).all():
         raise SingularMatrixError("matrix is singular: its inverse overflows")
-    bound = n * float(np.abs(inv).sum(axis=1).max()) * (
-        PIVOT_EPS_FACTOR * float(np.abs(a).sum(axis=1).max()))
-    if not bound < 0.1:
-        raise SingularMatrixError(
-            f"matrix is numerically singular: n·‖A‖∞·‖A⁻¹‖∞·"
-            f"{PIVOT_EPS_FACTOR:.0e} = {bound:.3e} ≥ 0.1")
-    return inv
+    raise SingularMatrixError(
+        f"matrix is numerically singular: n·‖A‖∞·‖A⁻¹‖∞·"
+        f"{PIVOT_EPS_FACTOR:.0e} = {bound:.3e} ≥ 0.1")
 
 
 def solve(a, b) -> np.ndarray:

@@ -131,6 +131,9 @@ class SynthesisInput:
             if f_zero[j]:
                 raise ValidationError(f"column {j} of F is zero")
             raise ValidationError(f"row {j} of G is zero")
+        for name, pts in (("pole_points", lam), ("zero_points", mu)):
+            if pts.ndim != 1:
+                raise ValidationError(f"{name} must be a flat list of points")
         # one pass over the distances: their minimum is tested first,
         # and the first close pair in row-major order is looked up only
         # for the message

@@ -12,6 +12,7 @@ from helpers import (
 
 from zpreal.cauchy import (
     ScalarZeroPole,
+    _gaps,
     _min_pairwise_distance,
     cauchy_det_squared,
     cauchy_inverse_formula,
@@ -282,3 +283,32 @@ def test_min_pairwise_distance_has_the_bits_of_the_masked_gather(points):
     pts = np.array(points, dtype=np.complex128)
     assert same_bits(_min_pairwise_distance(pts),
                      reference_min_pairwise_distance(pts))
+
+
+# --- the batch clearance check and NaN points -------------------------------
+
+_SINGULAR = np.array([0.5, 2.0 - 1.0j, -1.0j])
+_NAN = complex("nan")
+
+
+@pytest.mark.parametrize("batch", [
+    [_NAN, 2.0 - 1.0j],
+    [2.0 - 1.0j, _NAN],
+    [0.1, _NAN, 2.0 - 1.0j, complex(1.0, float("nan"))],
+], ids=["nan-first", "hit-first", "mixed"])
+def test_batch_clearance_is_not_hidden_by_a_nan_point(batch):
+    with pytest.raises(PoleHitError) as exc:
+        _gaps(np.array(batch), _SINGULAR)
+    assert exc.value.point == 2.0 - 1.0j
+    assert exc.value.singularity == 2.0 - 1.0j
+    assert exc.value.distance == 0.0
+
+
+@pytest.mark.parametrize("batch", [
+    [_NAN], [_NAN, 0.1], [0.1, complex(float("nan"), 2.0), 3.0 + 3.0j], [],
+], ids=["nan", "nan-first", "mixed", "empty"])
+def test_batch_of_nan_and_clear_points_raises_nothing(batch):
+    z = np.array(batch, dtype=np.complex128)
+    gaps = _gaps(z, _SINGULAR)
+    assert same_bits(gaps, z[:, None] - _SINGULAR[None, :])
+    assert same_bits(_gaps(z, _SINGULAR[:0]), z[:, None] - _SINGULAR[:0])

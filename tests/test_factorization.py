@@ -496,7 +496,7 @@ def _ring_cover(c, spacing, rng):
 
 @pytest.mark.parametrize("case", ["free", "scattered", "first_blocked",
                                   "all_blocked"])
-@pytest.mark.parametrize("count", [1, 4, 7, 40])
+@pytest.mark.parametrize("count", [1, 4, 7, 40, 2, 3, 9, 41])
 def test_sample_ring_matches_reference_loop(case, count):
     rng = np.random.default_rng(count)
     c = fz.CircleContour(0.3 - 0.2j, 1.7)
@@ -519,3 +519,35 @@ def test_sample_ring_matches_reference_loop(case, count):
         assert clear > 1e-3 * c.radius
     if case == "all_blocked":
         assert clear < 1e-3 * c.radius
+
+
+@pytest.mark.parametrize("count", [2, 3, 9, 41])
+def test_sample_ring_matches_reference_loop_on_a_far_small_circle(count):
+    # far from the origin and small, so the center dominates every
+    # coordinate's rounding
+    c = fz.CircleContour(-31.5 + 12.25j, 0.093)
+    free = np.zeros(0, dtype=np.complex128)
+    first = _sample_ring_reference(c, free, count)
+    rng = np.random.default_rng(count)
+    scattered = c.center + 3.0 * c.radius * (rng.random(9) - 0.5
+                                             + 1j * (rng.random(9) - 0.5))
+    for singular in (free, scattered, first[:1], first[-1:],
+                     _ring_cover(c, 1.2e-3, rng)):
+        got = fz._sample_ring(c, singular, count)
+        assert same_bits(got, _sample_ring_reference(c, singular, count))
+
+
+def test_leading_block_orders_rows_by_zeros_and_columns_by_poles():
+    # the inside poles and zeros sit at different indices, so a gather
+    # that swapped the two orders would read other entries of Sr
+    d = make_scalar_instance([1.5, 0.2, -1.8, 0.3j], [0.4, 2.0, -0.5j, 1.7j])
+    b = rz.build_bundle(d)
+    split, s_perm, inv11, cond_s11 = fz._leading_block(b, UNIT)
+    assert split.pole_order == (1, 3, 0, 2)
+    assert split.zero_order == (0, 2, 1, 3)
+    want = b.Sr[np.ix_([0, 2, 1, 3], [1, 3, 0, 2])]
+    assert same_bits(s_perm, want)
+    want_inv, want_cond = linalg.inverse_cond(want[:2, :2])
+    assert same_bits(inv11, want_inv)
+    assert cond_s11 == want_cond
+    assert fz.factorization_exists(b, UNIT).cond_S11 == want_cond

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import outcome, reference_frobenius, reference_inverse, same_bits
@@ -233,6 +233,13 @@ _REFUSED = {
     "ill-conditioned-non-symmetric": np.array([[1, 1e3], [1, 1e3 + 1e-7]]),
     "inverse-overflows": np.diag([1.0, 1e-310]),
     "norm-overflows": np.diag([1e300, 1e-300]),
+    # |a₀₀| = 1.41e308 is finite, and the bound is 2.8e295
+    "huge-entry": np.array([[1e308 + 1e308j, 0], [0, 1]]),
+    # finite, but np.abs overflows to inf: the bound is inf
+    "abs-overflows": np.array([[1.5e308 + 1.5e308j, 0], [0, 1]]),
+    # LAPACK inverts it to the finite [[0, 0], [0, 1]]
+    "non-finite-finite-inverse": np.array([[np.inf, 0], [0, 1]]),
+    "non-finite-zero-inverse": np.array([[np.inf]]),
     "1-d": np.ones(3),
     "0-d": np.array(2.0),
     "3-d": np.ones((2, 2, 2)),
@@ -248,7 +255,40 @@ def test_inverse_refuses_as_the_reference_does(a):
     assert outcome(inverse, a) == want
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
+def test_inverse_refuses_an_overflowing_row_sum_without_a_warning():
+    # every entry is finite, and so is LAPACK's result, but the first
+    # row sum of |A| overflows: the bound is inf
+    a = np.array([[1e308 + 1e308j, 1e308], [0, 1]])
+    with np.errstate(over="ignore"):
+        want = outcome(reference_inverse, a)
+    assert want == (SingularMatrixError, "matrix is numerically singular: "
+                    "n·‖A‖∞·‖A⁻¹‖∞·1e-13 = inf ≥ 0.1")
+    assert outcome(inverse, a) == want
+
+
+_EXTREME = st.sampled_from([0.0, 1.0, -2.5, 1e-13, 1e-300, 1e-310, 1e300,
+                            1e308, 1.5e308, np.inf, -np.inf, np.nan])
+_ENTRY = st.builds(complex, _EXTREME | st.floats(-3.0, 3.0),
+                   _EXTREME | st.floats(-3.0, 3.0))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(_ENTRY, min_size=n * n, max_size=n * n).map(
+        lambda v: np.array(v).reshape(n, n))))
+def test_inverse_matches_the_reference_on_extreme_entries(a):
+    # the reference may warn where a row sum overflows; inverse does not
+    with np.errstate(over="ignore"):
+        want = outcome(reference_inverse, a)
+    got = outcome(inverse, a)
+    assert got[0] == want[0]
+    if want[0] == "ok":
+        assert same_bits(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 32, 128])
 def test_inverse_accepts_as_the_reference_does(n):
     rng = np.random.default_rng(n)
     a = random_complex(rng, n, n) + 2 * identity(n)

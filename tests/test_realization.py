@@ -26,7 +26,7 @@ from zpreal.zero_pole import (
 )
 
 from conftest import make_d1, make_scalar_instance
-from helpers import random_complex
+from helpers import random_complex, same_bits
 
 EPS = np.finfo(float).eps
 
@@ -294,6 +294,23 @@ def test_evaluators_refuse_singular_points():
     with np.errstate(invalid="ignore"):
         for call, _ in calls:
             assert np.isnan(call(complex("nan"))).all()
+
+
+@pytest.mark.parametrize("nan_first", [True, False])
+def test_stacked_eval_names_the_pole_hit_next_to_a_nan_point(d2, nan_first):
+    b = rz.build_bundle(d2)
+    pair = [complex("nan"), 2.0] if nan_first else [2.0, complex("nan")]
+    with pytest.raises(PoleHitError) as exc:
+        rz.eval_R(b, np.array(pair))
+    assert exc.value.point == 2.0
+    assert exc.value.singularity == 2.0
+    assert exc.value.distance == 0.0
+    # NaN and clear points are evaluated: NaN in, NaN out
+    nan_at = 0 if nan_first else 1
+    with np.errstate(invalid="ignore"):
+        values = rz.eval_R(b, np.array(pair) + 0.25)
+    assert np.isnan(values[nan_at]).all()
+    assert same_bits(values[1 - nan_at], rz.eval_R(b, 2.25))
 
 
 def test_k1_pole_hit_is_one_error_on_every_route():

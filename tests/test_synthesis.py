@@ -210,6 +210,19 @@ def test_synthesis_input_validation():
                           pole_points=[0.0, 1.0], zero_points=[1.0, 2.0])
 
 
+@pytest.mark.parametrize("poles, zeros, field", [
+    ([[0.0, 1.0]], [2.0, 3.5], "pole_points"),
+    ([0.0, 1.0], np.array([[2.0], [3.5]]), "zero_points"),
+    ([[0.0, 1.0]], [[2.0, 3.5]], "pole_points"),
+    ([[0.0], [1.0]], [[2.0], [3.5]], "pole_points"),
+], ids=["2-d-poles", "2-d-zeros", "both-rows", "both-columns"])
+def test_synthesis_input_refuses_points_that_are_not_flat(poles, zeros, field):
+    with pytest.raises(ValidationError) as exc:
+        sy.SynthesisInput(F=[[1.0, 1.0]], G=[[1.0], [2.0]],
+                          pole_points=poles, zero_points=zeros)
+    assert str(exc.value) == f"{field} must be a flat list of points"
+
+
 def test_synthesize_rejects_ill_conditioned_coupling():
     rng = np.random.default_rng(3)
     f = random_complex(rng, 2, 2)
