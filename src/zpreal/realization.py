@@ -17,6 +17,13 @@ packages the result into a RealizationBundle, and evaluates the
 function, its inverse, their joint products, and the hybrid
 rearrangements straight from the coupling data.
 
+Only the public sylvester_diag_solve tests that the two spectra are
+SEP_MIN apart. The package's own solves go through _sylvester, the same
+division without the test, because their points were tested where they
+entered: by ZeroPoleData, by SynthesisInput, or by random_instance's
+draw. ZeroPoleData is immutable, so a slice of validated data stays
+separated.
+
 The build gates on the five residuals that inconsistent data can move:
 mutual_inverse (Sr·Sl = I and Sl·Sr = I) and the four recovery
 relations coupling_a–coupling_d. The Sylvester equations themselves are
@@ -87,8 +94,9 @@ def sylvester_diag_solve(a, b, c) -> np.ndarray:
     """Unique X with diag(a) X - X diag(b) = c, entrywise.
 
     The equation decouples: x[p, q] = c[p, q] / (a_p - b_q). Uniqueness
-    needs the spectra disjoint, which is enforced at SEP_MIN. The check
-    is its own code because it reads the gap matrix c is divided by.
+    needs the spectra disjoint, which is enforced at SEP_MIN here, for
+    callers whose points nothing has tested; the division itself is
+    _sylvester.
     """
     a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
     b = np.atleast_1d(np.asarray(b, dtype=np.complex128))
@@ -98,24 +106,29 @@ def sylvester_diag_solve(a, b, c) -> np.ndarray:
             f"right-hand side shape {c.shape} does not match "
             f"({a.size}, {b.size})"
         )
-    gaps = a[:, None] - b[None, :]
-    if gaps.size:
-        worst = float(np.abs(gaps).min())
+    if a.size and b.size:
+        worst = float(np.abs(a[:, None] - b[None, :]).min())
         if worst < SEP_MIN:
             raise SpectraOverlapError(
                 f"spectra approach within {worst:.3e} (need {SEP_MIN:.1e}); "
                 f"the solution is not unique there",
                 min_separation=worst,
             )
-    return c / gaps
+    return _sylvester(a, b, c)
+
+
+def _sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sylvester_diag_solve without its checks, for 1-d complex a and b
+    already known to be SEP_MIN apart and c of shape (a.size, b.size)."""
+    return c / (a[:, None] - b[None, :])
 
 
 def _right_coupling(d: ZeroPoleData) -> np.ndarray:
-    return sylvester_diag_solve(d.zeros, d.poles, d.G_N @ d.F_P)
+    return _sylvester(d.zeros, d.poles, d.G_N @ d.F_P)
 
 
 def _left_coupling(d: ZeroPoleData) -> np.ndarray:
-    return sylvester_diag_solve(d.poles, d.zeros, d.G_P @ d.F_N)
+    return _sylvester(d.poles, d.zeros, d.G_P @ d.F_N)
 
 
 def coupling_matrices(d: ZeroPoleData):

@@ -26,8 +26,10 @@ route.
 Each datum is validated once. synthesize and synthesize_hybrid validate
 a SynthesisInput first; factorize calls the routine directly with
 slices of data it has validated already, and may hand it an inversion
-of its own, which is used only for a bitwise equal S. The routine then
-checks only what it computed: the completed ZeroPoleData is made by
+of its own, which is used only for a bitwise equal S. random_instance
+calls it directly too: its draws are valid by construction (see its
+docstring), so they go to the core unvalidated. The routine then checks
+only what it computed: the completed ZeroPoleData is made by
 ZeroPoleData._completed, which checks the derived half and not again
 the points and free half it was handed.
 
@@ -45,6 +47,7 @@ generator state afterwards are those of drawing one candidate at a time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable
@@ -64,11 +67,12 @@ from .report import Report
 from .realization import (
     RealizationBundle,
     _build_bundle,
+    _sylvester,
     build_bundle,
     eval_R,
     eval_Rinv,
     eval_joint_right,
-    sylvester_diag_solve,
+    sylvester_diag_solve,  # noqa: F401 - kept importable from here
 )
 from .zero_pole import SEP_MIN, ZeroPoleData
 
@@ -201,7 +205,7 @@ def _synthesize(F, G, poles, zeros, hybrid: bool, cond_max: float,
     # input that overflows gives a non-finite S here without a warning,
     # and inverse_cond refuses it as singular
     with np.errstate(over="ignore", invalid="ignore"):
-        s = sylvester_diag_solve(a, b, G @ F)
+        s = _sylvester(a, b, G @ F)
     if known is not None and np.array_equal(s, known[0]):
         s_inv, cond = known[1], known[2]
     else:
@@ -377,15 +381,38 @@ class GeneratorGeometry:
         # `not x > 0` also refuses NaN, which every `<=` test lets pass
         if not self.disk_radius > 0:
             raise ValidationError("disk_radius must be positive")
+        if not math.isfinite(self.disk_radius):
+            raise ValidationError("disk_radius must be finite")
         if not self.min_separation > 0:
             raise ValidationError("min_separation must be positive")
+        # random_instance's draws skip SynthesisInput, so they must be
+        # separated as it would require
+        if not self.min_separation >= SEP_MIN:
+            raise ValidationError(
+                f"min_separation must be at least {SEP_MIN:.1e}, "
+                f"got {self.min_separation:g}"
+            )
         if not self.cond_limit > 1:
             raise ValidationError("cond_limit must exceed 1")
+        _check_integer(self.max_retries, "max_retries")
         if self.max_retries < 1:
             raise ValidationError("max_retries must be at least 1")
 
 
+def _check_integer(value, name: str) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValidationError(
+            f"{name} must be an integer, got {value}"
+        ) from None
+
+
 _DRAW_BLOCK = 256
+# True below the diagonal; its leading m×m block is the same mask for a
+# block of m candidates
+_STRICT_LOWER = np.tri(_DRAW_BLOCK, _DRAW_BLOCK, -1, dtype=bool)
+_STRICT_LOWER.flags.writeable = False
 
 
 def _draw_separated(rng, count: int, radius: float, min_sep: float):
@@ -422,7 +449,8 @@ def _draw_separated(rng, count: int, radius: float, min_sep: float):
             gaps = np.abs(cand[:, None] - pts[None, :accepted])
             keep = ~(gaps < min_sep).any(axis=1)
         # close[i, j]: candidate j < i of this block is too close to i
-        close = np.tril(np.abs(cand[:, None] - cand[None, :]) < min_sep, -1)
+        close = ((np.abs(cand[:, None] - cand[None, :]) < min_sep)
+                 & _STRICT_LOWER[:m, :m])
         for i in np.flatnonzero(close.any(axis=1)):
             if keep[i] and (close[i, :i] & keep[:i]).any():
                 keep[i] = False
@@ -441,12 +469,25 @@ def random_instance(k: int, n: int, seed: int,
     F columns and G rows are complex-normal scaled to unit norm. Draws
     whose coupling matrix conditions worse than geometry.cond_limit are
     rejected and retried.
+
+    Each draw meets every SynthesisInput check by construction, so it
+    goes to _synthesize without one: its points are finite (the disk
+    radius is), flat, and geometry.min_separation ≥ SEP_MIN apart by
+    the same np.abs differences SynthesisInput would recompute; F and G
+    have unit columns and rows; and the geometry checked cond_limit.
     """
     if geometry is None:
         geometry = GeneratorGeometry()
+    _check_integer(k, "k")
+    _check_integer(n, "n")
     if k < 1 or n < 0:
         raise ValidationError("need k >= 1 and n >= 0")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"seed must be a non-negative integer, got {seed}"
+        ) from None
     for _ in range(geometry.max_retries):
         pts = _draw_separated(rng, 2 * n, geometry.disk_radius,
                               geometry.min_separation)
@@ -458,10 +499,7 @@ def random_instance(k: int, n: int, seed: int,
         f = f / np.linalg.norm(f, axis=0, keepdims=True)
         g = g / np.linalg.norm(g, axis=1, keepdims=True)
         try:
-            return synthesize(
-                SynthesisInput(F=f, G=g, pole_points=lam, zero_points=mu),
-                cond_max=geometry.cond_limit,
-            )
+            return _synthesize(f, g, lam, mu, False, geometry.cond_limit)
         except SingularCouplingError:
             continue
     raise GenerationFailedError(

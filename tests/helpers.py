@@ -175,6 +175,43 @@ def reference_inverse(a):
     return inv
 
 
+def reference_random_instance(k, n, seed, geometry=None):
+    """random_instance as one synthesize(SynthesisInput(...)) per attempt,
+    each draw validated in full before it is synthesized."""
+    from zpreal.errors import (GenerationFailedError, SingularCouplingError,
+                               ValidationError)
+    from zpreal.synthesis import (GeneratorGeometry, SynthesisInput,
+                                  _draw_separated, synthesize)
+
+    if geometry is None:
+        geometry = GeneratorGeometry()
+    if k < 1 or n < 0:
+        raise ValidationError("need k >= 1 and n >= 0")
+    rng = np.random.default_rng(seed)
+    for _ in range(geometry.max_retries):
+        pts = _draw_separated(rng, 2 * n, geometry.disk_radius,
+                              geometry.min_separation)
+        if pts is None:
+            continue
+        lam, mu = pts[:n], pts[n:]
+        f = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+        g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        f = f / np.linalg.norm(f, axis=0, keepdims=True)
+        g = g / np.linalg.norm(g, axis=1, keepdims=True)
+        try:
+            return synthesize(
+                SynthesisInput(F=f, G=g, pole_points=lam, zero_points=mu),
+                cond_max=geometry.cond_limit,
+            )
+        except SingularCouplingError:
+            continue
+    raise GenerationFailedError(
+        f"no acceptable instance in {geometry.max_retries} attempts "
+        f"(k={k}, n={n}, seed={seed})",
+        attempts=geometry.max_retries,
+    )
+
+
 def outcome(fn, *args):
     """('ok', result) or (error class, message) of fn(*args)."""
     try:

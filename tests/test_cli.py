@@ -123,6 +123,15 @@ def test_generate_names_a_non_integer_count(tmp_path, capsys):
         "error: argument n: expected a positive integer, got 'x'\n")
 
 
+def test_generate_refuses_a_negative_seed_as_ill_posed(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    assert main(["generate", "1", "4", "-5", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer, got -5\n"
+    assert not path.exists()
+
+
 def test_generated_instance_verifies(tmp_path, capsys):
     path = tmp_path / "g.json"
     assert main(["generate", "3", "6", "5", str(path)]) == 0
@@ -697,3 +706,21 @@ def test_reused_parser_carries_nothing_from_call_to_call(tmp_path, capsys,
     assert not report.exists()
     run(["eval", path, "R", "2", "0", "3"], 2)
     run(["eval", path, "R", "2", "0"], 0)
+
+
+def test_package_runs_as_a_module(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "zpreal", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+            capture_output=True, text=True, timeout=120)
+
+    ok = run("cauchy", "detsq", "--poles", "0", "--zeros", "1")
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, "1 + 0i\n", "")
+    refused = run("verify", str(bad))
+    assert refused.returncode == 3
+    assert refused.stderr.startswith("error: ")

@@ -435,7 +435,7 @@ def test_two_sided_factorize_inverts_five_times_and_solves_four(monkeypatch):
         d.G_N[list(split.idxN_plus), :] @ d.F_P[:, list(split.idxP_plus)])
     assert np.array_equal(inside, s11)
     inverses = _count_calls(monkeypatch, linalg.inverse)
-    solves = _count_calls(monkeypatch, rz.sylvester_diag_solve)
+    solves = _count_calls(monkeypatch, rz._sylvester)
     res = fz.factorize(b, UNIT)
     assert res.split.n_plus == 3 and res.split.n_minus == 3
     # S11; the plus factor's Sl; the minus factor's Sl and Sr; the
@@ -451,7 +451,7 @@ def test_each_synthesis_solves_twice_and_inverts_twice(monkeypatch, route):
     inp = SynthesisInput(F=b.data.F_P, G=b.data.G_N,
                          pole_points=b.data.poles, zero_points=b.data.zeros)
     inverses = _count_calls(monkeypatch, linalg.inverse)
-    solves = _count_calls(monkeypatch, rz.sylvester_diag_solve)
+    solves = _count_calls(monkeypatch, rz._sylvester)
     getattr(sy, route)(inp)
     assert len(solves) == 2
     assert len(inverses) == 2

@@ -18,6 +18,7 @@ from zpreal.linalg import frobenius, identity, inverse
 from zpreal import realization as rz
 from zpreal.synthesis import random_instance
 from zpreal.zero_pole import (
+    SEP_MIN,
     GaugePair,
     ZeroPoleData,
     additive_eval_R,
@@ -26,7 +27,7 @@ from zpreal.zero_pole import (
 )
 
 from conftest import make_d1, make_scalar_instance
-from helpers import random_complex, same_bits
+from helpers import random_complex, same_bits, separated_points
 
 EPS = np.finfo(float).eps
 
@@ -50,6 +51,31 @@ def test_sylvester_diag_solve_rejects_overlap():
     with pytest.raises(SpectraOverlapError) as exc:
         rz.sylvester_diag_solve([1.0, 2.0], [2.0 + 1e-9], [[1.0], [1.0]])
     assert exc.value.min_separation < 1e-6
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1.0, 2.0], [2.0 + 1e-9]),
+    ([0.0, 3.0, 5.0], [7.0, 1.0, 5.0 - 9e-7j]),
+    ([4.0], [4.0]),
+])
+def test_sylvester_diag_solve_still_tests_separation(a, b):
+    c = np.ones((len(a), len(b)))
+    with pytest.raises(SpectraOverlapError) as exc:
+        rz.sylvester_diag_solve(a, b, c)
+    assert exc.value.min_separation < SEP_MIN
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (1, 1), (3, 5), (12, 12), (0, 4)])
+def test_sylvester_diag_solve_is_the_private_division(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    pts = separated_points(rng, m + n)
+    a, b = np.array(pts[:m], complex), np.array(pts[m:], complex)
+    c = random_complex(rng, m, n)
+    want = rz._sylvester(a, b, c)
+    assert same_bits(rz.sylvester_diag_solve(a, b, c), want)
+    # point lists are converted first
+    assert same_bits(rz.sylvester_diag_solve(list(a), list(b), c),
+                     want)
 
 
 def test_sylvester_diag_solve_rejects_bad_shape():

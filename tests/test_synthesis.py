@@ -22,6 +22,7 @@ from helpers import (
     outcome,
     random_complex,
     reference_close_pair_message,
+    reference_random_instance,
     same_bits,
 )
 
@@ -695,3 +696,127 @@ def test_synthesized_cond_sr_is_the_frobenius_formula(route):
     b = route(sy.SynthesisInput(F=fs[0], G=fs[1], pole_points=d.poles,
                                 zero_points=d.zeros))
     assert same_bits(b.cond_Sr, frobenius(b.Sr) * frobenius(b.Sr_inv))
+
+
+_G = sy.GeneratorGeometry
+
+
+@pytest.mark.parametrize("k, n, seeds, geometry", [
+    (1, 0, range(2), None),
+    (1, 3, range(4), None),
+    (1, 8, range(4), None),
+    (4, 8, range(4), None),
+    (2, 20, range(3), None),
+    (4, 32, range(2), None),
+    (1, 32, range(3), _G(max_retries=300)),
+    (1, 4, range(6), _G(cond_limit=20.0, max_retries=4)),
+    (2, 6, range(6), _G(cond_limit=60.0, max_retries=3)),
+    (1, 1, range(2), _G(disk_radius=1.0, min_separation=10.0,
+                        max_retries=2)),
+], ids=["empty", "k1n3", "k1n8", "k4n8", "k2n20", "k4n32",
+        "k1n32-retries300", "small-cond-limit", "small-cond-limit-k2",
+        "impossible"])
+def test_random_instance_matches_the_validating_reference_loop(
+        k, n, seeds, geometry):
+    # the reference validates every draw with SynthesisInput before it
+    # synthesizes it; random_instance hands the draw to the core as is
+    for seed in seeds:
+        got = outcome(sy.random_instance, k, n, seed, geometry)
+        want = outcome(reference_random_instance, k, n, seed, geometry)
+        assert got[0] == want[0]
+        if want[0] == "ok":
+            assert_same_bundle(got[1], want[1])
+            continue
+        assert got == want
+        assert want[0] is GenerationFailedError
+        with pytest.raises(GenerationFailedError) as exc:
+            sy.random_instance(k, n, seed, geometry)
+        assert exc.value.attempts == geometry.max_retries
+
+
+def test_random_instance_tests_each_draw_only_while_drawing(monkeypatch):
+    import zpreal.cauchy as cauchy
+
+    calls = []
+    post_init = sy.SynthesisInput.__post_init__
+    distances = cauchy._pairwise_distances
+    tril = np.tril
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(sy.SynthesisInput, "__post_init__",
+                        spy("SynthesisInput", post_init))
+    for module in (cauchy, sy):
+        monkeypatch.setattr(module, "_pairwise_distances",
+                            spy("_pairwise_distances", distances))
+    monkeypatch.setattr(np, "tril", spy("tril", tril))
+    # k=1, n=32 needs several attempts per instance, and min_sep 0.3
+    # rejects candidates inside their own block
+    sy.random_instance(1, 32, 2, _G(max_retries=300))
+    sy.random_instance(2, 12, 5)
+    assert sy._draw_separated(np.random.default_rng(0), 40, 2.0, 0.3) \
+        is not None
+    assert calls == []
+    # the spies are live
+    sy.SynthesisInput(F=_one(), G=_one(), pole_points=[0.0],
+                      zero_points=[1.0])
+    assert calls == ["SynthesisInput", "_pairwise_distances"]
+
+
+def test_draw_separated_mask_is_read_only_and_strictly_lower():
+    mask = sy._STRICT_LOWER
+    assert not mask.flags.writeable
+    for m in (1, 2, 7, sy._DRAW_BLOCK):
+        np.testing.assert_array_equal(
+            mask[:m, :m], np.tril(np.ones((m, m), bool), -1))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("disk_radius", math.inf, "disk_radius must be finite"),
+    ("disk_radius", -math.inf, "disk_radius must be positive"),
+    ("min_separation", SEP_MIN / 2,
+     "min_separation must be at least 1.0e-06, got 5e-07"),
+    ("min_separation", 1e-300,
+     "min_separation must be at least 1.0e-06, got 1e-300"),
+    ("max_retries", 2.5, "max_retries must be an integer, got 2.5"),
+    ("max_retries", math.nan, "max_retries must be an integer, got nan"),
+    ("max_retries", "3", "max_retries must be an integer, got 3"),
+    ("max_retries", 0, "max_retries must be at least 1"),
+])
+def test_geometry_refuses_what_the_draw_cannot_honour(field, value, message):
+    with pytest.raises(ValidationError) as exc:
+        sy.GeneratorGeometry(**{field: value})
+    assert str(exc.value) == message
+
+
+def test_geometry_accepts_the_smallest_separation_and_integer_types():
+    geo = sy.GeneratorGeometry(min_separation=SEP_MIN,
+                               max_retries=np.int64(3))
+    assert_same_bundle(
+        sy.random_instance(2, 5, 7, geo),
+        reference_random_instance(2, 5, 7, geo))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, 4, -5), "seed must be a non-negative integer, got -5"),
+    ((1, 4, 1.5), "seed must be a non-negative integer, got 1.5"),
+    ((1, 4, "x"), "seed must be a non-negative integer, got x"),
+    ((1.5, 4, 3), "k must be an integer, got 1.5"),
+    ((1, 4.0, 3), "n must be an integer, got 4.0"),
+    ((1, None, 3), "n must be an integer, got None"),
+    ((0, 4, 3), "need k >= 1 and n >= 0"),
+])
+def test_random_instance_refuses_bad_counts_and_seeds(args, message):
+    with pytest.raises(ValidationError) as exc:
+        sy.random_instance(*args)
+    assert str(exc.value) == message
+
+
+def test_random_instance_accepts_numpy_integers():
+    assert_same_bundle(
+        sy.random_instance(np.int64(2), np.int32(5), np.uint64(9)),
+        sy.random_instance(2, 5, 9))
