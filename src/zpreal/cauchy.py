@@ -37,7 +37,7 @@ from .errors import (
     PoleHitError,
     ValidationError,
 )
-from .linalg import solve
+from .linalg import _complex_array, solve
 
 EVAL_EPS = 1e-12     # distance below which an evaluation point "hits" a pole
 SEP_EPS = 1e-10      # minimum separation between the defining points
@@ -58,7 +58,7 @@ __all__ = [
 
 
 def _as_points(values, what: str) -> np.ndarray:
-    pts = np.asarray(values, dtype=np.complex128)
+    pts = _complex_array(values, what)
     if pts.ndim != 1 or pts.size == 0:
         raise ValidationError(f"{what} must be a non-empty 1-d list of points")
     if not np.isfinite(pts).all():
@@ -78,16 +78,6 @@ def _min_pairwise_distance(pts: np.ndarray) -> float:
     if pts.size < 2:
         return float("inf")
     return float(_pairwise_distances(pts).min())
-
-
-def _check_separation(poles: np.ndarray, zeros: np.ndarray):
-    allpts = np.concatenate([poles, zeros])
-    d = _min_pairwise_distance(allpts)
-    if d < SEP_EPS:
-        raise CollisionError(
-            f"defining points are only {d:.3e} apart (need {SEP_EPS:.1e})",
-            separation=d,
-        )
 
 
 def _gaps(z, points: np.ndarray) -> np.ndarray:
@@ -139,7 +129,7 @@ class ScalarZeroPole:
     zeros : sequence of complex
         The n simple zeros, disjoint from the poles.
     c : complex, optional
-        Value at infinity, nonzero. Defaults to 1.
+        Value at infinity, finite and nonzero. Defaults to 1.
 
     All 2n points must be pairwise distinct (separation at least
     SEP_EPS); pole and zero counts must agree.
@@ -156,10 +146,18 @@ class ScalarZeroPole:
             raise ValidationError(
                 f"{poles.size} poles vs {zeros.size} zeros; counts must match"
             )
-        c = complex(self.c)
+        try:
+            c = complex(self.c)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError("value at infinity must be a number") from None
         if c == 0:
             raise ValidationError("value at infinity must be nonzero")
-        _check_separation(poles, zeros)
+        if not np.isfinite(c):
+            raise ValidationError("value at infinity must be finite")
+        sep = _min_pairwise_distance(np.concatenate([poles, zeros]))
+        if sep < SEP_EPS:
+            raise CollisionError(f"defining points are only {sep:.3e} apart "
+                                 f"(need {SEP_EPS:.1e})", separation=sep)
         object.__setattr__(self, "poles", tuple(map(complex, poles)))
         object.__setattr__(self, "zeros", tuple(map(complex, zeros)))
         object.__setattr__(self, "c", c)
@@ -197,24 +195,18 @@ def cauchy_matrix(poles, zeros) -> np.ndarray:
 
 
 def _critical_derivatives(poles, zeros, c):
-    """(lam, mu, dp, dz): the parsed points, (1/r)'(lambda_p) at each
+    """(lam, mu, dp, dz): the points as arrays, (1/r)'(lambda_p) at each
     pole and r'(mu_q) at each zero, from the product form.
 
     Differentiating c * prod(z - mu_l) / prod(z - lambda_j) at z = mu_q
     kills every term except the one where the (z - mu_q) factor is
     differentiated, leaving c * prod_{l != q}(mu_q - mu_l) /
-    prod_j(mu_q - lambda_j); 1/r swaps the roles of the sets. Refuses
-    unequal counts, points closer than SEP_EPS and c = 0.
+    prod_j(mu_q - lambda_j); 1/r swaps the roles of the sets. Validates
+    through ScalarZeroPole, with its refusals and messages.
     """
-    lam = _as_points(poles, "poles")
-    mu = _as_points(zeros, "zeros")
-    if lam.size != mu.size:
-        raise ValidationError(f"{lam.size} poles vs {mu.size} zeros")
-    _check_separation(lam, mu)
-    c = complex(c)
-    if c == 0:
-        raise ValidationError("c must be nonzero")
-    n = lam.size
+    d = ScalarZeroPole(poles, zeros, c)
+    lam, mu, c = np.array(d.poles), np.array(d.zeros), d.c
+    n = d.n
     dp = np.empty(n, dtype=np.complex128)
     dz = np.empty(n, dtype=np.complex128)
     for j in range(n):

@@ -96,8 +96,13 @@ class CircleContour:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
+        try:
+            center, radius = complex(self.center), float(self.radius)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                "contour center and radius must be numbers") from None
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValidationError("contour radius must be positive and finite")
         if not (math.isfinite(self.center.real)

@@ -47,9 +47,17 @@ __all__ = [
 ]
 
 
+def _complex_array(values, what: str) -> np.ndarray:
+    """np.asarray(values, complex128), refusing non-numbers as invalid."""
+    try:
+        return np.asarray(values, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} is not an array of numbers") from None
+
+
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce to a 2-d complex128 array, rejecting non-finite entries."""
-    a = np.asarray(a, dtype=np.complex128)
+    a = _complex_array(a, "matrix")
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d array, got shape {a.shape}")
     if a.size and not np.isfinite(a).all():

@@ -62,13 +62,14 @@ from .errors import (
     SingularMatrixError,
     SpectraOverlapError,
 )
-from .linalg import _shared_identity, frobenius, inverse
+from .linalg import _complex_array, _shared_identity, frobenius, inverse
 from .report import Report
 from .zero_pole import (
     FAIL_TOL,
     REPORT_TOL,
     SEP_MIN,
     ZeroPoleData,
+    _as_point_vector,
     _scaled,
 )
 
@@ -96,11 +97,11 @@ def sylvester_diag_solve(a, b, c) -> np.ndarray:
     The equation decouples: x[p, q] = c[p, q] / (a_p - b_q). Uniqueness
     needs the spectra disjoint, which is enforced at SEP_MIN here, for
     callers whose points nothing has tested; the division itself is
-    _sylvester.
+    _sylvester. a and b must be flat and finite.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
-    b = np.atleast_1d(np.asarray(b, dtype=np.complex128))
-    c = np.asarray(c, dtype=np.complex128)
+    a = _as_point_vector(a, "a")
+    b = _as_point_vector(b, "b")
+    c = _complex_array(c, "c")
     if c.shape != (a.size, b.size):
         raise InconsistentDataError(
             f"right-hand side shape {c.shape} does not match "

@@ -5,13 +5,14 @@ as row-major nested lists of those pairs, so files diff cleanly and
 round-trip bit-exactly (json preserves every float that repr does).
 A format_version field gates future changes.
 
-save_instance writes the text of json.dumps(instance_to_dict(...),
-indent=2) byte for byte, but builds it itself: one float repr per
-number and one string template per array, where json's indenting
-encoder walks every pair in Python. The loader reads each array with
-one np.array call when the field is a well-formed nested list of
-numbers, and falls back to the checked per-entry loop otherwise, so a
-malformed field raises the same ParseError either way.
+One name list, _ARRAYS, orders the six arrays everywhere, and one codec
+serves every rank: _nested writes an array as nested pairs and
+_array_in reads one back. save_instance writes the text of
+json.dumps(instance_to_dict(...), indent=2) byte for byte, but builds it
+itself: one float repr per number and one string template per array,
+where json's indenting encoder walks every pair in Python. The reader
+takes one np.array call for a well-formed field and otherwise walks it
+entry by entry, raising a ParseError that names the first bad entry.
 """
 
 from __future__ import annotations
@@ -32,25 +33,14 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+_ARRAYS = ("poles", "zeros", "F_P", "G_P", "F_N", "G_N")
 
 
-def _pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
-
-
-def _vector_out(v: np.ndarray) -> list:
-    return [_pair(complex(z)) for z in v]
-
-
-def _matrix_out(m: np.ndarray) -> list:
-    return [[_pair(complex(z)) for z in row] for row in m]
-
-
-def _complex_in(obj, where: str) -> complex:
-    if (not isinstance(obj, (list, tuple)) or len(obj) != 2
-            or not all(isinstance(v, (int, float)) for v in obj)):
-        raise ParseError(f"{where}: expected a [re, im] pair, got {obj!r}")
-    return complex(obj[0], obj[1])
+def _nested(a: np.ndarray) -> list:
+    """a as nested lists of [re, im] pairs, at any rank, with every bit
+    of both parts, signed zeros included."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return a.view(np.float64).reshape(a.shape + (2,)).tolist()
 
 
 def _numeric(obj, shape: tuple):
@@ -66,43 +56,36 @@ def _numeric(obj, shape: tuple):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
 
 
-def _vector_in(obj, count: int, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != count:
-        raise ParseError(f"{where}: expected {count} entries")
-    fast = _numeric(obj, (count,))
-    if fast is not None:
-        return fast
-    return np.array([_complex_in(v, f"{where}[{i}]")
-                     for i, v in enumerate(obj)], dtype=np.complex128)
+def _checked(obj, shape: tuple, where: str):
+    """obj as nested lists of complex, read entry by entry; the first
+    entry that does not fit shape raises a ParseError naming it."""
+    if not shape:
+        if (not isinstance(obj, (list, tuple)) or len(obj) != 2
+                or not all(isinstance(v, (int, float)) for v in obj)):
+            raise ParseError(f"{where}: expected a [re, im] pair, got {obj!r}")
+        try:
+            return complex(obj[0], obj[1])
+        except OverflowError:
+            raise ParseError(f"{where}: number does not fit a float") from None
+    if not isinstance(obj, list) or len(obj) != shape[0]:
+        unit = "entries" if len(shape) == 1 else "rows"
+        raise ParseError(f"{where}: expected {shape[0]} {unit}")
+    return [_checked(v, shape[1:], f"{where}[{i}]") for i, v in enumerate(obj)]
 
 
-def _matrix_in(obj, rows: int, cols: int, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != rows:
-        raise ParseError(f"{where}: expected {rows} rows")
-    fast = _numeric(obj, (rows, cols))
+def _array_in(obj, shape: tuple, where: str) -> np.ndarray:
+    """obj as a complex array of the given shape: one np.array call when
+    it is well formed, the checked walk otherwise."""
+    fast = _numeric(obj, shape)
     if fast is not None:
         return fast
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ParseError(f"{where}[{i}]: expected {cols} entries")
-        for j, v in enumerate(row):
-            out[i, j] = _complex_in(v, f"{where}[{i}][{j}]")
-    return out
+    return np.array(_checked(obj, shape, where),
+                    dtype=np.complex128).reshape(shape)
 
 
 def instance_to_dict(d: ZeroPoleData, metadata: dict | None = None) -> dict:
-    out = {
-        "format_version": FORMAT_VERSION,
-        "k": d.k,
-        "n": d.n,
-        "poles": _vector_out(d.poles),
-        "zeros": _vector_out(d.zeros),
-        "F_P": _matrix_out(d.F_P),
-        "G_P": _matrix_out(d.G_P),
-        "F_N": _matrix_out(d.F_N),
-        "G_N": _matrix_out(d.G_N),
-    }
+    out = {"format_version": FORMAT_VERSION, "k": d.k, "n": d.n,
+           **{name: _nested(getattr(d, name)) for name in _ARRAYS}}
     if metadata:
         out["metadata"] = metadata
     return out
@@ -120,21 +103,18 @@ def instance_from_dict(obj) -> tuple:
     if version != FORMAT_VERSION:
         raise ParseError(
             f"format_version: expected {FORMAT_VERSION}, got {version!r}")
-    for field in ("k", "n", "poles", "zeros", "F_P", "G_P", "F_N", "G_N"):
+    for field in ("k", "n") + _ARRAYS:
         if field not in obj:
             raise ParseError(f"missing field '{field}'")
     k, n = obj["k"], obj["n"]
-    if not isinstance(k, int) or not isinstance(n, int) or k < 1 or n < 0:
+    # a JSON true is a Python int, but no count
+    if (any(isinstance(v, bool) or not isinstance(v, int) for v in (k, n))
+            or k < 1 or n < 0):
         raise ParseError(f"k/n: expected integers k >= 1, n >= 0, "
                          f"got {k!r}/{n!r}")
-    data = ZeroPoleData(
-        poles=_vector_in(obj["poles"], n, "poles"),
-        zeros=_vector_in(obj["zeros"], n, "zeros"),
-        F_P=_matrix_in(obj["F_P"], k, n, "F_P"),
-        G_P=_matrix_in(obj["G_P"], n, k, "G_P"),
-        F_N=_matrix_in(obj["F_N"], k, n, "F_N"),
-        G_N=_matrix_in(obj["G_N"], n, k, "G_N"),
-    )
+    shapes = ((n,), (n,), (k, n), (n, k), (k, n), (n, k))
+    data = ZeroPoleData(**{name: _array_in(obj[name], shape, name)
+                           for name, shape in zip(_ARRAYS, shapes)})
     meta = obj.get("metadata", {})
     if not isinstance(meta, dict):
         raise ParseError("metadata: expected an object")
@@ -164,7 +144,7 @@ def save_instance(d: ZeroPoleData, path, metadata: dict | None = None):
     indent=2) would, plus a final newline."""
     fields = [f'"format_version": {FORMAT_VERSION}', f'"k": {d.k}',
               f'"n": {d.n}']
-    for name in ("poles", "zeros", "F_P", "G_P", "F_N", "G_N"):
+    for name in _ARRAYS:
         fields.append(f'"{name}": {_array_text(getattr(d, name), 1)}')
     if metadata:
         meta = json.dumps(metadata, indent=2).replace("\n", "\n  ")

@@ -47,6 +47,7 @@ generator state afterwards are those of drawing one candidate at a time.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from functools import cache
@@ -62,7 +63,7 @@ from .errors import (
     SingularCouplingError,
     ValidationError,
 )
-from .linalg import identity, inverse_cond, max_frobenius, rank
+from .linalg import _complex_array, identity, inverse_cond, max_frobenius, rank
 from .report import Report
 from .realization import (
     RealizationBundle,
@@ -103,10 +104,10 @@ class SynthesisInput:
     zero_points: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.F, dtype=np.complex128)
-        g = np.asarray(self.G, dtype=np.complex128)
-        lam = np.atleast_1d(np.asarray(self.pole_points, dtype=np.complex128))
-        mu = np.atleast_1d(np.asarray(self.zero_points, dtype=np.complex128))
+        f = _complex_array(self.F, "F")
+        g = _complex_array(self.G, "G")
+        lam = np.atleast_1d(_complex_array(self.pole_points, "pole_points"))
+        mu = np.atleast_1d(_complex_array(self.zero_points, "zero_points"))
         object.__setattr__(self, "F", f)
         object.__setattr__(self, "G", g)
         object.__setattr__(self, "pole_points", lam)
@@ -378,6 +379,10 @@ class GeneratorGeometry:
     max_retries: int = 50
 
     def __post_init__(self):
+        for name in ("disk_radius", "min_separation", "cond_limit"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValidationError(f"{name} must be a real number, "
+                                      f"got {getattr(self, name)!r}")
         # `not x > 0` also refuses NaN, which every `<=` test lets pass
         if not self.disk_radius > 0:
             raise ValidationError("disk_radius must be positive")

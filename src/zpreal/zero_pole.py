@@ -38,6 +38,7 @@ from .errors import (
     ZeroGaugeEntryError,
 )
 from .linalg import (
+    _complex_array,
     _shared_identity,
     as_complex_matrix,
     frobenius,
@@ -71,7 +72,7 @@ __all__ = [
 
 
 def _as_point_vector(values, what: str) -> np.ndarray:
-    pts = np.atleast_1d(np.asarray(values, dtype=np.complex128))
+    pts = np.atleast_1d(_complex_array(values, what))
     if pts.ndim != 1:
         raise ValidationError(f"{what} must be a flat list of points")
     if pts.size and not np.isfinite(pts).all():

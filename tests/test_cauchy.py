@@ -61,6 +61,63 @@ def test_scalar_data_validation():
         ScalarZeroPole(poles=(0, 1.0), zeros=(1.0 + 1e-12, 3.0))
 
 
+SCALAR_FORMS = {
+    "ScalarZeroPole": ScalarZeroPole,
+    "cauchy_matrix": cauchy_matrix,
+    "cauchy_inverse_formula": cauchy_inverse_formula,
+    "cauchy_det_squared": cauchy_det_squared,
+}
+
+
+@pytest.mark.parametrize("form", SCALAR_FORMS.values(), ids=SCALAR_FORMS)
+@pytest.mark.parametrize("poles, zeros, message", [
+    ([[0, 1]], [2, 3], "poles must be a non-empty 1-d list of points"),
+    ([], [], "poles must be a non-empty 1-d list of points"),
+    ([0, 1], 5, "zeros must be a non-empty 1-d list of points"),
+    ([0, np.nan], [2, 3], "poles contains non-finite points"),
+    ([0], [np.inf], "zeros contains non-finite points"),
+    (["a"], [1], "poles is not an array of numbers"),
+])
+def test_every_scalar_form_refuses_malformed_points(form, poles, zeros,
+                                                   message):
+    with pytest.raises(ValidationError) as exc:
+        form(poles, zeros)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("form", SCALAR_FORMS.values(), ids=SCALAR_FORMS)
+def test_every_scalar_form_refuses_unequal_counts(form):
+    with pytest.raises(ValidationError, match="^2 poles vs 1 zeros"):
+        form([0, 1], [2])
+
+
+@pytest.mark.parametrize("c, message", [
+    (0, "value at infinity must be nonzero"),
+    (float("nan"), "value at infinity must be finite"),
+    (complex(1, float("inf")), "value at infinity must be finite"),
+    ("abc", "value at infinity must be a number"),
+    (None, "value at infinity must be a number"),
+])
+def test_value_at_infinity_must_be_a_finite_nonzero_number(c, message):
+    for form in (ScalarZeroPole, cauchy_inverse_formula):
+        with pytest.raises(ValidationError) as exc:
+            form([0], [1], c)
+        assert str(exc.value) == message
+
+
+def test_closed_forms_refuse_close_points_as_the_data_does():
+    for form in (cauchy_inverse_formula, cauchy_det_squared):
+        with pytest.raises(CollisionError) as exc:
+            form([0, 1.0], [1.0 + 1e-12, 3.0])
+        assert exc.value.separation < 1e-10
+
+
+def test_joint_eval_requires_unit_c():
+    d = ScalarZeroPole(poles=(0,), zeros=(1,), c=2.0)
+    with pytest.raises(ValidationError, match="joint form needs c = 1"):
+        scalar_joint_eval(d, 2.0, 3.0)
+
+
 # ---------------------------------------------------------------------------
 # cauchy matrix and closed-form inverse
 

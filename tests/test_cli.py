@@ -29,6 +29,7 @@ from zpreal.synthesis import random_instance
 from zpreal.zero_pole import ZeroPoleData
 
 from conftest import make_d1, make_d2, make_scalar_instance
+from helpers import balanced_instance
 
 
 # --- serialization ---------------------------------------------------------
@@ -423,6 +424,24 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: o["zeros"].__setitem__(1, [10 ** 400, 0.0]),
+     "zeros[1]: number does not fit a float"),
+    (lambda o: o.__setitem__("k", True),
+     "k/n: expected integers k >= 1, n >= 0, got True/2"),
+], ids=["overflow", "boolean-k"])
+def test_verify_refuses_what_json_reads_but_no_float_or_count_holds(
+        tmp_path, capsys, edit, message):
+    obj = instance_to_dict(make_d2())
+    edit(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_eval_golden_d1(tmp_path, capsys):
     path = _d1_path(tmp_path)
     assert main(["eval", path, "R", "2", "0"]) == 0
@@ -601,6 +620,22 @@ def test_factorize_cardinality_mismatch_exit(tmp_path, capsys):
     assert "inside" in capsys.readouterr().err
 
 
+def test_factorize_verification_failure_exits_6(tmp_path, capsys):
+    # the two constructions of the outside factor disagree by 7.4e-9,
+    # above AGREE_TOL, on this 16 + 16 split of the unit circle
+    src = tmp_path / "b16.json"
+    save_instance(balanced_instance(1, 16, 16, 3).data, src)
+    plus, minus = tmp_path / "p.json", tmp_path / "m.json"
+    assert main(["factorize", str(src), "0", "0", "1",
+                 str(plus), str(minus)]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: two independent constructions of the outside factor "
+        "disagree: residual ")
+    assert not plus.exists() and not minus.exists()
+
+
 def test_factorize_on_contour_exit(tmp_path, capsys):
     src = tmp_path / "onc.json"
     save_instance(make_scalar_instance([1.0, 3.0], [0.5, 4.0]), src)
@@ -632,6 +667,14 @@ def test_cauchy_complex_point_parsing(capsys):
     out = capsys.readouterr().out.strip()
     # 1/((2 - i) - i) = 1/(2 - 2i) = 0.25 + 0.25i
     assert out == "0.25 + 0.25i"
+
+
+@pytest.mark.parametrize("point", ["1,2,3", "abc", "1,x"])
+def test_malformed_point_is_a_usage_error(capsys, point):
+    with pytest.raises(SystemExit) as exc:
+        main(["cauchy", "matrix", "--poles", point, "--zeros", "1"])
+    assert exc.value.code == 2
+    assert f"expected 're' or 're,im', got {point!r}" in capsys.readouterr().err
 
 
 def test_usage_errors():

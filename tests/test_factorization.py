@@ -10,6 +10,7 @@ from zpreal.errors import (
     NoFactorizationError,
     OnContourError,
     ValidationError,
+    VerificationFailedError,
 )
 from zpreal import factorization as fz
 from zpreal import linalg
@@ -38,6 +39,14 @@ def test_contour_validation():
     c = fz.CircleContour(1.0 + 1.0j, 2.0)
     assert c.contains(1.0 + 1.5j)
     assert not c.contains(4.0)
+
+
+@pytest.mark.parametrize("center", [complex(np.nan, 0.0),
+                                    complex(0.0, np.inf)])
+def test_contour_refuses_a_non_finite_center(center):
+    with pytest.raises(ValidationError,
+                       match="^contour center must be finite$"):
+        fz.CircleContour(center, 1.0)
 
 
 def test_partition_d2_unit_circle(d2):
@@ -214,6 +223,41 @@ def test_factorize_refuses_degenerate_block():
     with pytest.raises(NoFactorizationError) as exc:
         fz.factorize(b, UNIT)
     assert exc.value.cond > 1e8
+
+
+def test_factorize_refuses_disagreeing_outside_factors():
+    # the Schur-complement form and the synthesized outside factor
+    # disagree by 7.4e-9 on this 16 + 16 split, above AGREE_TOL
+    b = balanced_instance(1, 16, 16, 3)
+    with pytest.raises(VerificationFailedError,
+                       match="^two independent constructions of the outside "
+                             "factor disagree") as exc:
+        fz.factorize(b, UNIT)
+    assert exc.value.tol == fz.AGREE_TOL < exc.value.residual
+
+
+def test_factorize_refuses_a_product_above_its_tolerance():
+    b = balanced_instance(2, 2, 2, 5)
+    with pytest.raises(VerificationFailedError,
+                       match="^factor product does not reproduce the "
+                             "function") as exc:
+        fz.factorize(b, UNIT, fail_tol=1e-300)
+    assert exc.value.tol == 1e-300 < exc.value.residual
+
+
+def test_factorize_refuses_an_outside_factor_above_cond_max():
+    # a cond_max between cond(S11) and the outside factor's coupling
+    # condition passes the leading block and refuses the factor
+    b = balanced_instance(2, 2, 2, 1)
+    result = fz.factorize(b, UNIT)
+    cond_minus = linalg.cond_frobenius(result.minus.Sl)
+    assert result.cond_S11 < cond_minus
+    limit = math.sqrt(result.cond_S11 * cond_minus)
+    with pytest.raises(NoFactorizationError,
+                       match="^factor synthesis failed: synthesized coupling "
+                             "matrix has condition") as exc:
+        fz.factorize(b, UNIT, cond_max=limit)
+    assert exc.value.cond == result.cond_S11
 
 
 def test_boundary_verdict_reachable_by_bisection():

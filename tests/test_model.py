@@ -9,7 +9,7 @@ from conftest import make_scalar_instance
 from helpers import separated_points
 
 import zpreal
-from zpreal.cauchy import ScalarZeroPole, scalar_eval
+from zpreal.cauchy import ScalarZeroPole, cauchy_inverse_formula, scalar_eval
 from zpreal.errors import (
     CollisionError,
     NotRankOneError,
@@ -17,8 +17,9 @@ from zpreal.errors import (
     ValidationError,
     ZeroGaugeEntryError,
 )
+from zpreal.factorization import CircleContour
 from zpreal.linalg import frobenius, identity
-from zpreal.synthesis import random_instance
+from zpreal.synthesis import GeneratorGeometry, SynthesisInput, random_instance
 from zpreal.zero_pole import (
     GaugePair,
     ZeroPoleData,
@@ -70,6 +71,30 @@ def test_pole_zero_collision_rejected():
                      F_P=[[1]], G_P=[[1]], F_N=[[1]], G_N=[[1]])
 
 
+def _d1_fields(**changes):
+    fields = dict(poles=[0.0], zeros=[1.0], F_P=[[1.0]], G_P=[[-1.0]],
+                  F_N=[[1.0]], G_N=[[1.0]])
+    fields.update(changes)
+    return fields
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(F_P=np.zeros((0, 1)), G_P=np.zeros((1, 0)), F_N=np.zeros((0, 1)),
+          G_N=np.zeros((1, 0))),
+     "matrix dimension k must be at least 1"),
+    (dict(G_P=[[-1.0, 1.0]]), "G_P has shape (1, 2), expected (1, 1)"),
+    (dict(F_N=[[1.0], [1.0]]), "F_N has shape (2, 1), expected (1, 1)"),
+    (dict(poles=[[0.0]]), "poles must be a flat list of points"),
+    (dict(zeros=[np.nan]), "zeros contains non-finite points"),
+    (dict(poles=[complex(0, np.inf)]), "poles contains non-finite points"),
+    (dict(G_N=[[np.inf]]), "matrix contains non-finite entries"),
+])
+def test_malformed_data_rejected(changes, message):
+    with pytest.raises(ValidationError) as exc:
+        ZeroPoleData(**_d1_fields(**changes))
+    assert str(exc.value) == message
+
+
 def test_empty_instance_is_identity():
     d = ZeroPoleData(poles=[], zeros=[],
                      F_P=np.zeros((2, 0)), G_P=np.zeros((0, 2)),
@@ -100,6 +125,15 @@ def test_factor_rank_one_rejects_full_rank():
     with pytest.raises(NotRankOneError) as info:
         factor_rank_one(identity(2))
     assert info.value.detected_rank == 2
+
+
+def test_factor_rank_one_rejects_an_inexact_reconstruction():
+    # rank counts 5e-10 as zero (below RANK_EPS times the largest entry),
+    # but f g then misses it by more than 1e-10 times the norm
+    with pytest.raises(NotRankOneError,
+                       match="rank-one reconstruction off by 5.000e-10") as exc:
+        factor_rank_one([[1.0, 0.0], [0.0, 5e-10]])
+    assert exc.value.detected_rank == 1
 
 
 def test_factor_rank_one_round_trip_random():
@@ -148,6 +182,12 @@ def test_gauge_round_trip(d2):
 def test_zero_gauge_entry_rejected():
     with pytest.raises(ZeroGaugeEntryError):
         GaugePair(D_P=[0.0], D_N=[1.0])
+
+
+def test_gauge_length_must_match_n(d1):
+    with pytest.raises(ValidationError,
+                       match="^gauge length 2/1 does not match n=1$"):
+        gauge_transform(d1, GaugePair(D_P=[1.0, 2.0], D_N=[1.0]))
 
 
 def test_gauge_leaves_values_invariant(d2):
@@ -402,3 +442,60 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# malformed library arguments
+
+
+MALFORMED_ARGUMENTS = {
+    "geometry-str-radius": (
+        lambda: GeneratorGeometry(disk_radius="2"),
+        "disk_radius must be a real number, got '2'"),
+    "geometry-none-cond-limit": (
+        lambda: GeneratorGeometry(cond_limit=None),
+        "cond_limit must be a real number, got None"),
+    "geometry-complex-separation": (
+        lambda: GeneratorGeometry(min_separation=0.1j),
+        "min_separation must be a real number, got 0.1j"),
+    "contour-str-center": (
+        lambda: CircleContour("abc", 1.0),
+        "contour center and radius must be numbers"),
+    "contour-none-center": (
+        lambda: CircleContour(None, 1.0),
+        "contour center and radius must be numbers"),
+    "contour-list-radius": (
+        lambda: CircleContour(0.0, [1.0]),
+        "contour center and radius must be numbers"),
+    "data-str-pole": (
+        lambda: ZeroPoleData(**_d1_fields(poles=["a"])),
+        "poles is not an array of numbers"),
+    "data-ragged-matrix": (
+        lambda: ZeroPoleData(**_d1_fields(F_P=[[1.0], [1.0, 2.0]])),
+        "matrix is not an array of numbers"),
+    "synthesis-str-entry": (
+        lambda: SynthesisInput(F=[["a"]], G=[[1.0]], pole_points=[0.0],
+                               zero_points=[1.0]),
+        "F is not an array of numbers"),
+    "synthesis-dict-points": (
+        lambda: SynthesisInput(F=[[1.0]], G=[[1.0]], pole_points={},
+                               zero_points=[1.0]),
+        "pole_points is not an array of numbers"),
+    "scalar-nan-c": (
+        lambda: ScalarZeroPole([0], [1], c=float("nan")),
+        "value at infinity must be finite"),
+    "inverse-formula-nan-c": (
+        lambda: cauchy_inverse_formula([0], [1], c=float("nan")),
+        "value at infinity must be finite"),
+    "gauge-str-entry": (
+        lambda: GaugePair(D_P=["x"], D_N=[1.0]),
+        "D_P is not an array of numbers"),
+}
+
+
+@pytest.mark.parametrize("call, message", MALFORMED_ARGUMENTS.values(),
+                         ids=MALFORMED_ARGUMENTS)
+def test_malformed_library_arguments_raise_validation_error(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message

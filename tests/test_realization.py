@@ -65,6 +65,17 @@ def test_sylvester_diag_solve_still_tests_separation(a, b):
     assert exc.value.min_separation < SEP_MIN
 
 
+@pytest.mark.parametrize("a, b, c, message", [
+    ([[1.0, 2.0]], [3.0], np.ones((2, 1)), "a must be a flat list of points"),
+    ([np.inf], [3.0], np.ones((1, 1)), "a contains non-finite points"),
+    ([1.0], [3.0, np.nan], np.ones((1, 2)), "b contains non-finite points"),
+], ids=["2-d", "inf", "nan"])
+def test_sylvester_diag_solve_refuses_malformed_spectra(a, b, c, message):
+    with pytest.raises(ValidationError) as exc:
+        rz.sylvester_diag_solve(a, b, c)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("m, n", [(0, 0), (1, 1), (3, 5), (12, 12), (0, 4)])
 def test_sylvester_diag_solve_is_the_private_division(m, n):
     rng = np.random.default_rng(10 * m + n)
@@ -195,6 +206,23 @@ def test_build_bundle_rejects_sign_flip(d2):
     )
     with pytest.raises(InconsistentDataError):
         rz.build_bundle(broken)
+
+
+def test_build_bundle_refuses_a_coupling_matrix_it_cannot_invert():
+    # Sr = diag(1, 1e-13): the other half is Sr⁻¹'s, so the data is
+    # consistent, but the inverse refuses Sr
+    poles, zeros = np.array([0.0, 10.0]), np.array([1.0, 11.0])
+    f_p = np.diag([1.0, 1e-7]).astype(complex)
+    g_n = np.diag([1.0, 1e-6]).astype(complex)
+    sr = g_n @ f_p / (zeros[:, None] - poles[None, :])
+    np.testing.assert_allclose(np.diag(sr), [1.0, 1e-13])
+    sr_inv = np.linalg.inv(sr)
+    d = ZeroPoleData(poles=poles, zeros=zeros, F_P=f_p, G_P=-sr_inv @ g_n,
+                     F_N=f_p @ sr_inv, G_N=g_n)
+    with pytest.raises(InconsistentDataError,
+                       match=r"^coupling matrix not invertible \(matrix is "
+                             r"numerically singular"):
+        rz.build_bundle(d)
 
 
 def _scalar_oracle(poles, zeros):

@@ -82,8 +82,8 @@ def _obj():
     return instance_to_dict(_instance(2, 3, seed=5))
 
 
-# Each edit breaks one field; the message is the one the checked
-# per-entry loop has always raised.
+# Each edit breaks one field; the message names its first bad entry.
+# _obj() has k = 2 and n = 3.
 MALFORMED = [
     (lambda o: o["poles"].__setitem__(1, ["1.0", 2.0]),
      "poles[1]: expected a [re, im] pair, got ['1.0', 2.0]"),
@@ -116,7 +116,23 @@ MALFORMED = [
     (lambda o: o.__setitem__("poles", None),
      "poles: expected 3 entries"),
     (lambda o: o["zeros"].__setitem__(1, [10 ** 400, 0.0]),
-     None),
+     "zeros[1]: number does not fit a float"),
+    (lambda o: o["F_P"].append(o["F_P"][0]),
+     "F_P: expected 2 rows"),
+    (lambda o: o["G_N"].__setitem__(0, [[0.0, 1.0], [-10 ** 400, 0.0]]),
+     "G_N[0][1]: number does not fit a float"),
+    (lambda o: o.__setitem__("k", True),
+     "k/n: expected integers k >= 1, n >= 0, got True/3"),
+    (lambda o: o.__setitem__("n", False),
+     "k/n: expected integers k >= 1, n >= 0, got 2/False"),
+    (lambda o: o.__setitem__("k", 0),
+     "k/n: expected integers k >= 1, n >= 0, got 0/3"),
+    (lambda o: o.__setitem__("n", -1),
+     "k/n: expected integers k >= 1, n >= 0, got 2/-1"),
+    (lambda o: o.__setitem__("k", 2.0),
+     "k/n: expected integers k >= 1, n >= 0, got 2.0/3"),
+    (lambda o: o.__setitem__("metadata", [1]),
+     "metadata: expected an object"),
 ]
 
 
@@ -125,11 +141,6 @@ def test_malformed_fields_raise_the_checked_loops_message(tmp_path, edit,
                                                           message):
     obj = _obj()
     edit(obj)
-    if message is None:
-        # too large for a float: the checked loop's complex() overflows
-        with pytest.raises(OverflowError):
-            instance_from_dict(obj)
-        return
     with pytest.raises(ParseError) as exc:
         instance_from_dict(obj)
     assert str(exc.value) == message
@@ -151,3 +162,40 @@ def test_bools_and_ints_read_as_numbers_as_before():
     assert d.poles[0] == 1 and d.poles[1] == 1 + 2.5j and d.zeros[0] == 3 - 4j
     np.testing.assert_array_equal(d.F_P[0], [1, 1j, 1 + 1j])
     assert d.F_P.dtype == np.complex128
+
+
+def test_top_level_must_be_an_object(tmp_path):
+    with pytest.raises(ParseError) as exc:
+        instance_from_dict([_obj()])
+    assert str(exc.value) == "top level: expected a JSON object"
+    path = tmp_path / "list.json"
+    path.write_text("[]", encoding="utf-8")
+    with pytest.raises(ParseError, match="^top level: expected a JSON object$"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("absent.json", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_unreadable_path_is_a_parse_error(tmp_path, name, reason):
+    path = tmp_path / name
+    with pytest.raises(ParseError) as exc:
+        load_instance(path)
+    assert str(exc.value) == f"{path}: {reason}"
+
+
+@pytest.mark.parametrize("k, n", [(1, 1), (2, 4), (4, 8)])
+def test_checked_walk_reads_the_saved_bits(k, n):
+    # 2**64 fits a float but not an int64, so numpy reads every field
+    # that holds it as objects, and the checked walk reads it instead
+    d = _instance(k, n, seed=k + n)
+    obj = instance_to_dict(d)
+    for i, name in enumerate(FIELDS, 1):
+        entries = obj[name] if name in ("poles", "zeros") else obj[name][-1]
+        entries[-1] = [i * 2 ** 64, -0.0]
+    loaded, _ = instance_from_dict(obj)
+    for i, name in enumerate(FIELDS, 1):
+        want = getattr(d, name).copy()
+        want.reshape(-1)[-1] = complex(i * 2.0 ** 64, -0.0)
+        assert _bits(getattr(loaded, name)) == _bits(want), name

@@ -211,6 +211,32 @@ def test_synthesis_input_validation():
                           pole_points=[0.0, 1.0], zero_points=[1.0, 2.0])
 
 
+@pytest.mark.parametrize("F, G, message", [
+    ([1.0], [[1.0]], "F and G must be matrices"),
+    ([[1.0]], [1.0], "F and G must be matrices"),
+    (np.zeros((0, 1)), np.zeros((1, 0)), "need at least one row in F"),
+    ([[1.0]], [[1.0, 1.0]], "G has shape (1, 2), expected (1, 1)"),
+    ([[np.nan]], [[1.0]], "non-finite synthesis input"),
+    ([[1.0]], [[complex(0, np.inf)]], "non-finite synthesis input"),
+])
+def test_synthesis_input_refuses_malformed_generator_halves(F, G, message):
+    with pytest.raises(ValidationError) as exc:
+        sy.SynthesisInput(F=F, G=G, pole_points=[0.0], zero_points=[1.0])
+    assert str(exc.value) == message
+
+
+def test_synthesis_input_refuses_non_finite_points():
+    with pytest.raises(ValidationError, match="^non-finite synthesis input$"):
+        sy.SynthesisInput(F=[[1.0]], G=[[1.0]], pole_points=[np.inf],
+                          zero_points=[1.0])
+
+
+def test_obstrollable_refuses_a_matrix_of_the_wrong_width():
+    with pytest.raises(ValidationError,
+                       match=r"^matrix shape \(1, 2\) does not match 1 points$"):
+        sy.obstrollable([[1.0, 1.0]], [0.0])
+
+
 @pytest.mark.parametrize("poles, zeros, field", [
     ([[0.0, 1.0]], [2.0, 3.5], "pole_points"),
     ([0.0, 1.0], np.array([[2.0], [3.5]]), "zero_points"),
