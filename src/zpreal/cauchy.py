@@ -86,10 +86,16 @@ def _gaps(z, points: np.ndarray) -> np.ndarray:
 
     A point within EVAL_EPS of one of `points` raises PoleHitError
     naming its nearest singularity; in a batch the first such point in
-    array order is named.
+    array order is named. A point that is not a number raises
+    ValidationError, caught where the subtraction or conversion that
+    numeric input needs anyway fails, so numbers pay nothing for it.
     """
     if isinstance(z, complex) or np.ndim(z) == 0:
-        gaps = z - points
+        try:
+            gaps = z - points
+        except TypeError:
+            raise ValidationError(
+                f"evaluation point {z!r} is not a number") from None
         if points.size:
             dist = np.abs(gaps)
             # argmin only names the singularity once the test trips; a
@@ -98,7 +104,10 @@ def _gaps(z, points: np.ndarray) -> np.ndarray:
                 j = int(np.argmin(dist))
                 raise PoleHitError(z, complex(points[j]), float(dist[j]))
         return gaps
-    z = np.asarray(z, dtype=np.complex128)
+    try:
+        z = np.asarray(z, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("evaluation points are not numbers") from None
     if z.ndim != 1:
         raise ValidationError(
             f"evaluation points must be a scalar or a 1-d array, "
@@ -169,9 +178,10 @@ class ScalarZeroPole:
 
 def scalar_eval(d: ScalarZeroPole, z: complex) -> complex:
     """Evaluate r(z) = c * prod(z - mu) / prod(z - lambda)."""
-    zeros = np.asarray(d.zeros)
-    return complex(d.c * np.prod(z - zeros)
-                   / np.prod(_gaps(z, np.asarray(d.poles))))
+    # the clearance check comes first: it refuses a point that is not a
+    # number before the numerator subtracts it
+    gaps = _gaps(z, np.asarray(d.poles))
+    return complex(d.c * np.prod(z - np.asarray(d.zeros)) / np.prod(gaps))
 
 
 def cauchy_matrix(poles, zeros) -> np.ndarray:

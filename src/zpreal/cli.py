@@ -7,6 +7,9 @@ codes are a stable contract:
     0 success, 2 usage (also an output path that cannot be written),
     3 parse, 4 validation, 5 no factorization, 6 verification failed.
 
+`main` maps each error class to its code through one ordered table,
+_EXIT_CODES.
+
 The argument parser is built once per process, on the first call of
 `main`, and reused by every later call; the command handlers are still
 looked up by name on each call.
@@ -52,7 +55,7 @@ from .synthesis import (
     chain_identity_check,
     random_instance,
 )
-from .zero_pole import REPORT_TOL, check_consistency, sample_points
+from .zero_pole import FAIL_TOL, REPORT_TOL, check_consistency, sample_points
 
 __all__ = ["main", "format_complex", "format_matrix"]
 
@@ -247,28 +250,25 @@ def cmd_factorize(args) -> int:
                             args.radius)
     result = factorize(bundle, contour, cond_max=args.cond_max,
                        fail_tol=args.tol)
-    base_meta = {
-        "parent": str(args.path),
-        "contour": {"center": [contour.center.real, contour.center.imag],
-                    "radius": contour.radius},
-        "cond_S11": result.cond_S11,
-    }
-    plus_meta = {
-        **base_meta, "role": "plus_factor",
-        "parent_pole_indices": list(result.split.idxP_plus),
-        "parent_zero_indices": list(result.split.idxN_plus),
-    }
-    minus_meta = {
-        **base_meta, "role": "minus_factor",
-        "parent_pole_indices": list(result.split.idxP_minus),
-        "parent_zero_indices": list(result.split.idxN_minus),
-    }
-    writes = [
-        (args.out_plus,
-         lambda name: save_instance(result.plus.data, name, plus_meta)),
-        (args.out_minus,
-         lambda name: save_instance(result.minus.data, name, minus_meta)),
-    ]
+    split = result.split
+    writes = []
+    for role, factor, pole_idx, zero_idx, path in (
+        ("plus_factor", result.plus, split.idxP_plus, split.idxN_plus,
+         args.out_plus),
+        ("minus_factor", result.minus, split.idxP_minus, split.idxN_minus,
+         args.out_minus),
+    ):
+        meta = {
+            "parent": str(args.path),
+            "contour": {"center": [contour.center.real, contour.center.imag],
+                        "radius": contour.radius},
+            "cond_S11": result.cond_S11,
+            "role": role,
+            "parent_pole_indices": list(pole_idx),
+            "parent_zero_indices": list(zero_idx),
+        }
+        writes.append((path, functools.partial(save_instance, factor.data,
+                                               metadata=meta)))
     if args.report_out:
         writes.append((args.report_out,
                        lambda name: _write_report(result.report, name)))
@@ -291,6 +291,15 @@ def cmd_cauchy(args) -> int:
     else:
         print(format_complex(cauchy_det_squared(lam, mu)))
     return 0
+
+
+# the first class that matches gives the code: the base class comes last
+_EXIT_CODES = (
+    (ParseError, 3),
+    (NoFactorizationError, 5),
+    ((VerificationFailedError, InconsistentDataError), 6),
+    (ZprealError, 4),
+)
 
 
 @functools.cache
@@ -333,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fac.add_argument("out_plus")
     p_fac.add_argument("out_minus")
     p_fac.add_argument("--cond-max", type=float, default=COND_MAX)
-    p_fac.add_argument("--tol", type=float, default=1e-6)
+    p_fac.add_argument("--tol", type=float, default=FAIL_TOL)
     p_fac.add_argument("--report-out", default=None)
 
     p_cau = sub.add_parser("cauchy", help="reciprocal-gap matrix utilities")
@@ -357,18 +366,10 @@ def main(argv=None) -> int:
         if args.command == "factorize":
             return cmd_factorize(args)
         return cmd_cauchy(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NoFactorizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (VerificationFailedError, InconsistentDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
     except ZprealError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES
+                    if isinstance(exc, cls))
     except OSError as exc:
         # load_instance maps a file it cannot read to ParseError, so this
         # is an output path that cannot be written

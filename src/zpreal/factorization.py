@@ -32,7 +32,9 @@ coupling matrix and S11 differ in their last bits.
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -333,7 +335,7 @@ def factorize(b: RealizationBundle, c: CircleContour,
     # factor's Sr is S11's own formula on S11's entries)
     coins_minus = (frobenius(minus.Sl - delta_inv)
                    / max(frobenius(delta_inv), 1.0))
-    report.add("minus_coupling_inherited", coins_minus, 1e-9)
+    report.add("minus_coupling_inherited", coins_minus, AGREE_TOL)
 
     samples = _sample_ring(c, d.poles, N_SAMPLES)
     r_minus = eval_R(minus, samples)
@@ -396,8 +398,23 @@ def residue_quadrature(f: Callable[[complex], np.ndarray], center: complex,
     """Contour residue of f at center by the trapezoid rule.
 
     Exponentially accurate for f analytic in the punctured disk, which
-    is all this package ever integrates.
+    is all this package ever integrates. A center or radius that is not
+    a finite number, and a nodes that is not an integer, are refused
+    with ValidationError.
     """
+    try:
+        nodes = operator.index(nodes)
+    except TypeError:
+        raise ValidationError(f"nodes must be an integer, "
+                              f"got {nodes!r}") from None
+    try:
+        finite = cmath.isfinite(center) and math.isfinite(radius)
+    except OverflowError:
+        finite = False
+    except TypeError:
+        raise ValidationError("center and radius must be numbers") from None
+    if not finite:
+        raise ValidationError("center and radius must be finite")
     if radius <= 0 or nodes < 4:
         raise ValidationError("need positive radius and at least 4 nodes")
     acc = None

@@ -12,8 +12,13 @@ def check_tolerance(tol: float, name: str) -> None:
     """Refuse a tolerance outside (0, inf). Every residual passes inf
     and fails NaN, so either would decide a gate without reading it,
     and a tolerance at or below zero fails every check that is not
-    exact."""
-    if math.isnan(tol):
+    exact. A value that is not a real number is refused too."""
+    try:
+        nan = math.isnan(tol)
+    except TypeError:
+        raise ValidationError(f"{name} must be a real number, "
+                              f"got {tol!r}") from None
+    if nan:
         raise ValidationError(f"{name} must not be NaN")
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"{name} must be positive and finite, "
@@ -43,7 +48,14 @@ class Report:
     info: dict = field(default_factory=dict)
 
     def add(self, name: str, residual: float, tol: float) -> CheckResult:
-        result = CheckResult(name, float(residual), float(tol))
+        """Append a check; a tol that float() cannot convert is refused
+        with ValidationError."""
+        try:
+            tol = float(tol)
+        except (TypeError, ValueError):
+            raise ValidationError(f"tol must be a real number, "
+                                  f"got {tol!r}") from None
+        result = CheckResult(name, float(residual), tol)
         self.checks.append(result)
         return result
 

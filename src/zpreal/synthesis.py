@@ -75,7 +75,7 @@ from .realization import (
     eval_joint_right,
     sylvester_diag_solve,  # noqa: F401 - kept importable from here
 )
-from .zero_pole import SEP_MIN, ZeroPoleData
+from .zero_pole import REPORT_TOL, SEP_MIN, ZeroPoleData, _as_point_vector
 
 __all__ = [
     "SynthesisInput",
@@ -178,8 +178,14 @@ def _check_cond_max(cond_max: float) -> None:
     """Refuse a NaN limit and a limit below 1. Every condition number
     passes `cond > nan`, so a NaN would switch the gate it sets off; and
     cond_F(S) ≥ n for n ≥ 1 (1 for the empty S), so a limit below 1
-    refuses every matrix and asks an ill-posed question."""
-    if math.isnan(cond_max):
+    refuses every matrix and asks an ill-posed question. A value that
+    is not a real number is refused too."""
+    try:
+        nan = math.isnan(cond_max)
+    except TypeError:
+        raise ValidationError(f"cond_max must be a real number, "
+                              f"got {cond_max!r}") from None
+    if nan:
         raise ValidationError("cond_max must not be NaN")
     if not cond_max >= 1:
         raise ValidationError(f"cond_max must be at least 1, got {cond_max:g}")
@@ -291,7 +297,7 @@ def chain_from_bundle(b: RealizationBundle) -> ChainFunction:
 
 
 def chain_identity_check(t: ChainFunction, triples,
-                         tol: float = 1e-8) -> Report:
+                         tol: float = REPORT_TOL) -> Report:
     """Verify T(x, y) T(y, z) = T(x, z) and T(w, w) = I over triples.
 
     T is evaluated twice: once over the 3·len(triples) chain pairs and
@@ -320,9 +326,13 @@ def extract_generator(t: ChainFunction, a):
     Then phi(x) phi_inv(y) = T(x, y) and phi_inv is the pointwise
     inverse of phi. The anchor may be infinity when the chain carries
     closed-form limits; it must stay clear of both singularity sets
-    otherwise. A NaN anchor is refused.
+    otherwise. A NaN anchor, and one that is not a number at all, is
+    refused.
     """
-    size = math.inf if a is None else abs(complex(a))
+    try:
+        size = math.inf if a is None else abs(complex(a))
+    except (TypeError, ValueError, OverflowError):
+        size = math.nan
     if math.isnan(size):
         raise DomainViolationError(f"anchor {a} is not a number")
     if math.isinf(size):
@@ -334,13 +344,12 @@ def extract_generator(t: ChainFunction, a):
             )
         return fx, fy
     a = complex(a)
-    for pts in (t.x_singularities, t.y_singularities):
-        try:
-            _gaps(a, pts)
-        except PoleHitError as exc:
-            raise DomainViolationError(
-                f"anchor {a} sits on a singularity of the chain"
-            ) from exc
+    try:
+        _gaps(a, np.concatenate([t.x_singularities, t.y_singularities]))
+    except PoleHitError as exc:
+        raise DomainViolationError(
+            f"anchor {a} sits on a singularity of the chain"
+        ) from exc
     return (lambda x: t(x, a)), (lambda y: t(a, y))
 
 
@@ -350,10 +359,11 @@ def obstrollable(mat: np.ndarray, points) -> bool:
     True when the stacked rows mat, mat D, ..., mat D^(n-1) with
     D = diag(points) span all n coordinates. The column-side variant
     for (diag(points), G) is obstrollable(G.T, points): transposition
-    swaps the roles without changing the rank.
+    swaps the roles without changing the rank. A matrix or points that
+    are not finite numbers are refused with ValidationError.
     """
-    m = np.asarray(mat, dtype=np.complex128)
-    pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    m = _complex_array(mat, "matrix")
+    pts = _as_point_vector(points, "points")
     n = pts.size
     if m.ndim != 2 or m.shape[1] != n:
         raise ValidationError(

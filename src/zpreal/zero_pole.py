@@ -149,10 +149,11 @@ class ZeroPoleData:
                 f"(need {SEP_MIN:.1e})",
                 separation=worst,
             )
-        for field_name, value in (
-            ("poles", poles), ("zeros", zeros), ("F_P", F_P),
-            ("G_P", G_P), ("F_N", F_N), ("G_N", G_N),
-        ):
+        self._store(poles, zeros, F_P, G_P, F_N, G_N)
+
+    def _store(self, *values) -> None:
+        """Set the six fields, in declaration order, on a frozen instance."""
+        for field_name, value in zip(self.__dataclass_fields__, values):
             object.__setattr__(self, field_name, value)
 
     @classmethod
@@ -179,11 +180,7 @@ class ZeroPoleData:
         else:
             (F_P, G_N), (F_N, G_P) = free, derived
         d = object.__new__(cls)
-        for field_name, value in (
-            ("poles", poles), ("zeros", zeros), ("F_P", F_P),
-            ("G_P", G_P), ("F_N", F_N), ("G_N", G_N),
-        ):
-            object.__setattr__(d, field_name, value)
+        d._store(poles, zeros, F_P, G_P, F_N, G_N)
         return d
 
     @classmethod
@@ -350,7 +347,9 @@ def check_consistency(d: ZeroPoleData, tol: float = REPORT_TOL) -> Report:
     Each family is evaluated as one stack over its points. A residual
     that overflows to NaN is reported as NaN, which fails its check;
     numpy's overflow warnings are silenced here.
-    Diagnostic only: always returns a report, never raises.
+    Diagnostic only: for any real tol, NaN included, it returns a report
+    and raises nothing. A tol that float() cannot convert, such as a
+    word or a complex number, is refused with ValidationError.
     """
     rep = Report()
     eye = _shared_identity(d.k)
@@ -361,21 +360,20 @@ def check_consistency(d: ZeroPoleData, tol: float = REPORT_TOL) -> Report:
         rep.add("mutual_inverse_at_samples",
                 max_frobenius(r @ ri - eye, ri @ r - eye), tol)
 
-        res = _residues(d.F_P, d.G_P)
-        b0 = additive_eval_Rinv(d, d.poles)
-        b1 = additive_deriv_Rinv(d, d.poles)
-        rep.add("annihilation_at_poles",
-                max_frobenius(b0 @ res, res @ b0), tol)
-        rep.add("pole_residue_identity",
-                max_frobenius(res @ b1 @ res - res), tol)
-
-        res = _residues(d.F_N, d.G_N)
-        a0 = additive_eval_R(d, d.zeros)
-        a1 = additive_deriv_R(d, d.zeros)
-        rep.add("annihilation_at_zeros",
-                max_frobenius(a0 @ res, res @ a0), tol)
-        rep.add("zero_residue_identity",
-                max_frobenius(res @ a1 @ res - res), tol)
+        # (b) and (c) at the poles, then (b) and (d) at the zeros
+        for kind, points, f, g, other, other_deriv in (
+            ("pole", d.poles, d.F_P, d.G_P,
+             additive_eval_Rinv, additive_deriv_Rinv),
+            ("zero", d.zeros, d.F_N, d.G_N,
+             additive_eval_R, additive_deriv_R),
+        ):
+            res = _residues(f, g)
+            v0 = other(d, points)
+            v1 = other_deriv(d, points)
+            rep.add(f"annihilation_at_{kind}s",
+                    max_frobenius(v0 @ res, res @ v0), tol)
+            rep.add(f"{kind}_residue_identity",
+                    max_frobenius(res @ v1 @ res - res), tol)
     return rep
 
 

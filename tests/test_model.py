@@ -12,14 +12,31 @@ import zpreal
 from zpreal.cauchy import ScalarZeroPole, cauchy_inverse_formula, scalar_eval
 from zpreal.errors import (
     CollisionError,
+    DomainViolationError,
     NotRankOneError,
     PoleHitError,
     ValidationError,
     ZeroGaugeEntryError,
+    ZprealError,
 )
-from zpreal.factorization import CircleContour
+from zpreal.factorization import (
+    CircleContour,
+    factorization_exists,
+    factorize,
+    residue_quadrature,
+)
 from zpreal.linalg import frobenius, identity
-from zpreal.synthesis import GeneratorGeometry, SynthesisInput, random_instance
+from zpreal.realization import build_bundle, eval_R
+from zpreal.synthesis import (
+    GeneratorGeometry,
+    SynthesisInput,
+    chain_from_bundle,
+    chain_identity_check,
+    extract_generator,
+    obstrollable,
+    random_instance,
+    synthesize,
+)
 from zpreal.zero_pole import (
     GaugePair,
     ZeroPoleData,
@@ -499,3 +516,79 @@ def test_malformed_library_arguments_raise_validation_error(call, message):
     with pytest.raises(ValidationError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def _d1_bundle():
+    return build_bundle(ZeroPoleData(**_d1_fields()))
+
+
+def _d1_chain():
+    return chain_from_bundle(_d1_bundle())
+
+
+def _quadrature(**changes):
+    args = dict(center=0.0, radius=1.0, nodes=8)
+    args.update(changes)
+    return residue_quadrature(lambda z: identity(1) / z, **args)
+
+
+_UNIT = CircleContour(0.0, 1.0)
+_SCALAR = ScalarZeroPole([0.0], [1.0])
+
+# non-real limits and tolerances, and NaN or non-numeric points, radii
+# and matrices, at functions that are not data classes; the CLI maps
+# every ZprealError to an exit code
+NON_NUMBER_ARGUMENTS = {
+    "factorize-str-cond-max": (
+        lambda: factorize(_d1_bundle(), _UNIT, cond_max="x"),
+        ValidationError),
+    "factorize-str-fail-tol": (
+        lambda: factorize(_d1_bundle(), _UNIT, fail_tol="x"),
+        ValidationError),
+    "exists-str-cond-max": (
+        lambda: factorization_exists(_d1_bundle(), _UNIT, cond_max="x"),
+        ValidationError),
+    "synthesize-str-cond-max": (
+        lambda: synthesize(SynthesisInput(F=[[1.0]], G=[[1.0]],
+                                          pole_points=[0.0],
+                                          zero_points=[1.0]),
+                           cond_max="x"),
+        ValidationError),
+    "consistency-str-tol": (
+        lambda: check_consistency(ZeroPoleData(**_d1_fields()), tol="x"),
+        ValidationError),
+    "chain-str-tol": (
+        lambda: chain_identity_check(_d1_chain(), [(2.0, 3.0, 4.0)],
+                                     tol="x"),
+        ValidationError),
+    "quadrature-nan-radius": (
+        lambda: _quadrature(radius=float("nan")), ValidationError),
+    "quadrature-inf-radius": (
+        lambda: _quadrature(radius=float("inf")), ValidationError),
+    "quadrature-str-radius": (
+        lambda: _quadrature(radius="x"), ValidationError),
+    "quadrature-float-nodes": (
+        lambda: _quadrature(nodes=4.5), ValidationError),
+    "quadrature-nan-center": (
+        lambda: _quadrature(center=complex("nan")), ValidationError),
+    "obstrollable-nan-point": (
+        lambda: obstrollable([[1.0]], [float("nan")]), ValidationError),
+    "obstrollable-str-matrix": (
+        lambda: obstrollable([["a"]], [0.0]), ValidationError),
+    "eval-str-point": (
+        lambda: eval_R(_d1_bundle(), "abc"), ValidationError),
+    "eval-str-batch": (
+        lambda: eval_R(_d1_bundle(), ["abc"]), ValidationError),
+    "scalar-eval-str-point": (
+        lambda: scalar_eval(_SCALAR, "x"), ValidationError),
+    "anchor-str": (
+        lambda: extract_generator(_d1_chain(), "x"), DomainViolationError),
+}
+
+
+@pytest.mark.parametrize("call, error", NON_NUMBER_ARGUMENTS.values(),
+                         ids=NON_NUMBER_ARGUMENTS)
+def test_non_number_arguments_raise_package_errors(call, error):
+    with pytest.raises(error) as exc:
+        call()
+    assert isinstance(exc.value, ZprealError)

@@ -611,14 +611,7 @@ TWO_POINT = ((rz.eval_joint_right, _ref_joint_right),
 
 
 def _empty_bundle(k):
-    z0 = np.zeros(0, dtype=np.complex128)
-    return rz.build_bundle(ZeroPoleData(
-        poles=z0, zeros=z0,
-        F_P=np.zeros((k, 0), dtype=np.complex128),
-        G_P=np.zeros((0, k), dtype=np.complex128),
-        F_N=np.zeros((k, 0), dtype=np.complex128),
-        G_N=np.zeros((0, k), dtype=np.complex128),
-    ))
+    return rz.build_bundle(ZeroPoleData.empty(k))
 
 
 def _clear_points(b, rng, count):
