@@ -23,8 +23,9 @@ matrix is S11's formula on S11's entries, and its synthesis takes the
 inversion whenever the two agree bitwise. The factor inputs are slices
 of the bundle's validated data and go to the synthesis routine without
 a second validation; the synthesized factor data is still validated
-and built under every gate. An empty side is a copy of one n = 0
-bundle per k. A two-sided factorize so makes four Sylvester solves
+and built under every gate. An empty side is built from one n = 0
+datum per k, whose build is recorded, so it solves and inverts nothing
+after the first. A two-sided factorize so makes four Sylvester solves
 and five inversions (S11, the inside factor's Sl, the outside factor's
 Sl and Sr, and the Schur complement), or six when the inside factor's
 coupling matrix and S11 differ in their last bits.
@@ -58,9 +59,9 @@ from .linalg import (
     inverse_cond,
     max_frobenius,
 )
-from .realization import RealizationBundle, _form, eval_R
+from .realization import RealizationBundle, _form, build_bundle, eval_R
 from .report import Report, check_tolerance
-from .synthesis import _check_cond_max, _empty_bundle, _synthesize
+from .synthesis import _check_cond_max, _synthesize
 from .zero_pole import FAIL_TOL, ZeroPoleData
 
 __all__ = [
@@ -186,6 +187,13 @@ class FactorizationResult:
 
 
 @cache
+def _empty_data(k: int) -> ZeroPoleData:
+    """ZeroPoleData.empty(k), made once per k for factorize's empty side;
+    every build_bundle of it after the first returns the recorded build."""
+    return ZeroPoleData.empty(k)
+
+
+@cache
 def _ring_layout(count: int):
     """Read-only per-point (2π·j/m, phase factor, angle offset, radius
     factor) of _sample_ring's three rings of count points in all: half
@@ -259,8 +267,8 @@ def factorize(b: RealizationBundle, c: CircleContour,
     not multiply back to R or the two independent constructions of the
     outside factor disagree.
     """
-    _check_cond_max(cond_max)
-    check_tolerance(fail_tol, "fail_tol")
+    cond_max = _check_cond_max(cond_max)
+    fail_tol = check_tolerance(fail_tol, "fail_tol")
     d = b.data
     # the same S11 inverse gives its condition number, the inside
     # factor's coupling inverse and the Schur complement below
@@ -298,14 +306,14 @@ def factorize(b: RealizationBundle, c: CircleContour,
                 lam_in, mu_in, False, cond_max,
                 known=(s11, inv11, cond_s11))
         else:
-            plus = _empty_bundle(d.k)
+            plus = build_bundle(_empty_data(d.k))
         if n_minus:
             minus = _synthesize(
                 d.F_N[:, list(split.idxN_minus)],
                 d.G_P[list(split.idxP_minus), :],
                 lam_out, mu_out, True, cond_max)
         else:
-            minus = _empty_bundle(d.k)
+            minus = build_bundle(_empty_data(d.k))
     except SingularCouplingError as exc:
         raise NoFactorizationError(
             f"factor synthesis failed: {exc}", cond=cond_s11) from exc
@@ -381,7 +389,7 @@ def factorization_exists(b: RealizationBundle, c: CircleContour,
     below cond_max is reported as Boundary rather than forced into a
     boolean the arithmetic cannot support.
     """
-    _check_cond_max(cond_max)
+    cond_max = _check_cond_max(cond_max)
     split, _, _, cond_s11 = _leading_block(b, c)
     if not math.isfinite(cond_s11) or cond_s11 > cond_max:
         verdict = NOT_EXISTS

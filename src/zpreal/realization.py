@@ -21,8 +21,17 @@ Only the public sylvester_diag_solve tests that the two spectra are
 SEP_MIN apart. The package's own solves go through _sylvester, the same
 division without the test, because their points were tested where they
 entered: by ZeroPoleData, by SynthesisInput, or by random_instance's
-draw. ZeroPoleData is immutable, so a slice of validated data stays
-separated.
+draw. ZeroPoleData stores read-only copies of its arrays, so a slice of
+validated data stays separated.
+
+Each datum is built once. Sr, Sl and their inverses are functions of the
+data alone, so the first build that passes its gates marks them
+read-only and records them, with cond_Sr and the diagnostics, on the
+ZeroPoleData; build_bundle hands back a new bundle over the recorded
+arrays, with a diagnostics dict of its own, and solves and inverts
+nothing. A synthesis builds its data through the same routine, so
+build_bundle(random_instance(...).data) is a lookup. A refusal is not
+recorded: inconsistent data is refused again on every call.
 
 The build gates on the five residuals that inconsistent data can move:
 mutual_inverse (Sr·Sl = I and Sl·Sr = I) and the four recovery
@@ -157,8 +166,9 @@ class RealizationBundle:
     diagnostics maps residual names to values; all of them passed
     FAIL_TOL at build time. Sr_inv and Sl_inv come from linalg.inverse,
     never from Sl and Sr, so mutual inverseness stays an executable
-    check instead of a tautology. Hr and Hl are read-only aliases of Sl
-    and Sr.
+    check instead of a tautology. Sr, Sl and their inverses are
+    read-only, shared by every bundle built from the same data; Hr and
+    Hl are aliases of Sl and Sr.
     """
 
     data: ZeroPoleData
@@ -211,8 +221,17 @@ def build_bundle(d: ZeroPoleData) -> RealizationBundle:
     Consistent data makes every diagnostic vanish to rounding; any
     diagnostic above FAIL_TOL means the four semiresidual matrices do
     not describe a function and its inverse, and the build refuses.
+    Data already built once gets a new bundle over the arrays of that
+    build, with a copy of its diagnostics.
     """
-    return _build_bundle(d)
+    if d._built is None:
+        return _build_bundle(d)
+    sr, sl, sr_inv, sl_inv, cond_sr, diagnostics = d._built
+    return RealizationBundle(
+        data=d, Sr=sr, Sl=sl,
+        Sr_inv=sr_inv, Sl_inv=sl_inv,
+        cond_Sr=cond_sr, diagnostics=dict(diagnostics),
+    )
 
 
 def _coupling_residuals(d: ZeroPoleData, sr: np.ndarray,
@@ -235,7 +254,8 @@ def _build_bundle(d: ZeroPoleData, sr=None, sl=None) -> RealizationBundle:
     in as sr or sl, and only the other coupling matrix and its inverse
     are computed here. Every gate runs on the handed-in pair as on a
     computed one; a handed-in Sr's condition is the bundle's cond_Sr,
-    which is the formula below on the same two arrays.
+    which is the formula below on the same two arrays. A build that
+    passes is recorded on d, its four matrices read-only.
     """
     # overflowing data gives inf and NaN here without a warning: a NaN
     # diagnostic fails the gate below like a large one
@@ -270,7 +290,10 @@ def _build_bundle(d: ZeroPoleData, sr=None, sl=None) -> RealizationBundle:
         ) from exc
     if cond_sr is None:
         cond_sr = frobenius(sr) * frobenius(sr_inv) if d.n else 1.0
-
+    for m in (sr, sl, sr_inv, sl_inv):
+        m.setflags(write=False)
+    object.__setattr__(d, "_built", (sr, sl, sr_inv, sl_inv, cond_sr,
+                                     dict(diagnostics)))
     return RealizationBundle(
         data=d, Sr=sr, Sl=sl,
         Sr_inv=sr_inv, Sl_inv=sl_inv,

@@ -3,26 +3,41 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
 
 
-def check_tolerance(tol: float, name: str) -> None:
-    """Refuse a tolerance outside (0, inf). Every residual passes inf
-    and fails NaN, so either would decide a gate without reading it,
-    and a tolerance at or below zero fails every check that is not
-    exact. A value that is not a real number is refused too."""
-    try:
-        nan = math.isnan(tol)
-    except TypeError:
+def _as_real(value, name: str) -> float:
+    """value as a float, for the one reading of every tolerance and
+    limit. Real numbers are accepted, numpy's included; one too large
+    for a float, such as 10**400, reads as inf of its sign. Anything
+    else, a string or a complex number among them, is refused with
+    ValidationError."""
+    # float and int first: they skip numbers.Real's slower ABC check
+    if not isinstance(value, (float, int, numbers.Real)):
         raise ValidationError(f"{name} must be a real number, "
-                              f"got {tol!r}") from None
-    if nan:
+                              f"got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def check_tolerance(tol: float, name: str) -> float:
+    """tol as a float, refusing a tolerance outside (0, inf). Every
+    residual passes inf and fails NaN, so either would decide a gate
+    without reading it, and a tolerance at or below zero fails every
+    check that is not exact. A value that is not a real number is
+    refused too."""
+    value = _as_real(tol, name)
+    if math.isnan(value):
         raise ValidationError(f"{name} must not be NaN")
-    if not 0.0 < tol < math.inf:
+    if not 0.0 < value < math.inf:
         raise ValidationError(f"{name} must be positive and finite, "
                               f"got {tol!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -48,14 +63,9 @@ class Report:
     info: dict = field(default_factory=dict)
 
     def add(self, name: str, residual: float, tol: float) -> CheckResult:
-        """Append a check; a tol that float() cannot convert is refused
+        """Append a check; a tol that is not a real number is refused
         with ValidationError."""
-        try:
-            tol = float(tol)
-        except (TypeError, ValueError):
-            raise ValidationError(f"tol must be a real number, "
-                                  f"got {tol!r}") from None
-        result = CheckResult(name, float(residual), tol)
+        result = CheckResult(name, float(residual), _as_real(tol, "tol"))
         self.checks.append(result)
         return result
 

@@ -49,8 +49,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, replace
-from functools import cache
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -64,12 +63,11 @@ from .errors import (
     ValidationError,
 )
 from .linalg import _complex_array, identity, inverse_cond, max_frobenius, rank
-from .report import Report
+from .report import Report, _as_real
 from .realization import (
     RealizationBundle,
     _build_bundle,
     _sylvester,
-    build_bundle,
     eval_R,
     eval_Rinv,
     eval_joint_right,
@@ -158,37 +156,19 @@ class SynthesisInput:
         return self.F.shape[1]
 
 
-@cache
-def _shared_empty_bundle(k: int) -> RealizationBundle:
-    return build_bundle(ZeroPoleData.empty(k))
-
-
-def _empty_bundle(k: int) -> RealizationBundle:
-    """build_bundle(ZeroPoleData.empty(k)), built once per k, for
-    factorize's empty side.
-
-    The n = 0 bundle's arrays are all empty, so its copies can share
-    them; each copy gets a diagnostics dict of its own.
-    """
-    e = _shared_empty_bundle(k)
-    return replace(e, diagnostics=dict(e.diagnostics))
-
-
-def _check_cond_max(cond_max: float) -> None:
-    """Refuse a NaN limit and a limit below 1. Every condition number
-    passes `cond > nan`, so a NaN would switch the gate it sets off; and
-    cond_F(S) ≥ n for n ≥ 1 (1 for the empty S), so a limit below 1
-    refuses every matrix and asks an ill-posed question. A value that
-    is not a real number is refused too."""
-    try:
-        nan = math.isnan(cond_max)
-    except TypeError:
-        raise ValidationError(f"cond_max must be a real number, "
-                              f"got {cond_max!r}") from None
-    if nan:
+def _check_cond_max(cond_max: float) -> float:
+    """cond_max as a float, refusing a NaN limit and a limit below 1.
+    Every condition number passes `cond > nan`, so a NaN would switch
+    the gate it sets off; and cond_F(S) ≥ n for n ≥ 1 (1 for the empty
+    S), so a limit below 1 refuses every matrix and asks an ill-posed
+    question. A value that is not a real number is refused too; one too
+    large for a float is inf, no limit."""
+    cond_max = _as_real(cond_max, "cond_max")
+    if math.isnan(cond_max):
         raise ValidationError("cond_max must not be NaN")
     if not cond_max >= 1:
         raise ValidationError(f"cond_max must be at least 1, got {cond_max:g}")
+    return cond_max
 
 
 def _synthesize(F, G, poles, zeros, hybrid: bool, cond_max: float,
@@ -204,7 +184,9 @@ def _synthesize(F, G, poles, zeros, hybrid: bool, cond_max: float,
 
     The arguments are not validated here: they must satisfy what
     SynthesisInput checks, as slices of validated ZeroPoleData do. Only
-    the derived half is checked, by ZeroPoleData._completed.
+    the derived half is checked, by ZeroPoleData._completed. The
+    completed datum keeps F, G and the points read-only, so they must be
+    arrays no caller holds.
     known is None or (S, S⁻¹, cond_F(S)) from the caller's own
     inversion; it is used only when S equals the solved matrix bitwise.
     """
@@ -234,6 +216,13 @@ def _synthesize(F, G, poles, zeros, hybrid: bool, cond_max: float,
     return _build_bundle(data, sr=(s, s_inv, cond))
 
 
+def _copies(inp: SynthesisInput) -> list:
+    """Copies of inp's F, G and points, which may be a caller's own
+    arrays, in their memory layouts, for the datum that keeps them."""
+    return [a.copy(order="K")
+            for a in (inp.F, inp.G, inp.pole_points, inp.zero_points)]
+
+
 def synthesize(inp: SynthesisInput,
                cond_max: float = DEFAULT_COND_MAX) -> RealizationBundle:
     """Extend (F_P, G_N) = (F, G) to full consistent data.
@@ -242,9 +231,8 @@ def synthesize(inp: SynthesisInput,
     solution S computed here, so the inverse taken for the condition
     check is the bundle's Sr_inv.
     """
-    _check_cond_max(cond_max)
-    return _synthesize(inp.F, inp.G, inp.pole_points, inp.zero_points,
-                       False, cond_max)
+    cond_max = _check_cond_max(cond_max)
+    return _synthesize(*_copies(inp), False, cond_max)
 
 
 def synthesize_hybrid(inp: SynthesisInput,
@@ -255,9 +243,8 @@ def synthesize_hybrid(inp: SynthesisInput,
     from the completed data satisfies Sl == S bitwise, and S's inverse
     becomes its Sl_inv.
     """
-    _check_cond_max(cond_max)
-    return _synthesize(inp.F, inp.G, inp.pole_points, inp.zero_points,
-                       True, cond_max)
+    cond_max = _check_cond_max(cond_max)
+    return _synthesize(*_copies(inp), True, cond_max)
 
 
 @dataclass(frozen=True, eq=False)

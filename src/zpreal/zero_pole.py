@@ -21,7 +21,9 @@ ZeroPoleData(...) validates everything it is given. Its one private
 constructor, ZeroPoleData._completed, serves one caller,
 synthesis._synthesize: there the points and the free half are already
 validated, so it checks only the derived half the synthesis computed,
-with the same refusals and messages.
+with the same refusals and messages. Either way the six arrays are
+stored read-only, as private copies of whatever a caller may still
+hold, so a datum cannot change after it was validated.
 """
 
 from __future__ import annotations
@@ -98,11 +100,15 @@ def _check_rows(name: str, m: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ZeroPoleData:
-    """Validated zero-pole data. Treat instances as immutable.
+    """Validated zero-pole data, immutable.
 
     poles, zeros : (n,) complex arrays, pairwise separated by SEP_MIN
     F_P, F_N     : (k, n) left semiresiduals (columns, no zero column)
     G_P, G_N     : (n, k) right semiresiduals (rows, no zero row)
+
+    The six arrays are read-only copies: the arrays a caller passed in
+    are never aliased and stay writable, and writing into a stored one
+    raises ValueError. np.array(d.F_P) is a writable copy.
 
     n = 0 is legal and describes the identity function; it shows up as
     the trivial factor of one-sided factorizations.
@@ -151,10 +157,29 @@ class ZeroPoleData:
             )
         self._store(poles, zeros, F_P, G_P, F_N, G_N)
 
-    def _store(self, *values) -> None:
-        """Set the six fields, in declaration order, on a frozen instance."""
+    # (Sr, Sl, Sr⁻¹, Sl⁻¹, cond_Sr, diagnostics) of the one build that
+    # passed its gates, written by realization._build_bundle; a copy, a
+    # pickle and dataclasses.replace start without it
+    _built = None
+
+    def _store(self, *values, copy: bool = True) -> None:
+        """Set the six fields, in declaration order, on a frozen instance,
+        each as a read-only copy in its own memory layout, so the BLAS
+        bits of every product are kept. With copy False the values must
+        be arrays the package has just made and nothing else holds; they
+        are frozen in place."""
         for field_name, value in zip(self.__dataclass_fields__, values):
+            if copy:
+                value = value.copy(order="K")
+            value.setflags(write=False)
             object.__setattr__(self, field_name, value)
+
+    def __getstate__(self):
+        """The six arrays, without the recorded build."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    def __setstate__(self, state):
+        self._store(*(state[name] for name in self.__dataclass_fields__))
 
     @classmethod
     def _completed(cls, poles, zeros, free, derived,
@@ -167,7 +192,10 @@ class ZeroPoleData:
         free half must already satisfy what SynthesisInput checks, so
         only the derived half is checked, as __post_init__ checks it and
         with its messages: finite, no zero column in F·S⁻¹, no zero row
-        in −S⁻¹·G. The arrays are stored as given, complex128 already.
+        in −S⁻¹·G. The arrays are complex128 already and are frozen in
+        place, so none may be a caller's: synthesize and
+        synthesize_hybrid hand in copies of their SynthesisInput's
+        arrays, and the other callers arrays they have just made.
         """
         derived_f, derived_g = derived
         if not (np.isfinite(derived_f).all() and np.isfinite(derived_g).all()):
@@ -180,7 +208,7 @@ class ZeroPoleData:
         else:
             (F_P, G_N), (F_N, G_P) = free, derived
         d = object.__new__(cls)
-        d._store(poles, zeros, F_P, G_P, F_N, G_N)
+        d._store(poles, zeros, F_P, G_P, F_N, G_N, copy=False)
         return d
 
     @classmethod
@@ -348,8 +376,9 @@ def check_consistency(d: ZeroPoleData, tol: float = REPORT_TOL) -> Report:
     that overflows to NaN is reported as NaN, which fails its check;
     numpy's overflow warnings are silenced here.
     Diagnostic only: for any real tol, NaN included, it returns a report
-    and raises nothing. A tol that float() cannot convert, such as a
-    word or a complex number, is refused with ValidationError.
+    and raises nothing; one too large for a float reads as inf. A tol
+    that is not a real number, such as a string or a complex number, is
+    refused with ValidationError.
     """
     rep = Report()
     eye = _shared_identity(d.k)

@@ -105,6 +105,23 @@ def assert_same_bundle(got, want):
         assert same_bits(got.diagnostics[name], value), name
 
 
+def count_calls(monkeypatch, fn):
+    """Count the calls of fn made through any zpreal module's binding."""
+    from zpreal import factorization, linalg, realization, synthesis
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in (linalg, realization, synthesis, factorization):
+        for name, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 # --- reference implementations ----------------------------------------------
 # Straightforward versions of validation steps that the package computes
 # more cheaply; the tests hold the package to their bits and messages.
@@ -143,6 +160,28 @@ def _reference_norm_inf(a):
     if a.size == 0:
         return 0.0
     return float(np.abs(a).sum(axis=1).max())
+
+
+def reference_build_bundle(d):
+    """build_bundle(d) from scratch, for data that passes its gates: both
+    Sylvester solves, the diagnostics and both inversions, computed from
+    d's arrays without reading or writing the build recorded on d."""
+    from zpreal.linalg import frobenius, identity, inverse
+    from zpreal.realization import (RealizationBundle, _coupling_residuals,
+                                    coupling_matrices)
+
+    sr, sl = coupling_matrices(d)
+    eye = identity(d.n)
+    diagnostics = {
+        "mutual_inverse": max(frobenius(sr @ sl - eye),
+                              frobenius(sl @ sr - eye)),
+        **_coupling_residuals(d, sr, sl),
+    }
+    sr_inv, sl_inv = inverse(sr), inverse(sl)
+    cond = frobenius(sr) * frobenius(sr_inv) if d.n else 1.0
+    return RealizationBundle(data=d, Sr=sr, Sl=sl, Sr_inv=sr_inv,
+                             Sl_inv=sl_inv, cond_Sr=cond,
+                             diagnostics=diagnostics)
 
 
 def reference_inverse(a):

@@ -26,7 +26,8 @@ from zpreal.zero_pole import (
 )
 
 from conftest import make_d2, make_scalar_instance
-from helpers import assert_same_bundle, balanced_instance, same_bits
+from helpers import (assert_same_bundle, balanced_instance, count_calls,
+                     same_bits)
 
 UNIT = fz.CircleContour(0.0, 1.0)
 
@@ -413,8 +414,7 @@ def _factorize_through_public_path(monkeypatch, b, c):
 
     with monkeypatch.context() as m:
         m.setattr(fz, "_synthesize", public)
-        m.setattr(fz, "_empty_bundle",
-                  lambda k: rz.build_bundle(ZeroPoleData.empty(k)))
+        m.setattr(fz, "_empty_data", ZeroPoleData.empty)
         return fz.factorize(b, c)
 
 
@@ -439,8 +439,8 @@ def test_factorize_equals_public_path_bitwise(monkeypatch, k, n_plus,
 
 
 def test_empty_bundles_do_not_share_diagnostics(d2):
-    # factorize's empty side and random_instance(k, 0, seed) are copies
-    # of one bundle per k
+    # factorize's empty side is a bundle over one recorded build per k,
+    # and random_instance(k, 0, seed) is built afresh
     b = rz.build_bundle(d2)
     far = fz.CircleContour(50.0, 1.0)
     fresh = rz.build_bundle(ZeroPoleData.empty(1))
@@ -450,21 +450,6 @@ def test_empty_bundles_do_not_share_diagnostics(d2):
         first.diagnostics["mutual_inverse"] = 1.0
         first.diagnostics["extra"] = 2.0
         assert_same_bundle(make(), fresh)
-
-
-def _count_calls(monkeypatch, fn):
-    """Count the calls of fn made through any zpreal module's binding."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for module in (linalg, rz, sy, fz):
-        for name, value in list(vars(module).items()):
-            if value is fn:
-                monkeypatch.setattr(module, name, counting)
-    return calls
 
 
 def test_two_sided_factorize_inverts_five_times_and_solves_four(monkeypatch):
@@ -478,8 +463,8 @@ def test_two_sided_factorize_inverts_five_times_and_solves_four(monkeypatch):
         d.zeros[list(split.idxN_plus)], d.poles[list(split.idxP_plus)],
         d.G_N[list(split.idxN_plus), :] @ d.F_P[:, list(split.idxP_plus)])
     assert np.array_equal(inside, s11)
-    inverses = _count_calls(monkeypatch, linalg.inverse)
-    solves = _count_calls(monkeypatch, rz._sylvester)
+    inverses = count_calls(monkeypatch, linalg.inverse)
+    solves = count_calls(monkeypatch, rz._sylvester)
     res = fz.factorize(b, UNIT)
     assert res.split.n_plus == 3 and res.split.n_minus == 3
     # S11; the plus factor's Sl; the minus factor's Sl and Sr; the
@@ -494,8 +479,8 @@ def test_each_synthesis_solves_twice_and_inverts_twice(monkeypatch, route):
     b = balanced_instance(2, 2, 3, seed=7)
     inp = SynthesisInput(F=b.data.F_P, G=b.data.G_N,
                          pole_points=b.data.poles, zero_points=b.data.zeros)
-    inverses = _count_calls(monkeypatch, linalg.inverse)
-    solves = _count_calls(monkeypatch, rz._sylvester)
+    inverses = count_calls(monkeypatch, linalg.inverse)
+    solves = count_calls(monkeypatch, rz._sylvester)
     getattr(sy, route)(inp)
     assert len(solves) == 2
     assert len(inverses) == 2

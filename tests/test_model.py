@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import importlib
+import math
+import pickle
 import pkgutil
 
 import numpy as np
@@ -6,7 +10,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_scalar_instance
-from helpers import separated_points
+from helpers import (
+    assert_same_bundle,
+    balanced_instance,
+    count_calls,
+    random_complex,
+    reference_build_bundle,
+    same_bits,
+    separated_points,
+)
 
 import zpreal
 from zpreal.cauchy import ScalarZeroPole, cauchy_inverse_formula, scalar_eval
@@ -25,6 +37,7 @@ from zpreal.factorization import (
     factorize,
     residue_quadrature,
 )
+from zpreal import linalg
 from zpreal.linalg import frobenius, identity
 from zpreal.realization import build_bundle, eval_R
 from zpreal.synthesis import (
@@ -34,9 +47,12 @@ from zpreal.synthesis import (
     chain_identity_check,
     extract_generator,
     obstrollable,
+    _check_cond_max,
     random_instance,
     synthesize,
+    synthesize_hybrid,
 )
+from zpreal.report import Report, check_tolerance
 from zpreal.zero_pole import (
     GaugePair,
     ZeroPoleData,
@@ -507,6 +523,24 @@ MALFORMED_ARGUMENTS = {
     "gauge-str-entry": (
         lambda: GaugePair(D_P=["x"], D_N=[1.0]),
         "D_P is not an array of numbers"),
+    "report-str-tol": (
+        lambda: Report().add("r", 0.0, "1e-8"),
+        "tol must be a real number, got '1e-8'"),
+    "consistency-numeric-str-tol": (
+        lambda: check_consistency(ZeroPoleData(**_d1_fields()), tol="1e-8"),
+        "tol must be a real number, got '1e-8'"),
+    "check-tolerance-str": (
+        lambda: check_tolerance("1e-8", "fail_tol"),
+        "fail_tol must be a real number, got '1e-8'"),
+    "cond-max-str": (
+        lambda: _check_cond_max("1e12"),
+        "cond_max must be a real number, got '1e12'"),
+    "factorize-huge-fail-tol": (
+        lambda: factorize(_d1_bundle(), _UNIT, fail_tol=10**400),
+        f"fail_tol must be positive and finite, got {10**400!r}"),
+    "cond-max-huge-negative": (
+        lambda: _check_cond_max(-10**400),
+        "cond_max must be at least 1, got -inf"),
 }
 
 
@@ -592,3 +626,128 @@ def test_non_number_arguments_raise_package_errors(call, error):
     with pytest.raises(error) as exc:
         call()
     assert isinstance(exc.value, ZprealError)
+
+
+# ---------------------------------------------------------------------------
+# read-only data
+
+
+FIELDS = ("poles", "zeros", "F_P", "G_P", "F_N", "G_N")
+
+
+def _writable_fields(d):
+    return {name: np.array(getattr(d, name)) for name in FIELDS}
+
+
+def test_data_never_aliases_the_callers_arrays():
+    mine = _writable_fields(random_instance(2, 5, seed=21).data)
+    mine["F_P"] = np.asfortranarray(mine["F_P"])
+    d = ZeroPoleData(**mine)
+    built = build_bundle(d)
+    before = eval_R(built, 3 + 1j)
+    for name, a in mine.items():
+        stored = getattr(d, name)
+        assert not np.shares_memory(stored, a)
+        # copied in the caller's memory layout
+        assert stored.strides == a.strides
+        a *= 2
+    assert same_bits(eval_R(built, 3 + 1j), before)
+    assert same_bits(eval_R(build_bundle(d), 3 + 1j), before)
+
+
+@pytest.mark.parametrize("route", [synthesize, synthesize_hybrid])
+def test_synthesis_never_aliases_the_callers_arrays(route):
+    rng = np.random.default_rng(22)
+    pts = np.array(separated_points(rng, 6, min_sep=0.2))
+    f, g = random_complex(rng, 2, 3), random_complex(rng, 3, 2)
+    poles, zeros = pts[:3], pts[3:]
+    b = route(SynthesisInput(F=f, G=g, pole_points=poles, zero_points=zeros))
+    before = eval_R(b, 3 + 1j)
+    for a in (f, g, poles, zeros):
+        assert not any(np.shares_memory(getattr(b.data, name), a)
+                       for name in FIELDS)
+        a *= 2
+    assert same_bits(eval_R(b, 3 + 1j), before)
+    assert same_bits(eval_R(build_bundle(b.data), 3 + 1j), before)
+
+
+def _synthesized():
+    return random_instance(2, 4, seed=24).data
+
+
+CONSTRUCTORS = {
+    "init": lambda: ZeroPoleData(**_d1_fields()),
+    "synthesis": _synthesized,
+    "gauge": lambda: gauge_transform(
+        _synthesized(), GaugePair(D_P=np.full(4, 2.0), D_N=np.full(4, 1j))),
+    "replace": lambda: dataclasses.replace(_synthesized(), F_P=np.ones((2, 4))),
+    "empty": lambda: ZeroPoleData.empty(2),
+}
+
+
+@pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS)
+def test_data_arrays_are_read_only(make):
+    d = make()
+    for name in FIELDS:
+        with pytest.raises(ValueError):
+            getattr(d, name)[...] = 0
+        assert np.array(getattr(d, name)).flags.writeable
+
+
+COPIERS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda d: pickle.loads(pickle.dumps(d)),
+    "replace": dataclasses.replace,
+}
+
+
+@pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
+def test_a_copy_of_built_data_builds_afresh(copier, monkeypatch):
+    b = random_instance(2, 5, seed=25)
+    c = copier(b.data)
+    for name in FIELDS:
+        assert same_bits(getattr(c, name), getattr(b.data, name))
+        assert not getattr(c, name).flags.writeable
+    inverses = count_calls(monkeypatch, linalg.inverse)
+    rebuilt = build_bundle(c)
+    # a copy carries no recorded build, so it solves and inverts again
+    assert len(inverses) == 2
+    assert rebuilt.data is c
+    assert_same_bundle(rebuilt, reference_build_bundle(c))
+
+
+# ---------------------------------------------------------------------------
+# tolerances and limits too large for a float
+
+
+def test_a_limit_too_large_for_a_float_is_no_limit():
+    b = balanced_instance(1, 2, 2, seed=3)
+    got = factorize(b, _UNIT, cond_max=10**400)
+    want = factorize(b, _UNIT, cond_max=math.inf)
+    assert_same_bundle(got.plus, want.plus)
+    assert_same_bundle(got.minus, want.minus)
+    assert got.report.to_dict() == want.report.to_dict()
+    assert (factorization_exists(b, _UNIT, cond_max=10**400)
+            == factorization_exists(b, _UNIT, cond_max=math.inf))
+    inp = SynthesisInput(F=b.data.F_P, G=b.data.G_N,
+                         pole_points=b.data.poles, zero_points=b.data.zeros)
+    assert_same_bundle(synthesize(inp, cond_max=10**400),
+                       synthesize(inp, cond_max=math.inf))
+
+
+def test_a_report_tolerance_too_large_for_a_float_reads_as_inf(d1):
+    got = check_consistency(d1, tol=10**400)
+    assert [c.tol for c in got.checks] == [math.inf] * 5
+    assert got.to_dict() == check_consistency(d1, tol=math.inf).to_dict()
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5),
+                                   np.int64(2), 2, 0.5])
+def test_tolerances_and_limits_read_numpy_scalars_as_floats(value):
+    want = float(value)
+    assert type(Report().add("r", 0.0, value).tol) is float
+    assert Report().add("r", 0.0, value).tol == want
+    assert check_tolerance(value, "tol") == want
+    if want >= 1:
+        assert _check_cond_max(value) == want

@@ -15,8 +15,16 @@ from zpreal.errors import (
 )
 from zpreal.cauchy import EVAL_EPS, ScalarZeroPole, cauchy_matrix, scalar_eval
 from zpreal.linalg import frobenius, identity, inverse
+from zpreal import factorization as fz
+from zpreal import linalg
 from zpreal import realization as rz
-from zpreal.synthesis import random_instance
+from zpreal.synthesis import (
+    GeneratorGeometry,
+    SynthesisInput,
+    random_instance,
+    synthesize,
+    synthesize_hybrid,
+)
 from zpreal.zero_pole import (
     SEP_MIN,
     GaugePair,
@@ -27,7 +35,15 @@ from zpreal.zero_pole import (
 )
 
 from conftest import make_d1, make_scalar_instance
-from helpers import random_complex, same_bits, separated_points
+from helpers import (
+    assert_same_bundle,
+    balanced_instance,
+    count_calls,
+    random_complex,
+    reference_build_bundle,
+    same_bits,
+    separated_points,
+)
 
 EPS = np.finfo(float).eps
 
@@ -835,3 +851,115 @@ def test_factorize_residuals_match_per_point_loop(k, n_plus, n_minus, seed):
     assert got["product_at_samples"] == pytest.approx(want_prod, rel=1e-12)
     assert got["minus_formula_agreement"] == pytest.approx(want_agree,
                                                            rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the recorded build: each datum is built once
+
+
+# the (k, n) cells of the construct benchmark
+CONSTRUCT_SHAPES = ((1, 8), (4, 8), (1, 32), (4, 32), (4, 128))
+
+
+def _assert_rebuild_is_from_scratch(b):
+    """b and a rebuild of its data both hold the from-scratch build."""
+    want = reference_build_bundle(b.data)
+    assert_same_bundle(b, want)
+    assert_same_bundle(rz.build_bundle(b.data), want)
+
+
+@pytest.mark.parametrize("k, n", CONSTRUCT_SHAPES)
+@pytest.mark.parametrize("seed", [3, 4])
+def test_rebuild_of_a_random_instance_is_its_from_scratch_build(k, n, seed):
+    b = random_instance(k, n, seed, GeneratorGeometry(max_retries=300))
+    _assert_rebuild_is_from_scratch(b)
+
+
+@pytest.mark.parametrize("route", [synthesize, synthesize_hybrid])
+@pytest.mark.parametrize("k, n, seed", [(1, 1, 1), (2, 6, 2), (4, 12, 3)])
+def test_rebuild_of_a_synthesis_is_its_from_scratch_build(route, k, n, seed):
+    rng = np.random.default_rng(seed)
+    pts = separated_points(rng, 2 * n, min_sep=0.2)
+    inp = SynthesisInput(F=random_complex(rng, k, n),
+                         G=random_complex(rng, n, k),
+                         pole_points=pts[:n], zero_points=pts[n:])
+    _assert_rebuild_is_from_scratch(route(inp))
+
+
+@pytest.mark.parametrize("k, n_plus, n_minus, seed",
+                         [(1, 2, 2, 1), (2, 3, 1, 2), (3, 0, 3, 3),
+                          (4, 3, 0, 4), (2, 4, 4, 5)])
+def test_rebuild_of_a_factor_is_its_from_scratch_build(k, n_plus, n_minus,
+                                                       seed):
+    res = fz.factorize(balanced_instance(k, n_plus, n_minus, seed),
+                       fz.CircleContour(0.0, 1.0))
+    _assert_rebuild_is_from_scratch(res.plus)
+    _assert_rebuild_is_from_scratch(res.minus)
+
+
+def test_first_build_solves_and_inverts_and_a_rebuild_does_neither(
+        monkeypatch):
+    b = random_instance(2, 6, seed=5)
+    d = ZeroPoleData(**{name: getattr(b.data, name) for name in
+                        ("poles", "zeros", "F_P", "G_P", "F_N", "G_N")})
+    inverses = count_calls(monkeypatch, linalg.inverse)
+    solves = count_calls(monkeypatch, rz._sylvester)
+    first = rz.build_bundle(d)
+    assert (len(solves), len(inverses)) == (2, 2)
+    rz.build_bundle(d)
+    rz.build_bundle(b.data)
+    assert (len(solves), len(inverses)) == (2, 2)
+    assert_same_bundle(first, b)
+
+
+def test_a_rebuild_shares_the_matrices_and_copies_the_diagnostics():
+    b = random_instance(2, 4, seed=9)
+    again = rz.build_bundle(b.data)
+    assert again is not b and again.data is b.data
+    for name in ("Sr", "Sl", "Sr_inv", "Sl_inv"):
+        assert getattr(again, name) is getattr(b, name)
+    again.diagnostics["mutual_inverse"] = 1.0
+    again.diagnostics["extra"] = 2.0
+    assert_same_bundle(rz.build_bundle(b.data), reference_build_bundle(b.data))
+    assert "extra" not in b.diagnostics
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_bundle_matrices_are_read_only(n):
+    b = rz.build_bundle(ZeroPoleData.empty(2)) if n == 0 else \
+        random_instance(2, n, seed=13)
+    for bundle in (b, rz.build_bundle(b.data)):
+        for name in ("Sr", "Sl", "Sr_inv", "Sl_inv", "Hr", "Hl"):
+            with pytest.raises(ValueError):
+                getattr(bundle, name)[...] = 0
+    assert np.array(b.Sr).flags.writeable
+
+
+def test_inconsistent_data_is_refused_on_every_call(d2, monkeypatch):
+    bad = dataclasses.replace(d2, G_N=-d2.G_N)
+    inverses = count_calls(monkeypatch, linalg.inverse)
+    solves = count_calls(monkeypatch, rz._sylvester)
+    refusals = []
+    for _ in range(3):
+        with pytest.raises(InconsistentDataError) as exc:
+            rz.build_bundle(bad)
+        refusals.append((str(exc.value), exc.value.diagnostics))
+    assert refusals[0] == refusals[1] == refusals[2]
+    assert len(solves) == 6 and len(inverses) == 0
+
+
+def test_one_sided_factorize_builds_its_empty_side_once_per_k(monkeypatch):
+    c = fz.CircleContour(0.0, 1.0)
+    for k, n_plus, n_minus, want in ((2, 3, 0, 3), (2, 0, 3, 4)):
+        b = balanced_instance(k, n_plus, n_minus, seed=5)
+        fz.factorize(b, c)
+        inverses = count_calls(monkeypatch, linalg.inverse)
+        first = fz.factorize(b, c)
+        # S11, the nonempty factor's one or two, the Schur complement
+        assert len(inverses) == want
+        second = fz.factorize(b, c)
+        empty = first.minus if n_minus == 0 else first.plus
+        again = second.minus if n_minus == 0 else second.plus
+        assert empty.n == 0 and empty.data is again.data
+        assert empty.diagnostics is not again.diagnostics
+        monkeypatch.undo()
