@@ -25,10 +25,12 @@ of the bundle's validated data and go to the synthesis routine without
 a second validation; the synthesized factor data is still validated
 and built under every gate. An empty side is built from one n = 0
 datum per k, whose build is recorded, so it solves and inverts nothing
-after the first. A two-sided factorize so makes four Sylvester solves
-and five inversions (S11, the inside factor's Sl, the outside factor's
-Sl and Sr, and the Schur complement), or six when the inside factor's
-coupling matrix and S11 differ in their last bits.
+after the first. The inside factor's Sl⁻¹, which nothing here reads, is
+left to its first read whenever the build's certificate allows (see
+realization). A two-sided factorize so makes four Sylvester solves and
+four inversions (S11, the outside factor's Sl and Sr, and the Schur
+complement), or five when the inside factor's coupling matrix and S11
+differ in their last bits.
 """
 
 from __future__ import annotations

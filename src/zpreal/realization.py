@@ -33,6 +33,18 @@ nothing. A synthesis builds its data through the same routine, so
 build_bundle(random_instance(...).data) is a lookup. A refusal is not
 recorded: inconsistent data is refused again on every call.
 
+A build inverts one coupling matrix. Sr⁻¹ is taken at once: it gives
+cond_Sr, and the right forms R, R⁻¹ and R(x)R⁻¹(y) need only it. Sl⁻¹
+enters only the left and hybrid forms, so inverse(Sl) runs on the first
+read of a bundle's Sl_inv (or of Sl_inv_G_P or F_N_Sl_inv), and the
+result is recorded on the datum and shared by every bundle of it. A
+build defers it only when _defers_left_inverse certifies, from the
+Frobenius norms of Sr and Sl and mutual_inverse, that inverse will
+accept Sl; it inverts Sl at once otherwise, so every refusal the build
+can make is still made by the build. Sl⁻¹ always comes from
+inverse(Sl), never from Sr, so mutual inverseness stays an executable
+check.
+
 The build gates on the five residuals that inconsistent data can move:
 mutual_inverse (Sr·Sl = I and Sl·Sr = I) and the four recovery
 relations coupling_a–coupling_d. The Sylvester equations themselves are
@@ -60,6 +72,7 @@ describes no function and is rejected at build time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -71,7 +84,13 @@ from .errors import (
     SingularMatrixError,
     SpectraOverlapError,
 )
-from .linalg import _complex_array, _shared_identity, frobenius, inverse
+from .linalg import (
+    PIVOT_EPS_FACTOR,
+    _complex_array,
+    _shared_identity,
+    frobenius,
+    inverse,
+)
 from .report import Report
 from .zero_pole import (
     FAIL_TOL,
@@ -169,6 +188,12 @@ class RealizationBundle:
     check instead of a tautology. Sr, Sl and their inverses are
     read-only, shared by every bundle built from the same data; Hr and
     Hl are aliases of Sl and Sr.
+
+    Sl_inv=None defers Sl⁻¹ to the first read of Sl_inv: that read
+    takes inverse(Sl), or the one recorded on the data when Sl is the
+    recorded build's, and a refusal raises InconsistentDataError with
+    the build's message. build_bundle passes None when its certificate
+    allows.
     """
 
     data: ZeroPoleData
@@ -178,6 +203,21 @@ class RealizationBundle:
     Sl_inv: np.ndarray
     cond_Sr: float
     diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.Sl_inv is None:
+            # a deferred Sl⁻¹: the first read goes to __getattr__
+            del self.__dict__["Sl_inv"]
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails; a copy or an unpickled
+        # bundle asks for other names before its fields are set
+        if name != "Sl_inv" or "Sl" not in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        sl_inv = _left_inverse(self)
+        object.__setattr__(self, "Sl_inv", sl_inv)
+        return sl_inv
 
     @property
     def k(self) -> int:
@@ -196,23 +236,29 @@ class RealizationBundle:
         return self.Sr
 
     # The half-products the evaluators share, computed on first use so
-    # that a bundle nobody evaluates pays nothing for them.
+    # that a bundle nobody evaluates pays nothing for them, and read-only
+    # like the matrices they come from.
 
     @cached_property
     def Sr_inv_G_N(self) -> np.ndarray:
-        return self.Sr_inv @ self.data.G_N
+        return _frozen(self.Sr_inv @ self.data.G_N)
 
     @cached_property
     def F_P_Sr_inv(self) -> np.ndarray:
-        return self.data.F_P @ self.Sr_inv
+        return _frozen(self.data.F_P @ self.Sr_inv)
 
     @cached_property
     def Sl_inv_G_P(self) -> np.ndarray:
-        return self.Sl_inv @ self.data.G_P
+        return _frozen(self.Sl_inv @ self.data.G_P)
 
     @cached_property
     def F_N_Sl_inv(self) -> np.ndarray:
-        return self.data.F_N @ self.Sl_inv
+        return _frozen(self.data.F_N @ self.Sl_inv)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def build_bundle(d: ZeroPoleData) -> RealizationBundle:
@@ -222,7 +268,8 @@ def build_bundle(d: ZeroPoleData) -> RealizationBundle:
     diagnostic above FAIL_TOL means the four semiresidual matrices do
     not describe a function and its inverse, and the build refuses.
     Data already built once gets a new bundle over the arrays of that
-    build, with a copy of its diagnostics.
+    build, with a copy of its diagnostics. Sl⁻¹ may be left to the
+    bundle's first read of Sl_inv (see RealizationBundle).
     """
     if d._built is None:
         return _build_bundle(d)
@@ -246,16 +293,91 @@ def _coupling_residuals(d: ZeroPoleData, sr: np.ndarray,
     }
 
 
+def _invert(m: np.ndarray, diagnostics: dict) -> np.ndarray:
+    """inverse(m) of a coupling matrix, its refusal raised as the
+    build's InconsistentDataError."""
+    try:
+        return inverse(m)
+    except SingularMatrixError as exc:
+        raise InconsistentDataError(
+            f"coupling matrix not invertible ({exc})", diagnostics=diagnostics
+        ) from exc
+
+
+# unit roundoff of float64
+_U = 2.0 ** -53
+
+
+def _defers_left_inverse(n: int, ff: float, mutual: float) -> bool:
+    """True when inverse(Sl) of an n×n Sl is certain to pass, from
+    ff = ‖Sl‖_F²·‖Sr‖_F² and m = mutual, the build's mutual_inverse,
+    which bounds ‖fl(Sr·Sl) − I‖_F. Both cost O(n²); no inversion is
+    needed.
+
+    inverse refuses Sl when n·‖Sl‖∞·‖X̂‖∞·PIVOT_EPS_FACTOR ≥ 0.1, X̂
+    being LAPACK's computed inverse. Without computing X̂:
+
+    0. ‖·‖∞ ≤ √n·‖·‖_F, so a = ‖Sl‖∞ and r = ‖Sr‖∞ have
+       a·r ≤ n·√ff.
+    1. E = Sr·Sl − I. Each entry of the computed product is off by at
+       most √2·γ(n+2) ≤ 2(n+2)u times that entry of |Sr|·|Sl| (Higham,
+       Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma
+       3.5 and §3.6), so ‖E‖∞ ≤ η = √n·m + 2(n+2)u·a·r.
+    2. When η < 1, Sl⁻¹ = (I + E)⁻¹·Sr, so ‖Sl⁻¹‖∞ ≤ r/(1 − η) and
+       κ∞(Sl) ≤ κ = a·r/(1 − η).
+    3. An inverse from an LU factorization with partial pivoting has
+       ‖X̂ − Sl⁻¹‖∞ ≤ p(n)·u·κ∞(Sl)·‖Sl⁻¹‖∞ to first order (Higham,
+       §14.3; Du Croz & Higham, IMA J. Numer. Anal. 12, 1992). Here
+       p(n) = n²: one n from the inner products, one from the growth of
+       |L|·|U| over |Sl|, which partial pivoting keeps below n in
+       practice. So ‖X̂‖∞ ≤ (1 + n²uκ)·‖Sl⁻¹‖∞.
+    4. inverse's statistic is then at most n·PIVOT_EPS_FACTOR·κ·(1 + n²uκ).
+
+    g = 1 + 8(n+2)²u covers the rounding of every norm, sum and product
+    in these bounds and in inverse's own statistic, each a relative
+    (n² + 2)u at most. Sl is certified when g times the step-4 bound
+    is below 0.1, with η and κ each taken g-fold larger and a·r taken
+    as n·√ff. A NaN or infinite ff certifies nothing, and n = 0 always
+    passes. Should LAPACK ever miss step 3, a deferred inverse(Sl) that
+    refuses still raises the build's error, on read.
+    """
+    ar = n * math.sqrt(ff)
+    g = 1.0 + 8.0 * (n + 2) ** 2 * _U
+    eta = g * (math.sqrt(n) * mutual + 2.0 * (n + 2) * _U * ar)
+    if not eta < 1.0:
+        return False
+    kappa = g * ar / (1.0 - eta)
+    return g * n * PIVOT_EPS_FACTOR * kappa * (1.0 + n * n * _U * kappa) < 0.1
+
+
+def _left_inverse(b: RealizationBundle) -> np.ndarray:
+    """Sl⁻¹ for a bundle built without it: the one recorded on b's data,
+    or inverse(Sl), marked read-only and recorded there when b's Sl is
+    the recorded build's."""
+    built = b.data._built
+    ours = built is not None and built[1] is b.Sl
+    if ours and built[3] is not None:
+        return built[3]
+    sl_inv = _frozen(_invert(b.Sl, dict(b.diagnostics)))
+    if ours:
+        object.__setattr__(b.data, "_built",
+                           built[:3] + (sl_inv,) + built[4:])
+    return sl_inv
+
+
 def _build_bundle(d: ZeroPoleData, sr=None, sl=None) -> RealizationBundle:
     """build_bundle, reusing a synthesis's solved coupling.
 
     A synthesis solves one of the two Sylvester equations from d's own
     data and inverts the solution. It hands that (S, S⁻¹, cond_F(S))
-    in as sr or sl, and only the other coupling matrix and its inverse
-    are computed here. Every gate runs on the handed-in pair as on a
-    computed one; a handed-in Sr's condition is the bundle's cond_Sr,
-    which is the formula below on the same two arrays. A build that
-    passes is recorded on d, its four matrices read-only.
+    in as sr or sl, and only the other coupling matrix is solved here.
+    Every gate runs on the handed-in pair as on a computed one; a
+    handed-in Sr's condition is the bundle's cond_Sr, which is the
+    formula below on the same two arrays. Sr is inverted here unless
+    handed in; Sl is inverted here only when it is neither handed in
+    nor certified by _defers_left_inverse, and left to the bundle's
+    first read of Sl_inv otherwise. A build that passes is recorded on
+    d, its matrices read-only, Sl⁻¹ as None while it is deferred.
     """
     # overflowing data gives inf and NaN here without a warning: a NaN
     # diagnostic fails the gate below like a large one
@@ -271,6 +393,10 @@ def _build_bundle(d: ZeroPoleData, sr=None, sl=None) -> RealizationBundle:
             ),
             **_coupling_residuals(d, sr, sl),
         }
+        # ‖Sl‖_F²·‖Sr‖_F² for the certificate below, when Sl⁻¹ is not
+        # in hand: one BLAS sum of squares each
+        ff = (np.vdot(sl, sl).real * np.vdot(sr, sr).real
+              if sl_inv is None else 0.0)
     bad = {k: v for k, v in diagnostics.items() if not v <= FAIL_TOL}
     if bad:
         worst = max(bad, key=bad.get)
@@ -279,19 +405,16 @@ def _build_bundle(d: ZeroPoleData, sr=None, sl=None) -> RealizationBundle:
             f"{bad[worst]:.3e} > {FAIL_TOL:.1e}",
             diagnostics=diagnostics,
         )
-    try:
-        if sr_inv is None:
-            sr_inv = inverse(sr)
-        if sl_inv is None:
-            sl_inv = inverse(sl)
-    except SingularMatrixError as exc:
-        raise InconsistentDataError(
-            f"coupling matrix not invertible ({exc})", diagnostics=diagnostics
-        ) from exc
+    if sr_inv is None:
+        sr_inv = _invert(sr, diagnostics)
+    if sl_inv is None and not _defers_left_inverse(
+            d.n, ff, diagnostics["mutual_inverse"]):
+        sl_inv = _invert(sl, diagnostics)
     if cond_sr is None:
         cond_sr = frobenius(sr) * frobenius(sr_inv) if d.n else 1.0
     for m in (sr, sl, sr_inv, sl_inv):
-        m.setflags(write=False)
+        if m is not None:
+            m.setflags(write=False)
     object.__setattr__(d, "_built", (sr, sl, sr_inv, sl_inv, cond_sr,
                                      dict(diagnostics)))
     return RealizationBundle(

@@ -16,12 +16,14 @@ consistent instance:
 Both routes are one private routine, _synthesize, with the roles of the
 point sets and of the two halves swapped. It solves its Sylvester
 equation and inverts S once, and hands (S, S^-1) to the build as that
-side's coupling matrix and inverse. The build solves and inverts only
-the other coupling matrix, so a synthesis makes two Sylvester solves and
-two inversions, and every build gate still runs: a synthesized instance
-is never handed back without its diagnostics passing. The condition
-number of that inversion is also the bundle's cond_Sr on the right
-route.
+side's coupling matrix and inverse. The build solves only the other
+coupling matrix, and every build gate still runs: a synthesized
+instance is never handed back without its diagnostics passing. On the
+right route S is Sr, the condition number of its inversion is the
+bundle's cond_Sr, and the build leaves Sl^-1 to the bundle's first read
+whenever its certificate allows (see realization), so a synthesis
+makes two Sylvester solves and one inversion. On the hybrid route S is
+Sl, and the build inverts Sr: two solves and two inversions.
 
 Each datum is validated once. synthesize and synthesize_hybrid validate
 a SynthesisInput first; factorize calls the routine directly with
@@ -94,7 +96,12 @@ DEFAULT_COND_MAX = 1e12
 @dataclass(frozen=True, eq=False)
 class SynthesisInput:
     """Free half of a generator: F tall-side (k, n), G wide-side (n, k),
-    and the two point sets the coupling will separate."""
+    and the two point sets the coupling will separate.
+
+    Each is stored as a read-only complex128 copy in its own memory
+    layout, so the BLAS bits of every product are the caller's, and an
+    array the caller changes after validation cannot reach a synthesis.
+    """
 
     F: np.ndarray
     G: np.ndarray
@@ -106,10 +113,11 @@ class SynthesisInput:
         g = _complex_array(self.G, "G")
         lam = np.atleast_1d(_complex_array(self.pole_points, "pole_points"))
         mu = np.atleast_1d(_complex_array(self.zero_points, "zero_points"))
-        object.__setattr__(self, "F", f)
-        object.__setattr__(self, "G", g)
-        object.__setattr__(self, "pole_points", lam)
-        object.__setattr__(self, "zero_points", mu)
+        for name, value in (("F", f), ("G", g), ("pole_points", lam),
+                            ("zero_points", mu)):
+            value = value.copy(order="K")
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         if f.ndim != 2 or g.ndim != 2:
             raise ValidationError("F and G must be matrices")
         k, n = f.shape
@@ -186,7 +194,8 @@ def _synthesize(F, G, poles, zeros, hybrid: bool, cond_max: float,
     SynthesisInput checks, as slices of validated ZeroPoleData do. Only
     the derived half is checked, by ZeroPoleData._completed. The
     completed datum keeps F, G and the points read-only, so they must be
-    arrays no caller holds.
+    arrays no caller writes into: a SynthesisInput's read-only copies,
+    or arrays made for the call.
     known is None or (S, S⁻¹, cond_F(S)) from the caller's own
     inversion; it is used only when S equals the solved matrix bitwise.
     """
@@ -216,13 +225,6 @@ def _synthesize(F, G, poles, zeros, hybrid: bool, cond_max: float,
     return _build_bundle(data, sr=(s, s_inv, cond))
 
 
-def _copies(inp: SynthesisInput) -> list:
-    """Copies of inp's F, G and points, which may be a caller's own
-    arrays, in their memory layouts, for the datum that keeps them."""
-    return [a.copy(order="K")
-            for a in (inp.F, inp.G, inp.pole_points, inp.zero_points)]
-
-
 def synthesize(inp: SynthesisInput,
                cond_max: float = DEFAULT_COND_MAX) -> RealizationBundle:
     """Extend (F_P, G_N) = (F, G) to full consistent data.
@@ -232,7 +234,8 @@ def synthesize(inp: SynthesisInput,
     check is the bundle's Sr_inv.
     """
     cond_max = _check_cond_max(cond_max)
-    return _synthesize(*_copies(inp), False, cond_max)
+    return _synthesize(inp.F, inp.G, inp.pole_points, inp.zero_points,
+                       False, cond_max)
 
 
 def synthesize_hybrid(inp: SynthesisInput,
@@ -244,7 +247,8 @@ def synthesize_hybrid(inp: SynthesisInput,
     becomes its Sl_inv.
     """
     cond_max = _check_cond_max(cond_max)
-    return _synthesize(*_copies(inp), True, cond_max)
+    return _synthesize(inp.F, inp.G, inp.pole_points, inp.zero_points,
+                       True, cond_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,6 +352,16 @@ def obstrollable(mat: np.ndarray, points) -> bool:
     for (diag(points), G) is obstrollable(G.T, points): transposition
     swaps the roles without changing the rank. A matrix or points that
     are not finite numbers are refused with ValidationError.
+
+    The stack is never formed: its entries grow like |point|^(n-1), and
+    its numerical rank is meaningless from n ≈ 24 on. For diagonal D the
+    Popov–Belevitch–Hautus test (Hautus 1969) decides instead: the rows
+    span everything exactly when, for each distinct point, the columns
+    of mat at that point are linearly independent. Points within
+    SEP_MIN times the diameter of the point set of one another, and
+    chains of such points, count as one point; each such group takes one
+    `rank` of its columns, and a point apart from all others needs only
+    a column that is not zero.
     """
     m = _complex_array(mat, "matrix")
     pts = _as_point_vector(points, "points")
@@ -358,12 +372,28 @@ def obstrollable(mat: np.ndarray, points) -> bool:
         )
     if n == 0:
         return True
-    blocks = []
-    power = np.ones(n, dtype=np.complex128)
-    for _ in range(n):
-        blocks.append(m * power[None, :])
-        power = power * pts
-    return rank(np.vstack(blocks)) == n
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix contains non-finite entries")
+    dist = np.abs(pts[:, None] - pts[None, :])
+    close = dist <= SEP_MIN * dist.max()
+    # a lone point is close only to itself
+    done = close.sum(axis=1) == 1
+    if not m[:, done].any(axis=0).all():
+        return False
+    for start in np.flatnonzero(~done):
+        if done[start]:
+            continue
+        # every point chained to start, one step of closeness at a time
+        group = close[start]
+        while True:
+            grown = close[group].any(axis=0)
+            if (grown == group).all():
+                break
+            group = grown
+        done |= group
+        if rank(m[:, group]) < np.count_nonzero(group):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

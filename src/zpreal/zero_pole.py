@@ -158,8 +158,9 @@ class ZeroPoleData:
         self._store(poles, zeros, F_P, G_P, F_N, G_N)
 
     # (Sr, Sl, Sr⁻¹, Sl⁻¹, cond_Sr, diagnostics) of the one build that
-    # passed its gates, written by realization._build_bundle; a copy, a
-    # pickle and dataclasses.replace start without it
+    # passed its gates, written by realization._build_bundle, with Sl⁻¹
+    # None until a bundle first reads it; a copy, a pickle and
+    # dataclasses.replace start without it
     _built = None
 
     def _store(self, *values, copy: bool = True) -> None:
@@ -194,8 +195,9 @@ class ZeroPoleData:
         with its messages: finite, no zero column in F·S⁻¹, no zero row
         in −S⁻¹·G. The arrays are complex128 already and are frozen in
         place, so none may be a caller's: synthesize and
-        synthesize_hybrid hand in copies of their SynthesisInput's
-        arrays, and the other callers arrays they have just made.
+        synthesize_hybrid hand in their SynthesisInput's arrays, which
+        are read-only copies already, and the other callers arrays they
+        have just made.
         """
         derived_f, derived_g = derived
         if not (np.isfinite(derived_f).all() and np.isfinite(derived_g).all()):

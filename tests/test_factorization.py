@@ -452,7 +452,7 @@ def test_empty_bundles_do_not_share_diagnostics(d2):
         assert_same_bundle(make(), fresh)
 
 
-def test_two_sided_factorize_inverts_five_times_and_solves_four(monkeypatch):
+def test_two_sided_factorize_inverts_four_times_and_solves_four(monkeypatch):
     b = balanced_instance(1, 3, 3, seed=5)
     d = b.data
     split = fz.partition(d, UNIT)
@@ -467,22 +467,27 @@ def test_two_sided_factorize_inverts_five_times_and_solves_four(monkeypatch):
     solves = count_calls(monkeypatch, rz._sylvester)
     res = fz.factorize(b, UNIT)
     assert res.split.n_plus == 3 and res.split.n_minus == 3
-    # S11; the plus factor's Sl; the minus factor's Sl and Sr; the
-    # Schur complement
-    assert len(inverses) == 5
+    # S11; the minus factor's Sl and Sr; the Schur complement. The plus
+    # factor's Sl⁻¹ waits for its first read
+    assert len(inverses) == 4
     # two per factor synthesis
     assert len(solves) == 4
 
 
-@pytest.mark.parametrize("route", ["synthesize", "synthesize_hybrid"])
-def test_each_synthesis_solves_twice_and_inverts_twice(monkeypatch, route):
+@pytest.mark.parametrize("route, want", [("synthesize", 1),
+                                         ("synthesize_hybrid", 2)])
+def test_each_synthesis_solves_twice_and_inverts_sr_and_its_own_s(
+        monkeypatch, route, want):
     b = balanced_instance(2, 2, 3, seed=7)
     inp = SynthesisInput(F=b.data.F_P, G=b.data.G_N,
                          pole_points=b.data.poles, zero_points=b.data.zeros)
     inverses = count_calls(monkeypatch, linalg.inverse)
     solves = count_calls(monkeypatch, rz._sylvester)
-    getattr(sy, route)(inp)
+    got = getattr(sy, route)(inp)
     assert len(solves) == 2
+    # the right route's S is Sr, and its Sl⁻¹ waits for its first read
+    assert len(inverses) == want
+    assert got.Sl_inv is not None
     assert len(inverses) == 2
 
 

@@ -671,6 +671,30 @@ def test_synthesis_never_aliases_the_callers_arrays(route):
     assert same_bits(eval_R(build_bundle(b.data), 3 + 1j), before)
 
 
+@pytest.mark.parametrize("route", [synthesize, synthesize_hybrid])
+def test_synthesis_input_keeps_read_only_copies(route):
+    rng = np.random.default_rng(23)
+    pts = np.array(separated_points(rng, 6, min_sep=0.2))
+    f = np.asfortranarray(random_complex(rng, 2, 3))
+    g = random_complex(rng, 3, 2)
+    want = route(SynthesisInput(F=f.copy(order="K"), G=g.copy(),
+                                pole_points=pts[:3].copy(),
+                                zero_points=pts[3:].copy()))
+    inp = SynthesisInput(F=f, G=g, pole_points=pts[:3], zero_points=pts[3:])
+    for stored, a in ((inp.F, f), (inp.G, g), (inp.pole_points, pts[:3]),
+                      (inp.zero_points, pts[3:])):
+        assert stored is not a and not np.shares_memory(stored, a)
+        assert stored.strides == a.strides
+        with pytest.raises(ValueError):
+            stored[...] = 0
+    # a zero column written after validation must not reach the
+    # synthesis, which would refuse it as a singular coupling
+    f[:, 0] = 0
+    g *= 2
+    pts[:] = 0
+    assert_same_bundle(route(inp), want)
+
+
 def _synthesized():
     return random_instance(2, 4, seed=24).data
 
@@ -711,8 +735,9 @@ def test_a_copy_of_built_data_builds_afresh(copier, monkeypatch):
         assert not getattr(c, name).flags.writeable
     inverses = count_calls(monkeypatch, linalg.inverse)
     rebuilt = build_bundle(c)
-    # a copy carries no recorded build, so it solves and inverts again
-    assert len(inverses) == 2
+    # a copy carries no recorded build, so it solves and inverts Sr
+    # again; Sl⁻¹ waits for its first read
+    assert len(inverses) == 1
     assert rebuilt.data is c
     assert_same_bundle(rebuilt, reference_build_bundle(c))
 

@@ -1,7 +1,9 @@
 """Coupling matrices, bundle diagnostics, and the eight evaluators."""
 
 import cmath
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from zpreal.errors import (
     InconsistentDataError,
     PoleHitError,
+    SingularMatrixError,
     SpectraOverlapError,
     ValidationError,
 )
@@ -18,6 +21,7 @@ from zpreal.linalg import frobenius, identity, inverse
 from zpreal import factorization as fz
 from zpreal import linalg
 from zpreal import realization as rz
+from zpreal.serialize import load_instance, save_instance
 from zpreal.synthesis import (
     GeneratorGeometry,
     SynthesisInput,
@@ -905,8 +909,11 @@ def test_first_build_solves_and_inverts_and_a_rebuild_does_neither(
     inverses = count_calls(monkeypatch, linalg.inverse)
     solves = count_calls(monkeypatch, rz._sylvester)
     first = rz.build_bundle(d)
+    # Sr⁻¹ at once, Sl⁻¹ on its first read
+    assert (len(solves), len(inverses)) == (2, 1)
+    sl_inv = first.Sl_inv
     assert (len(solves), len(inverses)) == (2, 2)
-    rz.build_bundle(d)
+    assert rz.build_bundle(d).Sl_inv is sl_inv
     rz.build_bundle(b.data)
     assert (len(solves), len(inverses)) == (2, 2)
     assert_same_bundle(first, b)
@@ -929,10 +936,123 @@ def test_bundle_matrices_are_read_only(n):
     b = rz.build_bundle(ZeroPoleData.empty(2)) if n == 0 else \
         random_instance(2, n, seed=13)
     for bundle in (b, rz.build_bundle(b.data)):
-        for name in ("Sr", "Sl", "Sr_inv", "Sl_inv", "Hr", "Hl"):
+        for name in ("Sr", "Sl", "Sr_inv", "Sl_inv", "Hr", "Hl",
+                     "Sr_inv_G_N", "F_P_Sr_inv", "Sl_inv_G_P", "F_N_Sl_inv"):
             with pytest.raises(ValueError):
                 getattr(bundle, name)[...] = 0
     assert np.array(b.Sr).flags.writeable
+    assert np.array(b.Sr_inv_G_N).flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# Sl⁻¹ left to its first read
+
+
+def _assert_deferred_sl_inverse(b):
+    """b's build left Sl⁻¹ to its first read, which is inverse(Sl) bit
+    for bit, read-only, recorded on the data and shared by every bundle
+    of it, including one built before the read."""
+    before = rz.build_bundle(b.data)
+    assert "Sl_inv" not in vars(b) and "Sl_inv" not in vars(before)
+    assert b.data._built[3] is None
+    got = before.Sl_inv
+    assert same_bits(got, inverse(b.Sl))
+    assert not got.flags.writeable
+    assert b.data._built[3] is got
+    assert b.Sl_inv is got and rz.build_bundle(b.data).Sl_inv is got
+
+
+@pytest.mark.parametrize("k, n", CONSTRUCT_SHAPES)
+@pytest.mark.parametrize("seed", [5, 6])
+def test_a_random_instance_reads_its_sl_inverse_from_inverse_of_sl(k, n,
+                                                                   seed):
+    b = random_instance(k, n, seed, GeneratorGeometry(max_retries=300))
+    _assert_deferred_sl_inverse(b)
+
+
+def test_loaded_data_reads_its_sl_inverse_from_inverse_of_sl(tmp_path):
+    path = tmp_path / "inst.json"
+    save_instance(random_instance(3, 9, seed=7).data, path)
+    d, _ = load_instance(path)
+    b = rz.build_bundle(d)
+    _assert_deferred_sl_inverse(b)
+    assert_same_bundle(b, reference_build_bundle(d))
+
+
+@pytest.mark.parametrize("k, n_plus, n_minus, seed",
+                         [(1, 2, 2, 1), (2, 3, 1, 2), (4, 3, 3, 4)])
+def test_factors_read_their_sl_inverse_from_inverse_of_sl(k, n_plus,
+                                                          n_minus, seed):
+    res = fz.factorize(balanced_instance(k, n_plus, n_minus, seed),
+                       fz.CircleContour(0.0, 1.0))
+    # the inside factor is a right-route synthesis; the outside one is
+    # hybrid, whose Sl is its own S, inverted with it
+    _assert_deferred_sl_inverse(res.plus)
+    assert "Sl_inv" in vars(res.minus)
+    assert same_bits(res.minus.Sl_inv, inverse(res.minus.Sl))
+
+
+def test_a_build_the_certificate_cannot_vouch_for_inverts_sl_at_once(
+        monkeypatch):
+    # Sr = diag(1, 1/3e11), and Sl is Sr's inverse: inverse accepts
+    # both, at n·‖Sl‖∞·‖Sl⁻¹‖∞·1e-13 = 0.06, but the certificate, which
+    # bounds ‖Sl‖∞·‖Sr‖∞ by n·‖Sl‖_F·‖Sr‖_F, puts it at 0.12
+    poles, zeros = np.array([0.0, 10.0]), np.array([1.0, 11.0])
+    f_p = np.diag([1.0, 1 / 3e5]).astype(complex)
+    g_n = np.diag([1.0, 1e-6]).astype(complex)
+    sr = g_n @ f_p / (zeros[:, None] - poles[None, :])
+    sr_inv = np.linalg.inv(sr)
+    d = ZeroPoleData(poles=poles, zeros=zeros, F_P=f_p, G_P=-sr_inv @ g_n,
+                     F_N=f_p @ sr_inv, G_N=g_n)
+    want = reference_build_bundle(d)
+    ff = frobenius(want.Sl) ** 2 * frobenius(want.Sr) ** 2
+    assert not rz._defers_left_inverse(2, ff,
+                                       want.diagnostics["mutual_inverse"])
+    inverses = count_calls(monkeypatch, linalg.inverse)
+    b = rz.build_bundle(d)
+    assert len(inverses) == 2
+    assert "Sl_inv" in vars(b) and d._built[3] is b.Sl_inv
+    assert_same_bundle(b, want)
+
+
+def test_a_deferred_inverse_that_refuses_raises_the_builds_error(monkeypatch):
+    b = random_instance(2, 4, seed=9)
+    refusal = SingularMatrixError("matrix is numerically singular: test")
+
+    def refuse(a):
+        raise refusal
+
+    monkeypatch.setattr(rz, "inverse", refuse)
+    for read in (lambda: b.Sl_inv, lambda: rz.eval_R_left(b, 3 + 1j)):
+        with pytest.raises(InconsistentDataError) as exc:
+            read()
+        assert str(exc.value) == f"coupling matrix not invertible ({refusal})"
+        assert exc.value.diagnostics == b.diagnostics
+        assert exc.value.__cause__ is refusal
+    assert b.data._built[3] is None
+    monkeypatch.undo()
+    assert same_bits(b.Sl_inv, inverse(b.Sl))
+
+
+COPIERS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda b: pickle.loads(pickle.dumps(b)),
+    "by-hand": lambda b: rz.RealizationBundle(
+        data=ZeroPoleData(**{name: getattr(b.data, name) for name in
+                             ("poles", "zeros", "F_P", "G_P", "F_N", "G_N")}),
+        Sr=b.Sr, Sl=b.Sl, Sr_inv=b.Sr_inv, Sl_inv=None, cond_Sr=b.cond_Sr),
+}
+
+
+@pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
+def test_a_bundle_without_the_record_inverts_sl_on_first_read(copier):
+    b = random_instance(2, 5, seed=31)
+    c = copier(b)
+    assert "Sl_inv" not in vars(c)
+    got = c.Sl_inv
+    assert same_bits(got, inverse(b.Sl)) and not got.flags.writeable
+    assert c.Sl_inv is got
 
 
 def test_inconsistent_data_is_refused_on_every_call(d2, monkeypatch):
@@ -950,12 +1070,14 @@ def test_inconsistent_data_is_refused_on_every_call(d2, monkeypatch):
 
 def test_one_sided_factorize_builds_its_empty_side_once_per_k(monkeypatch):
     c = fz.CircleContour(0.0, 1.0)
-    for k, n_plus, n_minus, want in ((2, 3, 0, 3), (2, 0, 3, 4)):
+    for k, n_plus, n_minus, want in ((2, 3, 0, 2), (2, 0, 3, 4)):
         b = balanced_instance(k, n_plus, n_minus, seed=5)
         fz.factorize(b, c)
         inverses = count_calls(monkeypatch, linalg.inverse)
         first = fz.factorize(b, c)
-        # S11, the nonempty factor's one or two, the Schur complement
+        # S11, the nonempty factor's Sl and Sr (the inside one reuses
+        # S11's inversion as its Sr⁻¹ and leaves Sl⁻¹ to its first
+        # read), the Schur complement
         assert len(inverses) == want
         second = fz.factorize(b, c)
         empty = first.minus if n_minus == 0 else first.plus

@@ -414,8 +414,11 @@ def test_extracted_factors_recombine_to_chain_everywhere():
                                    atol=1e-9)
 
 
-def test_obstrollable_on_synthesized_instance():
-    b = sy.random_instance(3, 7, seed=53)
+@pytest.mark.parametrize("k, n, seed", [(3, 7, 53), (4, 32, 1), (4, 128, 2)])
+def test_obstrollable_on_synthesized_instance(k, n, seed):
+    # n = 32 and 128 are past where a rank of the stacked powers F·Dʲ
+    # means anything
+    b = sy.random_instance(k, n, seed)
     assert sy.obstrollable(b.data.F_P, b.data.poles)
     assert sy.obstrollable(b.data.F_N, b.data.poles)
     assert sy.obstrollable(b.data.G_N.T, b.data.zeros)
@@ -434,6 +437,15 @@ def test_obstrollable_fails_on_repeated_points():
     f = np.ones((1, 2), dtype=np.complex128)
     assert not sy.obstrollable(f, [1.0, 1.0])
     assert sy.obstrollable(f, [1.0, 2.0])
+    # independent columns at a repeated point pass; the first three
+    # points are one group, chained within SEP_MIN·diameter, although
+    # the first and third are farther apart, and their three columns in
+    # two rows are dependent even though each adjacent pair is not
+    assert sy.obstrollable(np.eye(2), [1.0, 1.0])
+    chain = [0.0, 6e-7, 1.2e-6, 1.0]
+    assert not sy.obstrollable([[1.0, 0.0, 1.0, 1.0],
+                                [0.0, 1.0, 1.0, 1.0]], chain)
+    assert sy.obstrollable(np.eye(3, 4) + np.eye(3, 4, 3), chain)
 
 
 def test_obstrollable_empty_is_trivially_true():
