@@ -93,7 +93,7 @@ def _gaps(z, points: np.ndarray) -> np.ndarray:
     if isinstance(z, complex) or np.ndim(z) == 0:
         try:
             gaps = z - points
-        except TypeError:
+        except (TypeError, OverflowError):
             raise ValidationError(
                 f"evaluation point {z!r} is not a number") from None
         if points.size:

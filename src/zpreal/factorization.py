@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -62,7 +61,7 @@ from .linalg import (
     max_frobenius,
 )
 from .realization import RealizationBundle, _form, build_bundle, eval_R
-from .report import Report, check_tolerance
+from .report import Report, _check_integer, check_tolerance
 from .synthesis import _check_cond_max, _synthesize
 from .zero_pole import FAIL_TOL, ZeroPoleData
 
@@ -412,11 +411,7 @@ def residue_quadrature(f: Callable[[complex], np.ndarray], center: complex,
     a finite number, and a nodes that is not an integer, are refused
     with ValidationError.
     """
-    try:
-        nodes = operator.index(nodes)
-    except TypeError:
-        raise ValidationError(f"nodes must be an integer, "
-                              f"got {nodes!r}") from None
+    nodes = _check_integer(nodes, "nodes")
     try:
         finite = cmath.isfinite(center) and math.isfinite(radius)
     except OverflowError:

@@ -26,24 +26,25 @@ validated data stays separated.
 
 Each datum is built once. Sr, Sl and their inverses are functions of the
 data alone, so the first build that passes its gates marks them
-read-only and records them, with cond_Sr and the diagnostics, on the
-ZeroPoleData; build_bundle hands back a new bundle over the recorded
-arrays, with a diagnostics dict of its own, and solves and inverts
-nothing. A synthesis builds its data through the same routine, so
-build_bundle(random_instance(...).data) is a lookup. A refusal is not
-recorded: inconsistent data is refused again on every call.
+read-only and records them, with cond_Sr and the diagnostics, in
+_built, a weak map keyed by the datum; build_bundle hands back a new
+bundle over the recorded arrays, with a diagnostics dict of its own,
+and solves and inverts nothing. A synthesis builds its data through the
+same routine, so build_bundle(random_instance(...).data) is a lookup.
+A refusal is not recorded: inconsistent data is refused again on every
+call.
 
 A build inverts one coupling matrix. Sr⁻¹ is taken at once: it gives
 cond_Sr, and the right forms R, R⁻¹ and R(x)R⁻¹(y) need only it. Sl⁻¹
-enters only the left and hybrid forms, so inverse(Sl) runs on the first
-read of a bundle's Sl_inv (or of Sl_inv_G_P or F_N_Sl_inv), and the
-result is recorded on the datum and shared by every bundle of it. A
-build defers it only when _defers_left_inverse certifies, from the
-Frobenius norms of Sr and Sl and mutual_inverse, that inverse will
-accept Sl; it inverts Sl at once otherwise, so every refusal the build
-can make is still made by the build. Sl⁻¹ always comes from
-inverse(Sl), never from Sr, so mutual inverseness stays an executable
-check.
+enters only the left and hybrid forms, so a bundle's Sl_inv is a cached
+property like the half-products: its first read (or that of Sl_inv_G_P
+or F_N_Sl_inv) returns the recorded Sl⁻¹, or takes inverse(Sl) and
+records it, shared by every bundle of the datum. A build defers it only
+when _defers_left_inverse certifies, from the Frobenius norms of Sr and
+Sl and mutual_inverse, that inverse will accept Sl; it inverts Sl at
+once otherwise, so every refusal the build can make is still made by
+the build. Sl⁻¹ always comes from inverse(Sl), never from Sr, so mutual
+inverseness stays an executable check.
 
 The build gates on the five residuals that inconsistent data can move:
 mutual_inverse (Sr·Sl = I and Sl·Sr = I) and the four recovery
@@ -73,6 +74,7 @@ describes no function and is rejected at build time.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -83,6 +85,7 @@ from .errors import (
     InconsistentDataError,
     SingularMatrixError,
     SpectraOverlapError,
+    ValidationError,
 )
 from .linalg import (
     PIVOT_EPS_FACTOR,
@@ -189,35 +192,17 @@ class RealizationBundle:
     read-only, shared by every bundle built from the same data; Hr and
     Hl are aliases of Sl and Sr.
 
-    Sl_inv=None defers Sl⁻¹ to the first read of Sl_inv: that read
-    takes inverse(Sl), or the one recorded on the data when Sl is the
-    recorded build's, and a refusal raises InconsistentDataError with
-    the build's message. build_bundle passes None when its certificate
-    allows.
+    Sl_inv is computed on first read: the Sl⁻¹ recorded for the data
+    when Sl is the recorded build's, or else inverse(Sl), whose refusal
+    raises InconsistentDataError with the build's message.
     """
 
     data: ZeroPoleData
     Sr: np.ndarray
     Sl: np.ndarray
     Sr_inv: np.ndarray
-    Sl_inv: np.ndarray
     cond_Sr: float
     diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.Sl_inv is None:
-            # a deferred Sl⁻¹: the first read goes to __getattr__
-            del self.__dict__["Sl_inv"]
-
-    def __getattr__(self, name):
-        # reached only when normal lookup fails; a copy or an unpickled
-        # bundle asks for other names before its fields are set
-        if name != "Sl_inv" or "Sl" not in self.__dict__:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        sl_inv = _left_inverse(self)
-        object.__setattr__(self, "Sl_inv", sl_inv)
-        return sl_inv
 
     @property
     def k(self) -> int:
@@ -235,9 +220,13 @@ class RealizationBundle:
     def Hl(self) -> np.ndarray:
         return self.Sr
 
-    # The half-products the evaluators share, computed on first use so
-    # that a bundle nobody evaluates pays nothing for them, and read-only
-    # like the matrices they come from.
+    # Sl⁻¹ and the half-products the evaluators share, computed on first
+    # use so that a bundle nobody evaluates pays nothing for them, and
+    # read-only like the matrices they come from.
+
+    @cached_property
+    def Sl_inv(self) -> np.ndarray:
+        return _left_inverse(self)
 
     @cached_property
     def Sr_inv_G_N(self) -> np.ndarray:
@@ -261,6 +250,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# (Sr, Sl, Sr⁻¹, Sl⁻¹, cond_Sr, diagnostics) of each datum's one build
+# that passed its gates, Sl⁻¹ None until a bundle first reads it
+_built: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def build_bundle(d: ZeroPoleData) -> RealizationBundle:
     """Compute all realization matrices and fail closed on bad data.
 
@@ -271,14 +265,12 @@ def build_bundle(d: ZeroPoleData) -> RealizationBundle:
     build, with a copy of its diagnostics. Sl⁻¹ may be left to the
     bundle's first read of Sl_inv (see RealizationBundle).
     """
-    if d._built is None:
+    built = _built.get(d)
+    if built is None:
         return _build_bundle(d)
-    sr, sl, sr_inv, sl_inv, cond_sr, diagnostics = d._built
-    return RealizationBundle(
-        data=d, Sr=sr, Sl=sl,
-        Sr_inv=sr_inv, Sl_inv=sl_inv,
-        cond_Sr=cond_sr, diagnostics=dict(diagnostics),
-    )
+    sr, sl, sr_inv, _, cond_sr, diagnostics = built
+    return RealizationBundle(data=d, Sr=sr, Sl=sl, Sr_inv=sr_inv,
+                             cond_Sr=cond_sr, diagnostics=dict(diagnostics))
 
 
 def _coupling_residuals(d: ZeroPoleData, sr: np.ndarray,
@@ -351,17 +343,15 @@ def _defers_left_inverse(n: int, ff: float, mutual: float) -> bool:
 
 
 def _left_inverse(b: RealizationBundle) -> np.ndarray:
-    """Sl⁻¹ for a bundle built without it: the one recorded on b's data,
-    or inverse(Sl), marked read-only and recorded there when b's Sl is
-    the recorded build's."""
-    built = b.data._built
+    """b's Sl⁻¹: the one recorded for b's data, or inverse(Sl), marked
+    read-only and recorded when b's Sl is the recorded build's."""
+    built = _built.get(b.data)
     ours = built is not None and built[1] is b.Sl
     if ours and built[3] is not None:
         return built[3]
     sl_inv = _frozen(_invert(b.Sl, dict(b.diagnostics)))
     if ours:
-        object.__setattr__(b.data, "_built",
-                           built[:3] + (sl_inv,) + built[4:])
+        _built[b.data] = built[:3] + (sl_inv,) + built[4:]
     return sl_inv
 
 
@@ -376,8 +366,9 @@ def _build_bundle(d: ZeroPoleData, sr=None, sl=None) -> RealizationBundle:
     formula below on the same two arrays. Sr is inverted here unless
     handed in; Sl is inverted here only when it is neither handed in
     nor certified by _defers_left_inverse, and left to the bundle's
-    first read of Sl_inv otherwise. A build that passes is recorded on
-    d, its matrices read-only, Sl⁻¹ as None while it is deferred.
+    first read of Sl_inv otherwise. A build that passes is recorded for
+    d in _built, its matrices read-only, Sl⁻¹ as None while it is
+    deferred.
     """
     # overflowing data gives inf and NaN here without a warning: a NaN
     # diagnostic fails the gate below like a large one
@@ -415,13 +406,9 @@ def _build_bundle(d: ZeroPoleData, sr=None, sl=None) -> RealizationBundle:
     for m in (sr, sl, sr_inv, sl_inv):
         if m is not None:
             m.setflags(write=False)
-    object.__setattr__(d, "_built", (sr, sl, sr_inv, sl_inv, cond_sr,
-                                     dict(diagnostics)))
-    return RealizationBundle(
-        data=d, Sr=sr, Sl=sl,
-        Sr_inv=sr_inv, Sl_inv=sl_inv,
-        cond_Sr=cond_sr, diagnostics=diagnostics,
-    )
+    _built[d] = (sr, sl, sr_inv, sl_inv, cond_sr, dict(diagnostics))
+    return RealizationBundle(data=d, Sr=sr, Sl=sl, Sr_inv=sr_inv,
+                             cond_Sr=cond_sr, diagnostics=diagnostics)
 
 
 def check_coupling_relations(b: RealizationBundle,
@@ -489,18 +476,35 @@ def eval_Rinv_left(b: RealizationBundle, z) -> np.ndarray:
     return _form(d.k, -1.0, d.F_N, 1.0 / _gaps(z, d.zeros), b.Sl_inv_G_P)
 
 
+def _pair(x, y, x_points: np.ndarray, y_points: np.ndarray):
+    """(x, y, 1/(x − x_points), 1/(y − y_points)), every point checked
+    by _gaps before a two-point form subtracts y from x. If either is a
+    stack, both come back as complex arrays, of equal length if both are
+    stacks, so lists subtract like arrays."""
+    u = 1.0 / _gaps(x, x_points)
+    v = 1.0 / _gaps(y, y_points)
+    if u.ndim > 1 or v.ndim > 1:
+        if u.ndim == v.ndim and len(u) != len(v):
+            raise ValidationError(
+                f"x has {len(u)} points and y has {len(v)}; "
+                f"a stack of pairs needs equal lengths")
+        x = np.asarray(x, dtype=np.complex128)
+        y = np.asarray(y, dtype=np.complex128)
+    return x, y, u, v
+
+
 def eval_joint_right(b: RealizationBundle, x, y) -> np.ndarray:
     """R(x) R^-1(y) = I + (x-y) F_P (xI-A_P)^-1 Sr^-1 (yI-A_N)^-1 G_N."""
     d = b.data
-    return _form(d.k, x - y, d.F_P, 1.0 / _gaps(x, d.poles), d.G_N,
-                 b.Sr_inv, 1.0 / _gaps(y, d.zeros))
+    x, y, u, v = _pair(x, y, d.poles, d.zeros)
+    return _form(d.k, x - y, d.F_P, u, d.G_N, b.Sr_inv, v)
 
 
 def eval_joint_left(b: RealizationBundle, x, y) -> np.ndarray:
     """R^-1(x) R(y) = I + (x-y) F_N (xI-A_N)^-1 Sl^-1 (yI-A_P)^-1 G_P."""
     d = b.data
-    return _form(d.k, x - y, d.F_N, 1.0 / _gaps(x, d.zeros), d.G_P,
-                 b.Sl_inv, 1.0 / _gaps(y, d.poles))
+    x, y, u, v = _pair(x, y, d.zeros, d.poles)
+    return _form(d.k, x - y, d.F_N, u, d.G_P, b.Sl_inv, v)
 
 
 def eval_hybrid_right(b: RealizationBundle, x, y) -> np.ndarray:
@@ -509,8 +513,8 @@ def eval_hybrid_right(b: RealizationBundle, x, y) -> np.ndarray:
         I - (x-y) F_N Sl^-1 (xI-A_P)^-1 Sl (yI-A_N)^-1 Sl^-1 G_P
     """
     d = b.data
-    return _form(d.k, y - x, b.F_N_Sl_inv, 1.0 / _gaps(x, d.poles),
-                 b.Sl_inv_G_P, b.Sl, 1.0 / _gaps(y, d.zeros))
+    x, y, u, v = _pair(x, y, d.poles, d.zeros)
+    return _form(d.k, y - x, b.F_N_Sl_inv, u, b.Sl_inv_G_P, b.Sl, v)
 
 
 def eval_hybrid_left(b: RealizationBundle, x, y) -> np.ndarray:
@@ -519,5 +523,5 @@ def eval_hybrid_left(b: RealizationBundle, x, y) -> np.ndarray:
         I - (x-y) F_P Sr^-1 (xI-A_N)^-1 Sr (yI-A_P)^-1 Sr^-1 G_N
     """
     d = b.data
-    return _form(d.k, y - x, b.F_P_Sr_inv, 1.0 / _gaps(x, d.zeros),
-                 b.Sr_inv_G_N, b.Sr, 1.0 / _gaps(y, d.poles))
+    x, y, u, v = _pair(x, y, d.zeros, d.poles)
+    return _form(d.k, y - x, b.F_P_Sr_inv, u, b.Sr_inv_G_N, b.Sr, v)

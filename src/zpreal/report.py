@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -23,6 +24,19 @@ def _as_real(value, name: str) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _check_integer(value, name: str) -> int:
+    """value as an int, for the one reading of every count. Python and
+    numpy integers are accepted. A bool is refused, as serialize refuses
+    a JSON true: it is a Python int, but no count. Anything else is
+    refused with ValidationError too."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value}")
 
 
 def check_tolerance(tol: float, name: str) -> float:

@@ -49,8 +49,6 @@ generator state afterwards are those of drawing one candidate at a time.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,7 +63,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import _complex_array, identity, inverse_cond, max_frobenius, rank
-from .report import Report, _as_real
+from .report import Report, _as_real, _check_integer
 from .realization import (
     RealizationBundle,
     _build_bundle,
@@ -407,9 +405,7 @@ class GeneratorGeometry:
 
     def __post_init__(self):
         for name in ("disk_radius", "min_separation", "cond_limit"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ValidationError(f"{name} must be a real number, "
-                                      f"got {getattr(self, name)!r}")
+            object.__setattr__(self, name, _as_real(getattr(self, name), name))
         # `not x > 0` also refuses NaN, which every `<=` test lets pass
         if not self.disk_radius > 0:
             raise ValidationError("disk_radius must be positive")
@@ -429,15 +425,6 @@ class GeneratorGeometry:
         _check_integer(self.max_retries, "max_retries")
         if self.max_retries < 1:
             raise ValidationError("max_retries must be at least 1")
-
-
-def _check_integer(value, name: str) -> None:
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValidationError(
-            f"{name} must be an integer, got {value}"
-        ) from None
 
 
 _DRAW_BLOCK = 256

@@ -23,7 +23,9 @@ synthesis._synthesize: there the points and the free half are already
 validated, so it checks only the derived half the synthesis computed,
 with the same refusals and messages. Either way the six arrays are
 stored read-only, as private copies of whatever a caller may still
-hold, so a datum cannot change after it was validated.
+hold, so a datum cannot change after it was validated. A datum compares
+and hashes by identity, so what other modules derive from it can be
+keyed by it; a copy, a pickle or dataclasses.replace is a new datum.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .linalg import (
     max_frobenius,
     rank,
 )
-from .report import Report
+from .report import Report, _check_integer
 
 SEP_MIN = 1e-6       # minimum separation among all poles and zeros
 FAIL_TOL = 1e-6      # fail-closed threshold for consistency diagnostics
@@ -157,12 +159,6 @@ class ZeroPoleData:
             )
         self._store(poles, zeros, F_P, G_P, F_N, G_N)
 
-    # (Sr, Sl, Sr⁻¹, Sl⁻¹, cond_Sr, diagnostics) of the one build that
-    # passed its gates, written by realization._build_bundle, with Sl⁻¹
-    # None until a bundle first reads it; a copy, a pickle and
-    # dataclasses.replace start without it
-    _built = None
-
     def _store(self, *values, copy: bool = True) -> None:
         """Set the six fields, in declaration order, on a frozen instance,
         each as a read-only copy in its own memory layout, so the BLAS
@@ -174,10 +170,6 @@ class ZeroPoleData:
                 value = value.copy(order="K")
             value.setflags(write=False)
             object.__setattr__(self, field_name, value)
-
-    def __getstate__(self):
-        """The six arrays, without the recorded build."""
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     def __setstate__(self, state):
         self._store(*(state[name] for name in self.__dataclass_fields__))
@@ -347,8 +339,10 @@ def sample_points(d: ZeroPoleData, count: int = 8) -> list:
 
     A ring around the centroid of the singular points, at 1.5 times
     (1 + max spread), keeps at least distance 1.5 from all of them, so
-    no point needs testing or moving.
+    no point needs testing or moving. A count that is not an integer is
+    refused with ValidationError.
     """
+    count = _check_integer(count, "count")
     allpts = np.concatenate([d.poles, d.zeros])
     center = complex(allpts.mean()) if allpts.size else 0j
     spread = float(np.abs(allpts - center).max()) if allpts.size else 0.0

@@ -288,6 +288,25 @@ def test_refused_factorize_writes_nothing(tmp_path, capsys, minus, report,
     assert (out / "old.json").read_text() == "kept\n"
 
 
+def test_an_existing_output_without_write_permission_is_refused(
+        tmp_path, capsys, monkeypatch):
+    # os.access stands in for a read-only file, which root could write
+    src = tmp_path / "d2.json"
+    save_instance(make_d2(), src)
+    out = tmp_path / "out"
+    out.mkdir()
+    old = out / "m.json"
+    old.write_text("kept\n")
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert main(["factorize", str(src), "0", "0", "1", str(out / "p.json"),
+                 str(old)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {old}: Permission denied\n"
+    assert os.listdir(out) == ["m.json"]
+    assert old.read_text() == "kept\n"
+
+
 def test_factorize_writes_existing_outputs_in_place(tmp_path, capsys):
     # an existing output is written through, as open(path, "w") would: a
     # symlink stays a link to its updated target, a hard link sees the new

@@ -291,6 +291,15 @@ def test_residue_quadrature_validation():
         fz.residue_quadrature(lambda z: np.eye(1), 0.0, -1.0)
     with pytest.raises(ValidationError):
         fz.residue_quadrature(lambda z: np.eye(1), 0.0, 1.0, nodes=2)
+    with pytest.raises(ValidationError,
+                       match="^center and radius must be finite$"):
+        fz.residue_quadrature(lambda z: np.eye(1), 0.0, 10**400)
+
+
+def test_existence_verdict_reads_as_one_line():
+    v = fz.ExistenceVerdict(verdict=fz.BOUNDARY, cond_S11=1234567.8,
+                            n_plus=2, n_minus=1)
+    assert str(v) == "Boundary (cond S11 = 1.23457e+06, split 2/1)"
 
 
 def test_residue_quadrature_recovers_pole_residue():

@@ -164,6 +164,11 @@ def test_rank_zero_matrix():
     assert rank(np.zeros((3, 4))) == 0
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_rank_of_an_empty_matrix_is_zero(shape):
+    assert rank(np.zeros(shape)) == 0
+
+
 def test_rank_outer_product_is_one():
     rng = np.random.default_rng(6)
     f = random_complex(rng, 4)

@@ -21,7 +21,12 @@ from helpers import (
 )
 
 import zpreal
-from zpreal.cauchy import ScalarZeroPole, cauchy_inverse_formula, scalar_eval
+from zpreal.cauchy import (
+    ScalarZeroPole,
+    cauchy_inverse_formula,
+    scalar_eval,
+    scalar_joint_eval,
+)
 from zpreal.errors import (
     CollisionError,
     DomainViolationError,
@@ -39,6 +44,7 @@ from zpreal.factorization import (
 )
 from zpreal import linalg
 from zpreal.linalg import frobenius, identity
+from zpreal import realization as rz
 from zpreal.realization import build_bundle, eval_R
 from zpreal.synthesis import (
     GeneratorGeometry,
@@ -541,6 +547,17 @@ MALFORMED_ARGUMENTS = {
     "cond-max-huge-negative": (
         lambda: _check_cond_max(-10**400),
         "cond_max must be at least 1, got -inf"),
+    "sample-points-float-count": (
+        lambda: sample_points(ZeroPoleData(**_d1_fields()), count=1.5),
+        "count must be an integer, got 1.5"),
+    "quadrature-bool-nodes": (
+        lambda: residue_quadrature(lambda z: identity(1) / z, 0.0, 1.0,
+                                   nodes=True),
+        "nodes must be an integer, got True"),
+    "quadrature-str-nodes": (
+        lambda: residue_quadrature(lambda z: identity(1) / z, 0.0, 1.0,
+                                   nodes="x"),
+        "nodes must be an integer, got x"),
 }
 
 
@@ -617,7 +634,33 @@ NON_NUMBER_ARGUMENTS = {
         lambda: scalar_eval(_SCALAR, "x"), ValidationError),
     "anchor-str": (
         lambda: extract_generator(_d1_chain(), "x"), DomainViolationError),
+    "scalar-joint-huge-int": (
+        lambda: scalar_joint_eval(_SCALAR, 3.0, 10**400), ValidationError),
+    "scalar-eval-huge-int": (
+        lambda: scalar_eval(_SCALAR, 10**400), ValidationError),
 }
+
+# one-point forms, bundle and additive, at a point too large for a float
+for _name in ("eval_R", "eval_Rinv", "eval_R_left", "eval_Rinv_left"):
+    NON_NUMBER_ARGUMENTS[f"{_name}-huge-int"] = (
+        lambda fn=getattr(rz, _name): fn(_d1_bundle(), 10**400),
+        ValidationError)
+for _fn in (additive_eval_R, additive_eval_Rinv, additive_deriv_R,
+            additive_deriv_Rinv):
+    NON_NUMBER_ARGUMENTS[f"{_fn.__name__}-huge-int"] = (
+        lambda fn=_fn: fn(ZeroPoleData(**_d1_fields()), 10**400),
+        ValidationError)
+# two-point forms: either point of the pair, before x − y is formed
+for _name in ("eval_joint_right", "eval_joint_left", "eval_hybrid_right",
+              "eval_hybrid_left"):
+    for _label, _bad in (("str", "a"), ("none", None), ("huge-int", 10**400),
+                         ("str-array", np.array(["a"]))):
+        NON_NUMBER_ARGUMENTS[f"{_name}-{_label}-y"] = (
+            lambda fn=getattr(rz, _name), bad=_bad: fn(_d1_bundle(), 3.0, bad),
+            ValidationError)
+        NON_NUMBER_ARGUMENTS[f"{_name}-{_label}-x"] = (
+            lambda fn=getattr(rz, _name), bad=_bad: fn(_d1_bundle(), bad, 3.0),
+            ValidationError)
 
 
 @pytest.mark.parametrize("call, error", NON_NUMBER_ARGUMENTS.values(),
@@ -765,6 +808,10 @@ def test_a_report_tolerance_too_large_for_a_float_reads_as_inf(d1):
     got = check_consistency(d1, tol=10**400)
     assert [c.tol for c in got.checks] == [math.inf] * 5
     assert got.to_dict() == check_consistency(d1, tol=math.inf).to_dict()
+
+
+def test_an_empty_report_has_no_worst_check():
+    assert Report().worst() is None
 
 
 @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5),

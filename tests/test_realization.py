@@ -198,8 +198,7 @@ def test_check_coupling_relations_reads_the_bundle_it_is_given():
 
     # a bundle built by hand carries no build diagnostics
     by_hand = rz.RealizationBundle(data=d, Sr=b.Sr, Sl=b.Sl,
-                                   Sr_inv=b.Sr_inv, Sl_inv=b.Sl_inv,
-                                   cond_Sr=b.cond_Sr)
+                                   Sr_inv=b.Sr_inv, cond_Sr=b.cond_Sr)
     rep = rz.check_coupling_relations(by_hand)
     assert rep.passed
     assert {c.name: c.residual for c in rep.checks} == {
@@ -772,6 +771,30 @@ def test_batch_pole_hit_names_first_offending_point():
     assert exc.value.singularity == complex(d.zeros[2])
 
 
+TWO_POINT_FORMS = (rz.eval_joint_right, rz.eval_joint_left,
+                   rz.eval_hybrid_right, rz.eval_hybrid_left)
+
+
+@pytest.mark.parametrize("fn", TWO_POINT_FORMS, ids=lambda f: f.__name__)
+def test_two_point_forms_take_lists_like_arrays(fn):
+    b = random_instance(2, 3, seed=5)
+    xs, ys = [3.0, 2.5 + 1j, 4], [-3.0, 3.5j, 4]
+    want = fn(b, np.array(xs, dtype=complex), np.array(ys, dtype=complex))
+    assert same_bits(fn(b, xs, ys), want)
+    assert same_bits(fn(b, xs[0], ys), fn(b, xs[0], np.array(ys)))
+
+
+@pytest.mark.parametrize("fn", TWO_POINT_FORMS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("xs, ys", [([3.0, 4.0], [5.0, 6.0, 7.0]),
+                                    ([3.0], [5.0, 6.0, 7.0])])
+def test_two_point_forms_refuse_stacks_of_unequal_length(fn, xs, ys):
+    b = random_instance(2, 3, seed=5)
+    with pytest.raises(ValidationError) as exc:
+        fn(b, np.array(xs), np.array(ys))
+    assert str(exc.value) == (f"x has {len(xs)} points and y has {len(ys)}; "
+                              f"a stack of pairs needs equal lengths")
+
+
 def test_batch_rejects_higher_rank_points():
     b = random_instance(2, 3, seed=5)
     with pytest.raises(ValidationError):
@@ -950,15 +973,15 @@ def test_bundle_matrices_are_read_only(n):
 
 def _assert_deferred_sl_inverse(b):
     """b's build left Sl⁻¹ to its first read, which is inverse(Sl) bit
-    for bit, read-only, recorded on the data and shared by every bundle
+    for bit, read-only, recorded for the data and shared by every bundle
     of it, including one built before the read."""
     before = rz.build_bundle(b.data)
     assert "Sl_inv" not in vars(b) and "Sl_inv" not in vars(before)
-    assert b.data._built[3] is None
+    assert rz._built[b.data][3] is None
     got = before.Sl_inv
     assert same_bits(got, inverse(b.Sl))
     assert not got.flags.writeable
-    assert b.data._built[3] is got
+    assert rz._built[b.data][3] is got
     assert b.Sl_inv is got and rz.build_bundle(b.data).Sl_inv is got
 
 
@@ -988,8 +1011,15 @@ def test_factors_read_their_sl_inverse_from_inverse_of_sl(k, n_plus,
     # the inside factor is a right-route synthesis; the outside one is
     # hybrid, whose Sl is its own S, inverted with it
     _assert_deferred_sl_inverse(res.plus)
-    assert "Sl_inv" in vars(res.minus)
-    assert same_bits(res.minus.Sl_inv, inverse(res.minus.Sl))
+    held = rz._built[res.minus.data][3]
+    assert held is not None and res.minus.Sl_inv is held
+    assert same_bits(held, inverse(res.minus.Sl))
+
+
+def test_the_certificate_refuses_a_product_bound_of_one_or_more():
+    # η ≈ 1.8e5 here; past the guard, 1 − η turns κ negative, and a
+    # negative bound would pass
+    assert not rz._defers_left_inverse(2, 1e40, 0.0)
 
 
 def test_a_build_the_certificate_cannot_vouch_for_inverts_sl_at_once(
@@ -1011,7 +1041,8 @@ def test_a_build_the_certificate_cannot_vouch_for_inverts_sl_at_once(
     inverses = count_calls(monkeypatch, linalg.inverse)
     b = rz.build_bundle(d)
     assert len(inverses) == 2
-    assert "Sl_inv" in vars(b) and d._built[3] is b.Sl_inv
+    held = rz._built[d][3]
+    assert held is not None and b.Sl_inv is held
     assert_same_bundle(b, want)
 
 
@@ -1029,7 +1060,7 @@ def test_a_deferred_inverse_that_refuses_raises_the_builds_error(monkeypatch):
         assert str(exc.value) == f"coupling matrix not invertible ({refusal})"
         assert exc.value.diagnostics == b.diagnostics
         assert exc.value.__cause__ is refusal
-    assert b.data._built[3] is None
+    assert rz._built[b.data][3] is None
     monkeypatch.undo()
     assert same_bits(b.Sl_inv, inverse(b.Sl))
 
@@ -1041,7 +1072,7 @@ COPIERS = {
     "by-hand": lambda b: rz.RealizationBundle(
         data=ZeroPoleData(**{name: getattr(b.data, name) for name in
                              ("poles", "zeros", "F_P", "G_P", "F_N", "G_N")}),
-        Sr=b.Sr, Sl=b.Sl, Sr_inv=b.Sr_inv, Sl_inv=None, cond_Sr=b.cond_Sr),
+        Sr=b.Sr, Sl=b.Sl, Sr_inv=b.Sr_inv, cond_Sr=b.cond_Sr),
 }
 
 

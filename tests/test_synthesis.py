@@ -231,6 +231,19 @@ def test_synthesis_input_refuses_non_finite_points():
                           zero_points=[1.0])
 
 
+def test_obstrollable_refuses_a_non_finite_matrix():
+    # a lone point needs no rank, so without the refusal this is True
+    with pytest.raises(ValidationError,
+                       match="^matrix contains non-finite entries$"):
+        sy.obstrollable([[math.inf]], [0.0])
+
+
+def test_synthesis_input_counts_its_size():
+    inp = sy.SynthesisInput(F=np.ones((3, 2)), G=np.ones((2, 3)),
+                            pole_points=[0.0, 1.0], zero_points=[2.0, 3.5])
+    assert (inp.k, inp.n) == (3, 2)
+
+
 def test_obstrollable_refuses_a_matrix_of_the_wrong_width():
     with pytest.raises(ValidationError,
                        match=r"^matrix shape \(1, 2\) does not match 1 points$"):
@@ -816,6 +829,7 @@ def test_draw_separated_mask_is_read_only_and_strictly_lower():
 @pytest.mark.parametrize("field, value, message", [
     ("disk_radius", math.inf, "disk_radius must be finite"),
     ("disk_radius", -math.inf, "disk_radius must be positive"),
+    ("disk_radius", 10**400, "disk_radius must be finite"),
     ("min_separation", SEP_MIN / 2,
      "min_separation must be at least 1.0e-06, got 5e-07"),
     ("min_separation", 1e-300,
@@ -823,6 +837,7 @@ def test_draw_separated_mask_is_read_only_and_strictly_lower():
     ("max_retries", 2.5, "max_retries must be an integer, got 2.5"),
     ("max_retries", math.nan, "max_retries must be an integer, got nan"),
     ("max_retries", "3", "max_retries must be an integer, got 3"),
+    ("max_retries", True, "max_retries must be an integer, got True"),
     ("max_retries", 0, "max_retries must be at least 1"),
 ])
 def test_geometry_refuses_what_the_draw_cannot_honour(field, value, message):
@@ -847,11 +862,23 @@ def test_geometry_accepts_the_smallest_separation_and_integer_types():
     ((1, 4.0, 3), "n must be an integer, got 4.0"),
     ((1, None, 3), "n must be an integer, got None"),
     ((0, 4, 3), "need k >= 1 and n >= 0"),
+    ((True, 2, 0), "k must be an integer, got True"),
+    ((1, np.bool_(True), 0), "n must be an integer, got True"),
 ])
 def test_random_instance_refuses_bad_counts_and_seeds(args, message):
     with pytest.raises(ValidationError) as exc:
         sy.random_instance(*args)
     assert str(exc.value) == message
+
+
+def test_a_separation_too_large_for_a_float_reads_as_inf():
+    huge = sy.GeneratorGeometry(min_separation=10**400, max_retries=2)
+    assert huge == sy.GeneratorGeometry(min_separation=math.inf,
+                                        max_retries=2)
+    with pytest.raises(GenerationFailedError) as exc:
+        sy.random_instance(1, 2, 0, huge)
+    assert str(exc.value) == (
+        "no acceptable instance in 2 attempts (k=1, n=2, seed=0)")
 
 
 def test_random_instance_accepts_numpy_integers():
