@@ -54,13 +54,22 @@ the rounding of that one division, whatever the data, and their
 residuals grow with ‖G_N·F_P‖, which a diagonal gauge rescaling of
 consistent data makes as large as it likes.
 
-All eight evaluators share one kernel, I + scale·F·diag(u)·M·diag(v)·G,
-with weights u = 1/(z - points) from cauchy._gaps, the package's one
-clearance check. Each takes a point and returns a k×k array, or a 1-d
+All eight evaluators compute one kernel, I + scale·F·diag(u)·M·diag(v)·G,
+with weights u = 1/(z - points) that pass the package's one clearance
+check in cauchy. Each takes a point and returns a k×k array, or a 1-d
 array of M points (M pairs for the two-point forms) and returns an
-M×k×k stack in one vectorized pass. The half-products they need (Sr⁻¹G_N, F_P·Sr⁻¹,
-Sl⁻¹G_P, F_N·Sl⁻¹) are cached on the bundle the first time an
-evaluator asks for them, so building a bundle computes none of them.
+M×k×k stack in one vectorized pass. The kernel has two paths, chosen
+by the argument. One complex or float point (a pair of them) clear of
+every singularity gets its weights from cauchy._weights, and the
+evaluator writes its formula out: such a call is a handful of numpy
+operations, so the stack machinery around them (_gaps' dispatch, _pair
+and _form) is a share of its time worth skipping. Everything else
+takes the general path through cauchy._gaps, _pair and _form, which
+makes every refusal: stacks, other types, points that hit a
+singularity, NaN, and n = 0. Both paths give the same bits (see the
+note above eval_R). The half-products the evaluators need (Sr⁻¹G_N,
+F_P·Sr⁻¹, Sl⁻¹G_P, F_N·Sl⁻¹) are cached on the bundle the first time
+an evaluator asks for them, so building a bundle computes none of them.
 Two temporaries are kept out of every call. The identity is one
 shared, read-only k×k array per k (I + X makes a new array, so every
 result is still fresh and writable). The two-point middle is formed
@@ -80,7 +89,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cauchy import _gaps
+from .cauchy import _gaps, _weights
 from .errors import (
     InconsistentDataError,
     SingularMatrixError,
@@ -432,7 +441,8 @@ def check_coupling_relations(b: RealizationBundle,
 
 def _form(k: int, scale, left: np.ndarray, u: np.ndarray,
           right: np.ndarray, mid=None, v=None) -> np.ndarray:
-    """I + scale·(left·diag(u))·(mid·(diag(v)·right)).
+    """I + scale·(left·diag(u))·(mid·(diag(v)·right)), the evaluators'
+    general path: every argument the one-point path below does not take.
 
     u and v are weight vectors, or stacks of them with a leading axis of
     M points, in which case scale is a scalar or has length M and the
@@ -452,28 +462,54 @@ def _form(k: int, scale, left: np.ndarray, u: np.ndarray,
     return _shared_identity(k) + scale * prod
 
 
+# The one-point path. When _weights hands back the weights of a single
+# number (both numbers, for a pair), the evaluator writes its formula
+# out: I ∓ (left·diag(u))·right, or I + s·(left·diag(u))·(mid·(diag(v)·
+# right)). Anything else goes to _gaps or _pair and _form, which refuse
+# what must be refused. The path keeps _form's layout, the 2-d view
+# left * u[None, :] included (see _scaled), so its bits are _form's,
+# with one exception: I − P here and I + (−1.0)·P there agree bit for
+# bit on finite P, but where P has an infinite entry the complex
+# multiply by −1.0 makes 0·inf a NaN in the other part, and I − P does
+# not.
+
+
 def eval_R(b: RealizationBundle, z) -> np.ndarray:
     """R(z) = I - F_P (zI - A_P)^-1 Sr^-1 G_N."""
     d = b.data
-    return _form(d.k, -1.0, d.F_P, 1.0 / _gaps(z, d.poles), b.Sr_inv_G_N)
+    u = _weights(z, d.poles)
+    if u is None:
+        return _form(d.k, -1.0, d.F_P, 1.0 / _gaps(z, d.poles),
+                     b.Sr_inv_G_N)
+    return _shared_identity(d.k) - (d.F_P * u[None, :]) @ b.Sr_inv_G_N
 
 
 def eval_Rinv(b: RealizationBundle, z) -> np.ndarray:
     """R^-1(z) = I + F_P Sr^-1 (zI - A_N)^-1 G_N."""
     d = b.data
-    return _form(d.k, 1.0, b.F_P_Sr_inv, 1.0 / _gaps(z, d.zeros), d.G_N)
+    u = _weights(z, d.zeros)
+    if u is None:
+        return _form(d.k, 1.0, b.F_P_Sr_inv, 1.0 / _gaps(z, d.zeros), d.G_N)
+    return _shared_identity(d.k) + (b.F_P_Sr_inv * u[None, :]) @ d.G_N
 
 
 def eval_R_left(b: RealizationBundle, z) -> np.ndarray:
     """R(z) = I + F_N Sl^-1 (zI - A_P)^-1 G_P (left-data form)."""
     d = b.data
-    return _form(d.k, 1.0, b.F_N_Sl_inv, 1.0 / _gaps(z, d.poles), d.G_P)
+    u = _weights(z, d.poles)
+    if u is None:
+        return _form(d.k, 1.0, b.F_N_Sl_inv, 1.0 / _gaps(z, d.poles), d.G_P)
+    return _shared_identity(d.k) + (b.F_N_Sl_inv * u[None, :]) @ d.G_P
 
 
 def eval_Rinv_left(b: RealizationBundle, z) -> np.ndarray:
     """R^-1(z) = I - F_N (zI - A_N)^-1 Sl^-1 G_P (left-data form)."""
     d = b.data
-    return _form(d.k, -1.0, d.F_N, 1.0 / _gaps(z, d.zeros), b.Sl_inv_G_P)
+    u = _weights(z, d.zeros)
+    if u is None:
+        return _form(d.k, -1.0, d.F_N, 1.0 / _gaps(z, d.zeros),
+                     b.Sl_inv_G_P)
+    return _shared_identity(d.k) - (d.F_N * u[None, :]) @ b.Sl_inv_G_P
 
 
 def _pair(x, y, x_points: np.ndarray, y_points: np.ndarray):
@@ -496,15 +532,23 @@ def _pair(x, y, x_points: np.ndarray, y_points: np.ndarray):
 def eval_joint_right(b: RealizationBundle, x, y) -> np.ndarray:
     """R(x) R^-1(y) = I + (x-y) F_P (xI-A_P)^-1 Sr^-1 (yI-A_N)^-1 G_N."""
     d = b.data
-    x, y, u, v = _pair(x, y, d.poles, d.zeros)
-    return _form(d.k, x - y, d.F_P, u, d.G_N, b.Sr_inv, v)
+    u, v = _weights(x, d.poles), _weights(y, d.zeros)
+    if u is None or v is None:
+        x, y, u, v = _pair(x, y, d.poles, d.zeros)
+        return _form(d.k, x - y, d.F_P, u, d.G_N, b.Sr_inv, v)
+    return _shared_identity(d.k) + (x - y) * (
+        (d.F_P * u[None, :]) @ (b.Sr_inv @ (v[:, None] * d.G_N)))
 
 
 def eval_joint_left(b: RealizationBundle, x, y) -> np.ndarray:
     """R^-1(x) R(y) = I + (x-y) F_N (xI-A_N)^-1 Sl^-1 (yI-A_P)^-1 G_P."""
     d = b.data
-    x, y, u, v = _pair(x, y, d.zeros, d.poles)
-    return _form(d.k, x - y, d.F_N, u, d.G_P, b.Sl_inv, v)
+    u, v = _weights(x, d.zeros), _weights(y, d.poles)
+    if u is None or v is None:
+        x, y, u, v = _pair(x, y, d.zeros, d.poles)
+        return _form(d.k, x - y, d.F_N, u, d.G_P, b.Sl_inv, v)
+    return _shared_identity(d.k) + (x - y) * (
+        (d.F_N * u[None, :]) @ (b.Sl_inv @ (v[:, None] * d.G_P)))
 
 
 def eval_hybrid_right(b: RealizationBundle, x, y) -> np.ndarray:
@@ -513,8 +557,12 @@ def eval_hybrid_right(b: RealizationBundle, x, y) -> np.ndarray:
         I - (x-y) F_N Sl^-1 (xI-A_P)^-1 Sl (yI-A_N)^-1 Sl^-1 G_P
     """
     d = b.data
-    x, y, u, v = _pair(x, y, d.poles, d.zeros)
-    return _form(d.k, y - x, b.F_N_Sl_inv, u, b.Sl_inv_G_P, b.Sl, v)
+    u, v = _weights(x, d.poles), _weights(y, d.zeros)
+    if u is None or v is None:
+        x, y, u, v = _pair(x, y, d.poles, d.zeros)
+        return _form(d.k, y - x, b.F_N_Sl_inv, u, b.Sl_inv_G_P, b.Sl, v)
+    return _shared_identity(d.k) + (y - x) * (
+        (b.F_N_Sl_inv * u[None, :]) @ (b.Sl @ (v[:, None] * b.Sl_inv_G_P)))
 
 
 def eval_hybrid_left(b: RealizationBundle, x, y) -> np.ndarray:
@@ -523,5 +571,9 @@ def eval_hybrid_left(b: RealizationBundle, x, y) -> np.ndarray:
         I - (x-y) F_P Sr^-1 (xI-A_N)^-1 Sr (yI-A_P)^-1 Sr^-1 G_N
     """
     d = b.data
-    x, y, u, v = _pair(x, y, d.zeros, d.poles)
-    return _form(d.k, y - x, b.F_P_Sr_inv, u, b.Sr_inv_G_N, b.Sr, v)
+    u, v = _weights(x, d.zeros), _weights(y, d.poles)
+    if u is None or v is None:
+        x, y, u, v = _pair(x, y, d.zeros, d.poles)
+        return _form(d.k, y - x, b.F_P_Sr_inv, u, b.Sr_inv_G_N, b.Sr, v)
+    return _shared_identity(d.k) + (y - x) * (
+        (b.F_P_Sr_inv * u[None, :]) @ (b.Sr @ (v[:, None] * b.Sr_inv_G_N)))

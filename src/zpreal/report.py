@@ -13,11 +13,13 @@ from .errors import ValidationError
 def _as_real(value, name: str) -> float:
     """value as a float, for the one reading of every tolerance and
     limit. Real numbers are accepted, numpy's included; one too large
-    for a float, such as 10**400, reads as inf of its sign. Anything
-    else, a string or a complex number among them, is refused with
-    ValidationError."""
+    for a float, such as 10**400, reads as inf of its sign. A bool is
+    refused, as _check_integer refuses it: True is a Python int, but no
+    tolerance or limit. Anything else, a string or a complex number
+    among them, is refused with ValidationError too."""
     # float and int first: they skip numbers.Real's slower ABC check
-    if not isinstance(value, (float, int, numbers.Real)):
+    if (not isinstance(value, (float, int, numbers.Real))
+            or isinstance(value, bool)):
         raise ValidationError(f"{name} must be a real number, "
                               f"got {value!r}")
     try:

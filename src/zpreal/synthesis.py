@@ -420,6 +420,15 @@ class GeneratorGeometry:
                 f"min_separation must be at least {SEP_MIN:.1e}, "
                 f"got {self.min_separation:g}"
             )
+        # draws lie strictly inside the disk, so no two of them are a
+        # diameter apart, and a draw of two or more points never succeeds
+        if not self.min_separation < 2 * self.disk_radius:
+            raise ValidationError(
+                f"min_separation must be below 2·disk_radius = "
+                f"{2 * self.disk_radius:g}, got {self.min_separation:g}: "
+                f"no two points in a disk of radius {self.disk_radius:g} "
+                f"are that far apart"
+            )
         if not self.cond_limit > 1:
             raise ValidationError("cond_limit must exceed 1")
         _check_integer(self.max_retries, "max_retries")

@@ -541,6 +541,22 @@ MALFORMED_ARGUMENTS = {
     "cond-max-str": (
         lambda: _check_cond_max("1e12"),
         "cond_max must be a real number, got '1e12'"),
+    # True is a Python int, but no tolerance or limit
+    "report-bool-tol": (
+        lambda: Report().add("r", 0.0, True),
+        "tol must be a real number, got True"),
+    "consistency-bool-tol": (
+        lambda: check_consistency(ZeroPoleData(**_d1_fields()), tol=True),
+        "tol must be a real number, got True"),
+    "check-tolerance-bool": (
+        lambda: check_tolerance(True, "fail_tol"),
+        "fail_tol must be a real number, got True"),
+    "cond-max-bool": (
+        lambda: _check_cond_max(True),
+        "cond_max must be a real number, got True"),
+    "factorize-bool-cond-max": (
+        lambda: factorize(_d1_bundle(), _UNIT, cond_max=True),
+        "cond_max must be a real number, got True"),
     "factorize-huge-fail-tol": (
         lambda: factorize(_d1_bundle(), _UNIT, fail_tol=10**400),
         f"fail_tol must be positive and finite, got {10**400!r}"),

@@ -16,7 +16,8 @@ from zpreal.errors import (
     SpectraOverlapError,
     ValidationError,
 )
-from zpreal.cauchy import EVAL_EPS, ScalarZeroPole, cauchy_matrix, scalar_eval
+from zpreal.cauchy import (EVAL_EPS, ScalarZeroPole, _gaps, cauchy_matrix,
+                           scalar_eval)
 from zpreal.linalg import frobenius, identity, inverse
 from zpreal import factorization as fz
 from zpreal import linalg
@@ -666,7 +667,9 @@ def test_one_point_evaluators_bitwise_equal_reference(kernel_bundle):
     pts = _clear_points(b, rng, 6)
     for fn, ref in ONE_POINT:
         for z in pts:
-            for point in (complex(z), z, z.real):
+            # complex, np.complex128, np.float64, float and int points
+            for point in (complex(z), z, z.real, float(z.real),
+                          int(round(z.real))):
                 got = fn(b, point)
                 assert got.shape == (b.k, b.k)
                 assert _same_bits(got, ref(b, point)), (fn.__name__, point)
@@ -678,9 +681,12 @@ def test_two_point_evaluators_bitwise_equal_reference(kernel_bundle):
     xs, ys = _clear_points(b, rng, 5), _clear_points(b, rng, 5)
     for fn, ref in TWO_POINT:
         for x, y in zip(xs, ys):
-            got = fn(b, complex(x), y)
-            assert got.shape == (b.k, b.k)
-            assert _same_bits(got, ref(b, complex(x), y)), fn.__name__
+            for pair in ((complex(x), y), (x, complex(y)),
+                         (float(x.real), float(y.real)), (x.real, y),
+                         (int(round(x.real)), int(round(y.imag)))):
+                got = fn(b, *pair)
+                assert got.shape == (b.k, b.k)
+                assert _same_bits(got, ref(b, *pair)), (fn.__name__, pair)
 
 
 def test_two_point_forms_within_rounding_of_the_old_association(
@@ -721,6 +727,116 @@ def test_batch_equals_stacked_one_point_results(kernel_bundle):
         for i in range(7):
             assert _same_bits(fn(b, xs[i:i + 1], ys[i:i + 1])[0],
                               want[i]), fn.__name__
+
+
+def test_only_one_clear_number_skips_the_general_path(kernel_bundle,
+                                                      monkeypatch):
+    # one complex or float point (a pair of them) is evaluated without
+    # _form; an int, a stack of one, NaN and an n = 0 bundle take it
+    b = kernel_bundle
+    rng = np.random.default_rng(b.n + 5)
+    x, y = _clear_points(b, rng, 2)
+    nan = float("nan")
+    calls = []
+    form = rz._form
+    monkeypatch.setattr(rz, "_form", lambda *a: calls.append(a) or form(*a))
+
+    def general_calls(fn, *args):
+        with np.errstate(invalid="ignore"):
+            fn(*args)
+        count = len(calls)
+        del calls[:]
+        return count
+
+    for fn, _ in ONE_POINT:
+        for z in (complex(x), x, x.real, float(x.real)):
+            assert general_calls(fn, b, z) == (b.n == 0), fn.__name__
+        for z in (int(round(x.real)), np.array([x]), [x], nan):
+            assert general_calls(fn, b, z) == 1, fn.__name__
+        assert fn(b, [x]).shape == (1, b.k, b.k)
+        del calls[:]
+    for fn, _ in TWO_POINT:
+        for pair in ((complex(x), y), (x.real, float(y.imag))):
+            assert general_calls(fn, b, *pair) == (b.n == 0), fn.__name__
+        for pair in ((x, int(round(y.real))), (int(round(x.real)), y),
+                     (np.array([x]), np.array([y])), (x, [y]),
+                     (nan, y), (x, nan)):
+            assert general_calls(fn, b, *pair) == 1, fn.__name__
+        assert fn(b, [x], [y]).shape == (1, b.k, b.k)
+        del calls[:]
+
+
+@pytest.mark.parametrize("z", [float("nan"), complex(float("nan"), 1.0),
+                               float("inf"), -float("inf"),
+                               complex(1.0, -float("inf")),
+                               complex(float("inf"), float("inf"))],
+                         ids=["nan", "nan-real", "inf", "-inf", "-inf-imag",
+                              "inf-both"])
+def test_a_non_finite_point_gives_the_general_paths_bits(kernel_bundle, z):
+    # NaN takes the general path and an infinite point the one-point
+    # path; each gives the bits of the same point as a stack of one
+    b = kernel_bundle
+    clear = complex(_clear_points(b, np.random.default_rng(b.n + 6), 1)[0])
+    with np.errstate(invalid="ignore"):
+        for fn, _ in ONE_POINT:
+            got = fn(b, z)
+            assert _same_bits(got, fn(b, np.array([z]))[0]), fn.__name__
+            if b.n == 0:
+                assert _same_bits(got, identity(b.k))
+        for fn, _ in TWO_POINT:
+            for x, y in ((z, clear), (clear, z), (z, z)):
+                got = fn(b, x, y)
+                assert _same_bits(got, fn(b, np.array([x]),
+                                          np.array([y]))[0]), fn.__name__
+
+
+def _hit_message(z, points):
+    with pytest.raises(PoleHitError) as exc:
+        _gaps(z, points)
+    return str(exc.value)
+
+
+def test_a_point_that_hits_a_singularity_raises_the_checks_error():
+    b = random_instance(2, 5, seed=81)
+    d = b.data
+    clear = complex(_clear_points(b, np.random.default_rng(7), 1)[0])
+    one = ((rz.eval_R, d.poles), (rz.eval_Rinv, d.zeros),
+           (rz.eval_R_left, d.poles), (rz.eval_Rinv_left, d.zeros))
+    for fn, points in one:
+        for near in (complex(points[2]) + 1e-13, points[2],
+                     points[2] - 1e-13j):
+            with pytest.raises(PoleHitError) as exc:
+                fn(b, near)
+            assert str(exc.value) == _hit_message(near, points), fn.__name__
+    two = ((rz.eval_joint_right, d.poles, d.zeros),
+           (rz.eval_joint_left, d.zeros, d.poles),
+           (rz.eval_hybrid_right, d.poles, d.zeros),
+           (rz.eval_hybrid_left, d.zeros, d.poles))
+    for fn, x_points, y_points in two:
+        near_x = complex(x_points[1]) + 1e-13
+        near_y = complex(y_points[4]) - 1e-13j
+        for x, y, want in ((near_x, clear, _hit_message(near_x, x_points)),
+                           (clear, near_y, _hit_message(near_y, y_points)),
+                           (near_x, near_y, _hit_message(near_x, x_points))):
+            with pytest.raises(PoleHitError) as exc:
+                fn(b, x, y)
+            assert str(exc.value) == want, fn.__name__
+
+
+@pytest.mark.parametrize("bad", ["x", 10**400], ids=["str", "huge-int"])
+def test_a_point_that_is_not_a_number_is_refused_with_the_checks_message(
+        bad):
+    b = random_instance(2, 5, seed=81)
+    want = f"evaluation point {bad!r} is not a number"
+    for fn, _ in ONE_POINT:
+        with pytest.raises(ValidationError) as exc:
+            fn(b, bad)
+        assert str(exc.value) == want, fn.__name__
+    for fn, _ in TWO_POINT:
+        for pair in ((bad, 3.0), (3.0, bad), (bad, bad)):
+            with pytest.raises(ValidationError) as exc:
+                fn(b, *pair)
+            assert str(exc.value) == want, fn.__name__
 
 
 @pytest.mark.parametrize("n", [0, 3])

@@ -501,10 +501,11 @@ def test_random_instance_respects_geometry():
 
 
 def test_random_instance_gives_up_on_impossible_geometry():
-    geo = sy.GeneratorGeometry(disk_radius=1.0, min_separation=10.0,
+    # at most two points of the unit disk are 1.9 apart; eight are drawn
+    geo = sy.GeneratorGeometry(disk_radius=1.0, min_separation=1.9,
                                max_retries=2)
     with pytest.raises(GenerationFailedError) as exc:
-        sy.random_instance(1, 1, seed=3, geometry=geo)
+        sy.random_instance(1, 4, seed=3, geometry=geo)
     assert exc.value.attempts == 2
 
 
@@ -762,7 +763,7 @@ _G = sy.GeneratorGeometry
     (1, 32, range(3), _G(max_retries=300)),
     (1, 4, range(6), _G(cond_limit=20.0, max_retries=4)),
     (2, 6, range(6), _G(cond_limit=60.0, max_retries=3)),
-    (1, 1, range(2), _G(disk_radius=1.0, min_separation=10.0,
+    (1, 4, range(2), _G(disk_radius=1.0, min_separation=1.9,
                         max_retries=2)),
 ], ids=["empty", "k1n3", "k1n8", "k4n8", "k2n20", "k4n32",
         "k1n32-retries300", "small-cond-limit", "small-cond-limit-k2",
@@ -826,6 +827,10 @@ def test_draw_separated_mask_is_read_only_and_strictly_lower():
             mask[:m, :m], np.tril(np.ones((m, m), bool), -1))
 
 
+_TOO_FAR_APART = ("min_separation must be below 2·disk_radius = 4, got {}: "
+                  "no two points in a disk of radius 2 are that far apart")
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("disk_radius", math.inf, "disk_radius must be finite"),
     ("disk_radius", -math.inf, "disk_radius must be positive"),
@@ -834,6 +839,13 @@ def test_draw_separated_mask_is_read_only_and_strictly_lower():
      "min_separation must be at least 1.0e-06, got 5e-07"),
     ("min_separation", 1e-300,
      "min_separation must be at least 1.0e-06, got 1e-300"),
+    ("min_separation", 4.0, _TOO_FAR_APART.format(4)),
+    ("min_separation", 5.0, _TOO_FAR_APART.format(5)),
+    ("min_separation", math.inf, _TOO_FAR_APART.format("inf")),
+    ("min_separation", True,
+     "min_separation must be a real number, got True"),
+    ("disk_radius", True, "disk_radius must be a real number, got True"),
+    ("cond_limit", True, "cond_limit must be a real number, got True"),
     ("max_retries", 2.5, "max_retries must be an integer, got 2.5"),
     ("max_retries", math.nan, "max_retries must be an integer, got nan"),
     ("max_retries", "3", "max_retries must be an integer, got 3"),
@@ -872,13 +884,17 @@ def test_random_instance_refuses_bad_counts_and_seeds(args, message):
 
 
 def test_a_separation_too_large_for_a_float_reads_as_inf():
-    huge = sy.GeneratorGeometry(min_separation=10**400, max_retries=2)
-    assert huge == sy.GeneratorGeometry(min_separation=math.inf,
-                                        max_retries=2)
-    with pytest.raises(GenerationFailedError) as exc:
-        sy.random_instance(1, 2, 0, huge)
-    assert str(exc.value) == (
-        "no acceptable instance in 2 attempts (k=1, n=2, seed=0)")
+    # refused at construction, as inf is, instead of after every retry
+    for value in (10**400, math.inf):
+        with pytest.raises(ValidationError) as exc:
+            sy.GeneratorGeometry(min_separation=value, max_retries=2)
+        assert str(exc.value) == _TOO_FAR_APART.format("inf")
+
+
+def test_a_separation_just_below_the_diameter_is_accepted():
+    # the bound refuses only what no draw of two points can honour
+    geo = sy.GeneratorGeometry(disk_radius=1.0, min_separation=1.999)
+    assert geo.min_separation == 1.999
 
 
 def test_random_instance_accepts_numpy_integers():
