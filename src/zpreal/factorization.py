@@ -31,6 +31,14 @@ realization). A two-sided factorize so makes four Sylvester solves and
 four inversions (S11, the outside factor's Sl and Sr, and the Schur
 complement), or five when the inside factor's coupling matrix and S11
 differ in their last bits.
+
+The verification shares its geometry too. R's poles are R₊'s and R₋'s
+together, so one clearance pass over the 40 samples gives the weights
+of all four evaluations (R, R₊, R₋ and the Schur route's R₋); each
+takes its own columns, with the bits eval_R would give it, and goes
+straight to the stacked form eval_R makes. The samples' cos and sin
+depend on the sample count and the rotation alone, and are cached.
+partition measures one distance to the center per point.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from .errors import (
     CardinalityMismatchError,
     NoFactorizationError,
     OnContourError,
+    PoleHitError,
     SingularCouplingError,
     SingularMatrixError,
     ValidationError,
@@ -60,7 +69,7 @@ from .linalg import (
     inverse_cond,
     max_frobenius,
 )
-from .realization import RealizationBundle, _form, build_bundle, eval_R
+from .realization import RealizationBundle, _form, build_bundle
 from .report import Report, _check_integer, check_tolerance
 from .synthesis import _check_cond_max, _synthesize
 from .zero_pole import FAIL_TOL, ZeroPoleData
@@ -159,15 +168,19 @@ def partition(d: ZeroPoleData, c: CircleContour) -> Partition:
     pole and zero counts must agree, otherwise no split factorization
     without extra middle structure exists and we stop.
     """
-    guard = BOUNDARY_EPS * c.radius
+    center, radius = c.center, c.radius
+    guard = BOUNDARY_EPS * radius
 
     def classify(points, kind):
+        # c.contains and c.gap written out: one distance to the center
+        # per point gives both
         inside, outside = [], []
-        for j, z in enumerate(points):
-            z = complex(z)
-            if c.gap(z) < guard:
-                raise OnContourError(z, c.gap(z), kind)
-            (inside if c.contains(z) else outside).append(j)
+        for j, z in enumerate(points.tolist()):
+            dist = abs(z - center)
+            gap = abs(dist - radius)
+            if gap < guard:
+                raise OnContourError(z, gap, kind)
+            (inside if dist < radius else outside).append(j)
         return tuple(inside), tuple(outside)
 
     p_in, p_out = classify(d.poles, "pole")
@@ -212,28 +225,40 @@ def _ring_layout(count: int):
     return layout
 
 
+@cache
+def _ring_turn(count: int, rot: int):
+    """Read-only libm cos and sin of rotation rot's count angles, each
+    in the order of operations of 2π·j/m + turn·phase + offset; at most
+    64 entries per count, and factorize uses one count."""
+    base, turn, offset, _ = _ring_layout(count)
+    phase = 2.0 * math.pi * rot / 64.0
+    ang = (base + turn * phase + offset).tolist()
+    cos = np.fromiter(map(math.cos, ang), np.float64, count)
+    sin = np.fromiter(map(math.sin, ang), np.float64, count)
+    cos.flags.writeable = False
+    sin.flags.writeable = False
+    return cos, sin
+
+
 def _sample_ring(c: CircleContour, singular: np.ndarray, count: int):
     """Deterministic verification points: half on the circle, a quarter
     well inside, a quarter well outside, rotated to clear every
     singular point.
 
     The first of 64 rotations that keeps 1e-3·radius clear of every
-    singular point wins, or else the clearest of them. Each rotation's
-    three rings are computed in one pass, with every angle in the order
-    of operations of 2π·j/m + turn·phase + offset and libm cos and sin
-    per angle, so every point has the bits of the scalar formula.
+    singular point wins, or else the clearest of them. A rotation's
+    angles depend on count alone, so their libm cos and sin are made
+    once per (count, rotation) by _ring_turn; each point is then
+    center + radius factor·radius·(cos, sin), with the bits of the
+    scalar formula.
     """
-    base, turn, offset, factor = _ring_layout(count)
-    scale = factor * c.radius
+    scale = _ring_layout(count)[3] * c.radius
     best, best_clear = None, -1.0
     for rot in range(64):
-        phase = 2.0 * math.pi * rot / 64.0
-        ang = (base + turn * phase + offset).tolist()
+        cos, sin = _ring_turn(count, rot)
         pts = np.empty(count, dtype=np.complex128)
-        pts.real = c.center.real + scale * np.fromiter(
-            map(math.cos, ang), np.float64, count)
-        pts.imag = c.center.imag + scale * np.fromiter(
-            map(math.sin, ang), np.float64, count)
+        pts.real = c.center.real + scale * cos
+        pts.imag = c.center.imag + scale * sin
         clear = (np.abs(pts[:, None] - singular[None, :]).min()
                  if singular.size else np.inf)
         if clear > best_clear:
@@ -275,8 +300,6 @@ def factorize(b: RealizationBundle, c: CircleContour,
     # factor's coupling inverse and the Schur complement below
     split, s_perm, inv11, cond_s11 = _leading_block(b, c)
     n_plus, n_minus = split.n_plus, split.n_minus
-    p_ord = list(split.pole_order)
-    n_ord = list(split.zero_order)
     s12 = s_perm[:n_plus, n_plus:]
     s21 = s_perm[n_plus:, :n_plus]
     s22 = s_perm[n_plus:, n_plus:]
@@ -287,32 +310,31 @@ def factorize(b: RealizationBundle, c: CircleContour,
             f"contour", cond=cond_s11,
         )
 
+    p_in, p_out, n_in, n_out = (
+        np.array(idx, dtype=np.intp)
+        for idx in (split.idxP_plus, split.idxP_minus,
+                    split.idxN_plus, split.idxN_minus))
     # each factor takes exactly the points partition placed on its side,
     # all of them BOUNDARY_EPS·radius clear of the circle
-    lam_in = d.poles[list(split.idxP_plus)]
-    mu_in = d.zeros[list(split.idxN_plus)]
-    lam_out = d.poles[list(split.idxP_minus)]
-    mu_out = d.zeros[list(split.idxN_minus)]
+    lam_in, mu_in = d.poles[p_in], d.zeros[n_in]
+    lam_out, mu_out = d.poles[p_out], d.zeros[n_out]
 
     # slices of b's validated data pass every SynthesisInput check, so
     # they go to the core unchecked; the inside factor's S is S11's
     # formula on S11's entries, and the core reuses S11's inversion when
-    # the two agree bitwise
+    # the two agree bitwise. Each factor's F and G are gathers like
+    # d.F_P[:, p_in], whose layout the factor's products are rounded on
     try:
         if n_plus:
-            s11 = s_perm[:n_plus, :n_plus]
             plus = _synthesize(
-                d.F_P[:, list(split.idxP_plus)],
-                d.G_N[list(split.idxN_plus), :],
-                lam_in, mu_in, False, cond_max,
-                known=(s11, inv11, cond_s11))
+                d.F_P[:, p_in], d.G_N[n_in, :], lam_in, mu_in, False,
+                cond_max, known=(s_perm[:n_plus, :n_plus], inv11, cond_s11))
         else:
             plus = build_bundle(_empty_data(d.k))
         if n_minus:
             minus = _synthesize(
-                d.F_N[:, list(split.idxN_minus)],
-                d.G_P[list(split.idxP_minus), :],
-                lam_out, mu_out, True, cond_max)
+                d.F_N[:, n_out], d.G_P[p_out, :], lam_out, mu_out, True,
+                cond_max)
         else:
             minus = build_bundle(_empty_data(d.k))
     except SingularCouplingError as exc:
@@ -329,10 +351,11 @@ def factorize(b: RealizationBundle, c: CircleContour,
         raise NoFactorizationError(
             f"the Schur complement of the leading coupling block is not "
             f"invertible: {exc}", cond=cond_s11) from exc
-    u = np.vstack([-w12, _shared_identity(n_minus)])
-    v = np.hstack([-w21, _shared_identity(n_minus)])
-    fp_alt = d.F_P[:, p_ord] @ u
-    gn_alt = v @ d.G_N[n_ord, :]
+    eye = _shared_identity(n_minus)
+    fp_alt = (d.F_P[:, np.concatenate([p_in, p_out])]
+              @ np.concatenate([-w12, eye], axis=0))
+    gn_alt = (np.concatenate([-w21, eye], axis=1)
+              @ d.G_N[np.concatenate([n_in, n_out]), :])
 
     report = Report()
     report.info["cond_S11"] = cond_s11
@@ -346,12 +369,26 @@ def factorize(b: RealizationBundle, c: CircleContour,
                    / max(frobenius(delta_inv), 1.0))
     report.add("minus_coupling_inherited", coins_minus, AGREE_TOL)
 
+    # R, R₊, R₋ and the Schur route's R₋ at the samples, each the stack
+    # eval_R would form. R's poles are R₊'s and R₋'s, so one clearance
+    # pass weighs them all; each factor takes its columns with take,
+    # which keeps them C-contiguous and so gives the bits of the
+    # factor's own pass (see _scaled)
     samples = _sample_ring(c, d.poles, N_SAMPLES)
-    r_minus = eval_R(minus, samples)
-    r_plus = eval_R(plus, samples)
-    r_full = eval_R(b, samples)
-    minus_alt = _form(d.k, -1.0, fp_alt, 1.0 / _gaps(samples, lam_out),
-                      delta_inv @ gn_alt)
+    try:
+        u = 1.0 / _gaps(samples, d.poles)
+    except PoleHitError:
+        # name the hit that evaluating R₋, then R₊, names; one of the
+        # two passes raises, since R's poles are theirs
+        _gaps(samples, lam_out)
+        _gaps(samples, lam_in)
+        raise
+    u_out = u.take(p_out, axis=1)
+    r_minus = _form(d.k, -1.0, minus.data.F_P, u_out, minus.Sr_inv_G_N)
+    r_plus = _form(d.k, -1.0, plus.data.F_P, u.take(p_in, axis=1),
+                   plus.Sr_inv_G_N)
+    r_full = _form(d.k, -1.0, d.F_P, u, b.Sr_inv_G_N)
+    minus_alt = _form(d.k, -1.0, fp_alt, u_out, delta_inv @ gn_alt)
     worst_prod = max_frobenius(r_plus @ r_minus - r_full)
     worst_agree = max_frobenius(r_minus - minus_alt)
     report.add("product_at_samples", worst_prod, fail_tol)

@@ -202,7 +202,7 @@ def _synthesize(F, G, poles, zeros, hybrid: bool, cond_max: float,
     # and inverse_cond refuses it as singular
     with np.errstate(over="ignore", invalid="ignore"):
         s = _sylvester(a, b, G @ F)
-    if known is not None and np.array_equal(s, known[0]):
+    if known is not None and (s == known[0]).all():
         s_inv, cond = known[1], known[2]
     else:
         s_inv, cond = inverse_cond(s)
@@ -503,6 +503,14 @@ def random_instance(k: int, n: int, seed: int,
     radius is), flat, and geometry.min_separation ≥ SEP_MIN apart by
     the same np.abs differences SynthesisInput would recompute; F and G
     have unit columns and rows; and the geometry checked cond_limit.
+
+    A draw that cannot fit is refused with ValidationError before any
+    point is drawn: the disks of radius s/2 around 2n points s apart are
+    disjoint and lie in the disk of radius R + s/2, so 2n·(s/2)² must
+    not exceed (R + s/2)², for R = geometry.disk_radius and s =
+    geometry.min_separation. The bound is necessary, not sufficient: a
+    geometry that passes it may still end in GenerationFailedError after
+    every retry (at n = 8, s = 1.0, R = 2 it takes over a second).
     """
     if geometry is None:
         geometry = GeneratorGeometry()
@@ -510,6 +518,13 @@ def random_instance(k: int, n: int, seed: int,
     _check_integer(n, "n")
     if k < 1 or n < 0:
         raise ValidationError("need k >= 1 and n >= 0")
+    radius, sep = geometry.disk_radius, geometry.min_separation
+    # n compared as an int, which no float conversion can overflow
+    if n > (radius + sep / 2) ** 2 / (2 * (sep / 2) ** 2):
+        raise ValidationError(
+            f"n = {n} needs {2 * n} points min_separation = {sep:g} apart "
+            f"in a disk of radius disk_radius = {radius:g}; they do not "
+            f"fit, since 2n·(s/2)² > (R + s/2)²")
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError):

@@ -1,6 +1,7 @@
 """Contour splitting: partition, factor construction, existence sweeps."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,14 +10,16 @@ from zpreal.errors import (
     CardinalityMismatchError,
     NoFactorizationError,
     OnContourError,
+    PoleHitError,
     ValidationError,
     VerificationFailedError,
 )
+from zpreal import cauchy
 from zpreal import factorization as fz
 from zpreal import linalg
 from zpreal import realization as rz
 from zpreal import synthesis as sy
-from zpreal.linalg import frobenius, identity
+from zpreal.linalg import frobenius, identity, max_frobenius
 from zpreal.synthesis import SynthesisInput, synthesize, synthesize_hybrid
 from zpreal.zero_pole import (
     ZeroPoleData,
@@ -64,6 +67,53 @@ def test_partition_rejects_point_on_contour():
         fz.partition(d, UNIT)
     assert exc.value.kind == "pole"
     assert exc.value.point == 1.0 + 0j
+
+
+def _partition_reference(d, c):
+    """partition through CircleContour.gap and contains, point by point."""
+    sides = []
+    for points, kind in ((d.poles, "pole"), (d.zeros, "zero")):
+        inside, outside = [], []
+        for j, z in enumerate(points):
+            z = complex(z)
+            if c.gap(z) < fz.BOUNDARY_EPS * c.radius:
+                return OnContourError, (z, c.gap(z), kind)
+            (inside if c.contains(z) else outside).append(j)
+        sides += [tuple(inside), tuple(outside)]
+    return sides
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_partition_matches_the_contour_methods(seed):
+    # points scattered about a circle off the origin, some within the
+    # boundary band (1e-9 of the radius) or just outside it; the zeros
+    # of even seeds sit at the poles' radii, so that their sides balance
+    rng = np.random.default_rng(seed)
+    c = fz.CircleContour(0.3 - 0.7j, 1.3)
+    n = 6
+    offsets = [-0.5, 0.5, 3e-10, -5e-10, 2e-9, -3e-9]
+    odds = [.44, .44, .03, .03, .03, .03]
+    radii = rng.choice(offsets, size=n, p=odds)
+    radii = np.concatenate([radii, rng.permutation(radii) if seed % 2 == 0
+                            else rng.choice(offsets, size=n, p=odds)])
+    pts = c.center + c.radius * (1.0 + radii) * np.exp(
+        2j * np.pi * rng.random(2 * n))
+    d = make_scalar_instance(pts[:n], pts[n:])
+    want = _partition_reference(d, c)
+    if want[0] is OnContourError:
+        with pytest.raises(OnContourError) as exc:
+            fz.partition(d, c)
+        assert str(exc.value) == str(OnContourError(*want[1]))
+        assert (exc.value.point, exc.value.distance,
+                exc.value.kind) == want[1]
+        return
+    try:
+        got = fz.partition(d, c)
+    except CardinalityMismatchError:
+        assert len(want[0]) != len(want[2])
+        return
+    assert [got.idxP_plus, got.idxP_minus, got.idxN_plus,
+            got.idxN_minus] == want
 
 
 def test_partition_rejects_unbalanced_split():
@@ -117,23 +167,25 @@ def test_factor_product_reproduces_function():
 
 def test_factorize_verification_evaluates_each_factor_once_per_sample(monkeypatch):
     b = balanced_instance(2, 3, 3, seed=88)
-    calls = []
-
-    def counting_eval_R(bundle, z):
-        calls.append((bundle, z))
-        return rz.eval_R(bundle, z)
-
-    monkeypatch.setattr(fz, "eval_R", counting_eval_R)
+    gaps = count_calls(monkeypatch, cauchy._gaps)
+    forms = count_calls(monkeypatch, rz._form)
     res = fz.factorize(b, UNIT)
     assert res.report.passed
-    # one batched call each for R-, R+ and R itself, on the 40 samples
-    assert len(calls) == 3
-    assert {id(bundle) for bundle, _ in calls} == {
-        id(res.minus), id(res.plus), id(b)}
-    samples = calls[0][1]
+    # one clearance pass, over R's poles, which are R₊'s and R₋'s
+    assert len(gaps) == 1
+    samples, points = gaps[0]
     assert samples.shape == (40,)
-    for _, z in calls[1:]:
-        np.testing.assert_array_equal(z, samples)
+    assert points is b.data.poles
+    # one batched call each for R-, R+ and R itself, plus the Schur
+    # route's R-, on the 40 samples; _form(k, scale, left, u, right)
+    # takes each bundle's own F_P and the weights of its own poles
+    assert len(forms) == 4
+    for bundle in (res.minus, res.plus, b):
+        (args,) = [args for args in forms if args[2] is bundle.data.F_P]
+        u = args[3]
+        assert u.flags.c_contiguous
+        assert same_bits(u, 1.0 / (samples[:, None]
+                                   - bundle.data.poles[None, :]))
 
 
 def test_factor_data_maps_back_through_permutation():
@@ -594,3 +646,77 @@ def test_leading_block_orders_rows_by_zeros_and_columns_by_poles():
     assert same_bits(inv11, want_inv)
     assert cond_s11 == want_cond
     assert fz.factorization_exists(b, UNIT).cond_S11 == want_cond
+
+
+def _schur_route_minus(b, c):
+    """The Schur route's outside factor as factorize builds it, in the
+    shape eval_R reads: data.k, data.poles, data.F_P and Sr_inv_G_N."""
+    d = b.data
+    split, s_perm, inv11, _ = fz._leading_block(b, c)
+    n = split.n_plus
+    w12 = inv11 @ s_perm[:n, n:]
+    w21 = s_perm[n:, :n] @ inv11
+    delta_inv = linalg.inverse(s_perm[n:, n:] - w21 @ s_perm[:n, n:])
+    eye = identity(split.n_minus)
+    fp = d.F_P[:, list(split.pole_order)] @ np.vstack([-w12, eye])
+    gn = np.hstack([-w21, eye]) @ d.G_N[list(split.zero_order), :]
+    data = SimpleNamespace(k=d.k, F_P=fp,
+                           poles=d.poles[list(split.idxP_minus)])
+    return SimpleNamespace(data=data, Sr_inv_G_N=delta_inv @ gn)
+
+
+@pytest.mark.parametrize("k, n_plus, n_minus, seed", [
+    (1, 3, 0, 1), (1, 0, 3, 1), (1, 2, 2, 1), (1, 3, 3, 5), (1, 0, 8, 3),
+    (1, 8, 0, 3), (2, 4, 0, 2), (2, 0, 4, 2), (2, 2, 2, 3), (3, 3, 0, 4),
+    (3, 0, 3, 4), (3, 1, 2, 5), (4, 12, 0, 2), (4, 0, 5, 6), (4, 2, 1, 7),
+])
+def test_factorize_report_equals_the_public_eval_R_bitwise(k, n_plus,
+                                                           n_minus, seed):
+    # the shared clearance pass gives every evaluation the bits of eval_R
+    # at the same samples, on each factor's own poles
+    b = balanced_instance(k, n_plus, n_minus, seed)
+    res = fz.factorize(b, UNIT)
+    z = fz._sample_ring(UNIT, b.data.poles, fz.N_SAMPLES)
+    r_minus = rz.eval_R(res.minus, z)
+    prod = max_frobenius(rz.eval_R(res.plus, z) @ r_minus - rz.eval_R(b, z))
+    agree = max_frobenius(r_minus - rz.eval_R(_schur_route_minus(b, UNIT), z))
+    got = {check.name: check.residual for check in res.report.checks}
+    assert same_bits(got["product_at_samples"], prod)
+    assert same_bits(got["minus_formula_agreement"], agree)
+
+
+def _ring_point(rot, index, factor):
+    """Sample `index` of _sample_ring's rotation `rot` on the unit circle
+    contour, scaled by `factor`, by the scalar formula."""
+    base, turn, offset, _ = fz._ring_layout(fz.N_SAMPLES)
+    ang = (base[index] + turn[index] * (2.0 * math.pi * rot / 64.0)
+           + offset[index])
+    return complex(factor * math.cos(ang), factor * math.sin(ang))
+
+
+def _interlaced(points, radius):
+    """One point on the circle of `radius` between each two neighbouring
+    angles of `points`, so the Cauchy blocks stay well conditioned."""
+    ang = np.sort(np.angle(points))
+    gap = np.diff(np.append(ang, ang[0] + 2.0 * math.pi))
+    return radius * np.exp(1j * (ang + gap / 2.0))
+
+
+def test_a_sample_on_a_pole_names_the_hit_of_the_outside_factor_first():
+    # a pole on a sample of every one of the 64 rotations: inside poles
+    # on the inner ring (sample 20) of rotations 0-31, outside poles on
+    # the outer ring (sample 30) of rotations 0 and 32-63. No rotation
+    # is clear, so the first, rotation 0, is taken, and it hits both;
+    # R₋ was evaluated first, so its hit is the one named
+    inside = [_ring_point(rot, 20, 0.43) for rot in range(32)]
+    outside = [_ring_point(rot, 30, 2.6) for rot in [0, *range(32, 64)]]
+    d = make_scalar_instance(
+        np.array(inside + outside),
+        np.concatenate([_interlaced(inside, 0.43),
+                        _interlaced(outside, 2.6)]))
+    b = rz.build_bundle(d)
+    assert fz.factorization_exists(b, UNIT).verdict == fz.EXISTS
+    with pytest.raises(PoleHitError) as exc:
+        fz.factorize(b, UNIT)
+    assert exc.value.point == exc.value.singularity == outside[0]
+    assert exc.value.distance == 0.0

@@ -501,8 +501,9 @@ def test_random_instance_respects_geometry():
 
 
 def test_random_instance_gives_up_on_impossible_geometry():
-    # at most two points of the unit disk are 1.9 apart; eight are drawn
-    geo = sy.GeneratorGeometry(disk_radius=1.0, min_separation=1.9,
+    # eight points of the unit disk are at most 2·sin(π/7) ≈ 0.87 apart
+    # (a heptagon and its center), though the packing bound admits 1.0
+    geo = sy.GeneratorGeometry(disk_radius=1.0, min_separation=1.0,
                                max_retries=2)
     with pytest.raises(GenerationFailedError) as exc:
         sy.random_instance(1, 4, seed=3, geometry=geo)
@@ -763,7 +764,7 @@ _G = sy.GeneratorGeometry
     (1, 32, range(3), _G(max_retries=300)),
     (1, 4, range(6), _G(cond_limit=20.0, max_retries=4)),
     (2, 6, range(6), _G(cond_limit=60.0, max_retries=3)),
-    (1, 4, range(2), _G(disk_radius=1.0, min_separation=1.9,
+    (1, 4, range(2), _G(disk_radius=1.0, min_separation=1.0,
                         max_retries=2)),
 ], ids=["empty", "k1n3", "k1n8", "k4n8", "k2n20", "k4n32",
         "k1n32-retries300", "small-cond-limit", "small-cond-limit-k2",
@@ -895,6 +896,45 @@ def test_a_separation_just_below_the_diameter_is_accepted():
     # the bound refuses only what no draw of two points can honour
     geo = sy.GeneratorGeometry(disk_radius=1.0, min_separation=1.999)
     assert geo.min_separation == 1.999
+
+
+@pytest.mark.parametrize("n, radius, sep", [
+    (8, 2.0, 2.0), (8, 2.0, 1.5), (8, 2.0, 3.9), (4, 1.0, 1.9),
+    (3, 1.0, 1.5), (3281, 2.0, 0.05),
+    pytest.param(10**400, 2.0, 0.05, id="n=10**400")])
+def test_random_instance_refuses_points_that_cannot_fit_before_drawing(
+        monkeypatch, n, radius, sep):
+    # 2n disjoint disks of radius s/2 inside the disk of radius R + s/2
+    def no_draw(*args):
+        raise AssertionError("drew points")
+
+    monkeypatch.setattr(sy, "_draw_separated", no_draw)
+    geo = sy.GeneratorGeometry(disk_radius=radius, min_separation=sep)
+    with pytest.raises(ValidationError) as exc:
+        sy.random_instance(4, n, 0, geo)
+    assert str(exc.value) == (
+        f"n = {n} needs {2 * n} points min_separation = {sep:g} apart in a "
+        f"disk of radius disk_radius = {radius:g}; they do not fit, since "
+        f"2n·(s/2)² > (R + s/2)²")
+
+
+@pytest.mark.parametrize("n, radius, sep", [
+    (3280, 2.0, 0.05), (1, 1.0, 1.999), (4, 1.0, 1.0), (8, 2.0, 1.0)])
+def test_the_packing_bound_admits_what_fits_in_area(monkeypatch, n, radius,
+                                                    sep):
+    # necessary, not sufficient: each passes it and goes on to draw,
+    # though no eight points of the unit disk are 1.0 apart (see above)
+    drawn = []
+
+    def no_points(rng, count, *args):
+        drawn.append(count)
+
+    monkeypatch.setattr(sy, "_draw_separated", no_points)
+    geo = sy.GeneratorGeometry(disk_radius=radius, min_separation=sep,
+                               max_retries=1)
+    with pytest.raises(GenerationFailedError):
+        sy.random_instance(1, n, 0, geo)
+    assert drawn == [2 * n]
 
 
 def test_random_instance_accepts_numpy_integers():
