@@ -24,11 +24,12 @@ does the same with one minimum over the whole batch, a minimum that
 skips NaN: a NaN point raises nothing, and must not hide a point that
 hits a pole.
 
-_weights(z, points) is the same test for the evaluators' commonest
-call, one complex or float point: it returns the weights 1/(z - points)
-when the point clears every singularity, and None for anything else,
-which the caller then sends through _gaps. A one-point evaluator call
-is a handful of numpy operations, nearly all fixed cost, so _gaps' type
+_weights(z, points) returns the weights 1/(z - points) that every
+evaluator and additive form scales by; it is the only source of them.
+It runs the same test itself for the commonest call, one complex or
+float point clear of every singularity, and sends everything else
+through _gaps, which makes every refusal. A one-point evaluator call is
+a handful of numpy operations, nearly all fixed cost, so _gaps' type
 dispatch and per-call wrappers are a share of it worth skipping.
 """
 
@@ -134,21 +135,22 @@ def _gaps(z, points: np.ndarray) -> np.ndarray:
     return gaps
 
 
-def _weights(z, points: np.ndarray):
-    """1/(z - points) for one complex or float z (numpy's complex128
-    and float64 included) at least EVAL_EPS from every one of `points`,
-    or None when z must take the path through _gaps: a stack, an int or
-    any other type, a point within EVAL_EPS, NaN, or no points at all.
+def _weights(z, points: np.ndarray) -> np.ndarray:
+    """1/(z - points), the weights of every evaluator and additive form,
+    with the bits of 1.0 / _gaps(z, points) and its refusals.
 
-    The weights have the bits of 1.0 / _gaps(z, points). It refuses
-    nothing itself, so every refusal and its message stay _gaps'.
+    One complex or float z (numpy's complex128 and float64 included) at
+    least EVAL_EPS from every one of `points` is tested here, without
+    _gaps' type dispatch; everything else goes through _gaps: a stack,
+    an int or any other type, a point within EVAL_EPS, NaN, or no points
+    at all.
     """
     if isinstance(z, (complex, float)) and points.size:
         gaps = z - points
         # minimum propagates NaN, and NaN >= EVAL_EPS is False
         if np.minimum.reduce(np.abs(gaps)) >= EVAL_EPS:
             return 1.0 / gaps
-    return None
+    return 1.0 / _gaps(z, points)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ from .errors import (
     ValidationError,
     VerificationFailedError,
 )
-from .cauchy import _gaps
+from .cauchy import _gaps, _weights
 from .linalg import (
     _shared_identity,
     frobenius,
@@ -69,10 +69,10 @@ from .linalg import (
     inverse_cond,
     max_frobenius,
 )
-from .realization import RealizationBundle, _form, build_bundle
+from .realization import RealizationBundle, build_bundle
 from .report import Report, _check_integer, check_tolerance
 from .synthesis import _check_cond_max, _synthesize
-from .zero_pole import FAIL_TOL, ZeroPoleData
+from .zero_pole import FAIL_TOL, ZeroPoleData, _form
 
 __all__ = [
     "CircleContour",
@@ -101,6 +101,11 @@ NOT_EXISTS = "NotExists"
 BOUNDARY = "Boundary"
 
 
+# what complex() or float() takes for a number though it is none: they
+# parse a string and read a bool as 1 or 0
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
+
 @dataclass(frozen=True)
 class CircleContour:
     """Splitting circle; the exterior is the component holding infinity."""
@@ -110,6 +115,9 @@ class CircleContour:
 
     def __post_init__(self):
         try:
+            if (isinstance(self.center, _NOT_NUMBERS)
+                    or isinstance(self.radius, _NOT_NUMBERS)):
+                raise TypeError
             center, radius = complex(self.center), float(self.radius)
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(
@@ -376,7 +384,7 @@ def factorize(b: RealizationBundle, c: CircleContour,
     # factor's own pass (see _scaled)
     samples = _sample_ring(c, d.poles, N_SAMPLES)
     try:
-        u = 1.0 / _gaps(samples, d.poles)
+        u = _weights(samples, d.poles)
     except PoleHitError:
         # name the hit that evaluating R₋, then R₊, names; one of the
         # two passes raises, since R's poles are theirs
@@ -384,11 +392,11 @@ def factorize(b: RealizationBundle, c: CircleContour,
         _gaps(samples, lam_in)
         raise
     u_out = u.take(p_out, axis=1)
-    r_minus = _form(d.k, -1.0, minus.data.F_P, u_out, minus.Sr_inv_G_N)
-    r_plus = _form(d.k, -1.0, plus.data.F_P, u.take(p_in, axis=1),
+    r_minus = _form(-1.0, minus.data.F_P, u_out, minus.Sr_inv_G_N)
+    r_plus = _form(-1.0, plus.data.F_P, u.take(p_in, axis=1),
                    plus.Sr_inv_G_N)
-    r_full = _form(d.k, -1.0, d.F_P, u, b.Sr_inv_G_N)
-    minus_alt = _form(d.k, -1.0, fp_alt, u_out, delta_inv @ gn_alt)
+    r_full = _form(-1.0, d.F_P, u, b.Sr_inv_G_N)
+    minus_alt = _form(-1.0, fp_alt, u_out, delta_inv @ gn_alt)
     worst_prod = max_frobenius(r_plus @ r_minus - r_full)
     worst_agree = max_frobenius(r_minus - minus_alt)
     report.add("product_at_samples", worst_prod, fail_tol)

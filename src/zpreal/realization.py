@@ -54,20 +54,16 @@ the rounding of that one division, whatever the data, and their
 residuals grow with ‖G_N·F_P‖, which a diagonal gauge rescaling of
 consistent data makes as large as it likes.
 
-All eight evaluators compute one kernel, I + scale·F·diag(u)·M·diag(v)·G,
-with weights u = 1/(z - points) that pass the package's one clearance
-check in cauchy. Each takes a point and returns a k×k array, or a 1-d
-array of M points (M pairs for the two-point forms) and returns an
-M×k×k stack in one vectorized pass. The kernel has two paths, chosen
-by the argument. One complex or float point (a pair of them) clear of
-every singularity gets its weights from cauchy._weights, and the
-evaluator writes its formula out: such a call is a handful of numpy
-operations, so the stack machinery around them (_gaps' dispatch, _pair
-and _form) is a share of its time worth skipping. Everything else
-takes the general path through cauchy._gaps, _pair and _form, which
-makes every refusal: stacks, other types, points that hit a
-singularity, NaN, and n = 0. Both paths give the same bits (see the
-note above eval_R). The half-products the evaluators need (Sr⁻¹G_N,
+All eight evaluators compute one kernel, zero_pole._form:
+I + scale·F·diag(u)·M·diag(v)·G, with weights u = 1/(z - points) from
+cauchy._weights, which makes the package's one clearance check. Each
+takes a point and returns a k×k array, or a 1-d array of M points (M
+pairs for the two-point forms) and returns an M×k×k stack in one
+vectorized pass, each slice with the bits of the one-point call. Every
+argument takes the same path: _weights tests one complex or float
+point itself and sends anything else (a stack, another type, a point
+that hits a singularity, NaN, n = 0) through cauchy._gaps, which makes
+every refusal. The half-products the evaluators need (Sr⁻¹G_N,
 F_P·Sr⁻¹, Sl⁻¹G_P, F_N·Sl⁻¹) are cached on the bundle the first time
 an evaluator asks for them, so building a bundle computes none of them.
 Two temporaries are kept out of every call. The identity is one
@@ -89,7 +85,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cauchy import _gaps, _weights
+from .cauchy import _weights
 from .errors import (
     InconsistentDataError,
     SingularMatrixError,
@@ -110,7 +106,7 @@ from .zero_pole import (
     SEP_MIN,
     ZeroPoleData,
     _as_point_vector,
-    _scaled,
+    _form,
 )
 
 __all__ = [
@@ -439,86 +435,37 @@ def check_coupling_relations(b: RealizationBundle,
 # is the executable content of the whole construction.
 
 
-def _form(k: int, scale, left: np.ndarray, u: np.ndarray,
-          right: np.ndarray, mid=None, v=None) -> np.ndarray:
-    """I + scale·(left·diag(u))·(mid·(diag(v)·right)), the evaluators'
-    general path: every argument the one-point path below does not take.
-
-    u and v are weight vectors, or stacks of them with a leading axis of
-    M points, in which case scale is a scalar or has length M and the
-    result is M×k×k. The products associate as left·(mid·right), the
-    order every evaluator formula below is written in, and the middle
-    scales the n×k right factor, never the n×n mid. A factor scaled by
-    a stack of weights gets a leading axis as in _scaled, so each slice
-    of a stack has the bits of the one-point call.
-    """
-    if mid is not None:
-        if v.ndim > 1:
-            right = right[None]
-        right = mid @ (v[..., :, None] * right)
-    prod = _scaled(left, u) @ right
-    if isinstance(scale, np.ndarray):
-        scale = scale[:, None, None]
-    return _shared_identity(k) + scale * prod
-
-
-# The one-point path. When _weights hands back the weights of a single
-# number (both numbers, for a pair), the evaluator writes its formula
-# out: I ∓ (left·diag(u))·right, or I + s·(left·diag(u))·(mid·(diag(v)·
-# right)). Anything else goes to _gaps or _pair and _form, which refuse
-# what must be refused. The path keeps _form's layout, the 2-d view
-# left * u[None, :] included (see _scaled), so its bits are _form's,
-# with one exception: I − P here and I + (−1.0)·P there agree bit for
-# bit on finite P, but where P has an infinite entry the complex
-# multiply by −1.0 makes 0·inf a NaN in the other part, and I − P does
-# not.
-
-
 def eval_R(b: RealizationBundle, z) -> np.ndarray:
     """R(z) = I - F_P (zI - A_P)^-1 Sr^-1 G_N."""
     d = b.data
-    u = _weights(z, d.poles)
-    if u is None:
-        return _form(d.k, -1.0, d.F_P, 1.0 / _gaps(z, d.poles),
-                     b.Sr_inv_G_N)
-    return _shared_identity(d.k) - (d.F_P * u[None, :]) @ b.Sr_inv_G_N
+    return _form(-1.0, d.F_P, _weights(z, d.poles), b.Sr_inv_G_N)
 
 
 def eval_Rinv(b: RealizationBundle, z) -> np.ndarray:
     """R^-1(z) = I + F_P Sr^-1 (zI - A_N)^-1 G_N."""
     d = b.data
-    u = _weights(z, d.zeros)
-    if u is None:
-        return _form(d.k, 1.0, b.F_P_Sr_inv, 1.0 / _gaps(z, d.zeros), d.G_N)
-    return _shared_identity(d.k) + (b.F_P_Sr_inv * u[None, :]) @ d.G_N
+    return _form(1.0, b.F_P_Sr_inv, _weights(z, d.zeros), d.G_N)
 
 
 def eval_R_left(b: RealizationBundle, z) -> np.ndarray:
     """R(z) = I + F_N Sl^-1 (zI - A_P)^-1 G_P (left-data form)."""
     d = b.data
-    u = _weights(z, d.poles)
-    if u is None:
-        return _form(d.k, 1.0, b.F_N_Sl_inv, 1.0 / _gaps(z, d.poles), d.G_P)
-    return _shared_identity(d.k) + (b.F_N_Sl_inv * u[None, :]) @ d.G_P
+    return _form(1.0, b.F_N_Sl_inv, _weights(z, d.poles), d.G_P)
 
 
 def eval_Rinv_left(b: RealizationBundle, z) -> np.ndarray:
     """R^-1(z) = I - F_N (zI - A_N)^-1 Sl^-1 G_P (left-data form)."""
     d = b.data
-    u = _weights(z, d.zeros)
-    if u is None:
-        return _form(d.k, -1.0, d.F_N, 1.0 / _gaps(z, d.zeros),
-                     b.Sl_inv_G_P)
-    return _shared_identity(d.k) - (d.F_N * u[None, :]) @ b.Sl_inv_G_P
+    return _form(-1.0, d.F_N, _weights(z, d.zeros), b.Sl_inv_G_P)
 
 
 def _pair(x, y, x_points: np.ndarray, y_points: np.ndarray):
     """(x, y, 1/(x − x_points), 1/(y − y_points)), every point checked
-    by _gaps before a two-point form subtracts y from x. If either is a
-    stack, both come back as complex arrays, of equal length if both are
-    stacks, so lists subtract like arrays."""
-    u = 1.0 / _gaps(x, x_points)
-    v = 1.0 / _gaps(y, y_points)
+    by _weights before a two-point form subtracts y from x. If either is
+    a stack, both come back as complex arrays, of equal length if both
+    are stacks, so lists subtract like arrays."""
+    u = _weights(x, x_points)
+    v = _weights(y, y_points)
     if u.ndim > 1 or v.ndim > 1:
         if u.ndim == v.ndim and len(u) != len(v):
             raise ValidationError(
@@ -532,23 +479,15 @@ def _pair(x, y, x_points: np.ndarray, y_points: np.ndarray):
 def eval_joint_right(b: RealizationBundle, x, y) -> np.ndarray:
     """R(x) R^-1(y) = I + (x-y) F_P (xI-A_P)^-1 Sr^-1 (yI-A_N)^-1 G_N."""
     d = b.data
-    u, v = _weights(x, d.poles), _weights(y, d.zeros)
-    if u is None or v is None:
-        x, y, u, v = _pair(x, y, d.poles, d.zeros)
-        return _form(d.k, x - y, d.F_P, u, d.G_N, b.Sr_inv, v)
-    return _shared_identity(d.k) + (x - y) * (
-        (d.F_P * u[None, :]) @ (b.Sr_inv @ (v[:, None] * d.G_N)))
+    x, y, u, v = _pair(x, y, d.poles, d.zeros)
+    return _form(x - y, d.F_P, u, d.G_N, b.Sr_inv, v)
 
 
 def eval_joint_left(b: RealizationBundle, x, y) -> np.ndarray:
     """R^-1(x) R(y) = I + (x-y) F_N (xI-A_N)^-1 Sl^-1 (yI-A_P)^-1 G_P."""
     d = b.data
-    u, v = _weights(x, d.zeros), _weights(y, d.poles)
-    if u is None or v is None:
-        x, y, u, v = _pair(x, y, d.zeros, d.poles)
-        return _form(d.k, x - y, d.F_N, u, d.G_P, b.Sl_inv, v)
-    return _shared_identity(d.k) + (x - y) * (
-        (d.F_N * u[None, :]) @ (b.Sl_inv @ (v[:, None] * d.G_P)))
+    x, y, u, v = _pair(x, y, d.zeros, d.poles)
+    return _form(x - y, d.F_N, u, d.G_P, b.Sl_inv, v)
 
 
 def eval_hybrid_right(b: RealizationBundle, x, y) -> np.ndarray:
@@ -557,12 +496,8 @@ def eval_hybrid_right(b: RealizationBundle, x, y) -> np.ndarray:
         I - (x-y) F_N Sl^-1 (xI-A_P)^-1 Sl (yI-A_N)^-1 Sl^-1 G_P
     """
     d = b.data
-    u, v = _weights(x, d.poles), _weights(y, d.zeros)
-    if u is None or v is None:
-        x, y, u, v = _pair(x, y, d.poles, d.zeros)
-        return _form(d.k, y - x, b.F_N_Sl_inv, u, b.Sl_inv_G_P, b.Sl, v)
-    return _shared_identity(d.k) + (y - x) * (
-        (b.F_N_Sl_inv * u[None, :]) @ (b.Sl @ (v[:, None] * b.Sl_inv_G_P)))
+    x, y, u, v = _pair(x, y, d.poles, d.zeros)
+    return _form(y - x, b.F_N_Sl_inv, u, b.Sl_inv_G_P, b.Sl, v)
 
 
 def eval_hybrid_left(b: RealizationBundle, x, y) -> np.ndarray:
@@ -571,9 +506,5 @@ def eval_hybrid_left(b: RealizationBundle, x, y) -> np.ndarray:
         I - (x-y) F_P Sr^-1 (xI-A_N)^-1 Sr (yI-A_P)^-1 Sr^-1 G_N
     """
     d = b.data
-    u, v = _weights(x, d.zeros), _weights(y, d.poles)
-    if u is None or v is None:
-        x, y, u, v = _pair(x, y, d.zeros, d.poles)
-        return _form(d.k, y - x, b.F_P_Sr_inv, u, b.Sr_inv_G_N, b.Sr, v)
-    return _shared_identity(d.k) + (y - x) * (
-        (b.F_P_Sr_inv * u[None, :]) @ (b.Sr @ (v[:, None] * b.Sr_inv_G_N)))
+    x, y, u, v = _pair(x, y, d.zeros, d.poles)
+    return _form(y - x, b.F_P_Sr_inv, u, b.Sr_inv_G_N, b.Sr, v)

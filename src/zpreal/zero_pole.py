@@ -15,7 +15,12 @@ inverse functions.
 The additive forms take one point or a 1-d array of points; for an array
 they return a stack of k×k values, each with the bits of the one-point
 value. check_consistency and log_derivative_residues evaluate them that
-way, one stacked call per family of points.
+way, one stacked call per family of points. This module is also the home
+of the package's one evaluation kernel, _form: the additive forms and
+all eight evaluators in realization are I + s·F·diag(u)·[M·diag(v)]·G,
+with weights u = 1/(z - points) from cauchy._weights. The derivative
+forms have no identity term and divide by the squared gaps, so they
+scale their factor with _scaled directly.
 
 ZeroPoleData(...) validates everything it is given. Its one private
 constructor, ZeroPoleData._completed, serves one caller,
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import _gaps, _min_pairwise_distance
+from .cauchy import _gaps, _min_pairwise_distance, _weights
 from .errors import (
     CollisionError,
     NotRankOneError,
@@ -301,16 +306,51 @@ def _scaled(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     return f * w[..., None, :]
 
 
+def _form(scale, left: np.ndarray, u: np.ndarray, right: np.ndarray,
+          mid=None, v=None) -> np.ndarray:
+    """I + scale·(left·diag(u))·(mid·(diag(v)·right)), or
+    I + scale·(left·diag(u))·right without mid: the one kernel of the
+    additive forms and of every evaluator in realization, k×k with k
+    the number of rows of left.
+
+    u and v are weight vectors, or stacks of them with a leading axis of
+    M points, in which case scale is a scalar or has length M and the
+    result is M×k×k. The products associate as left·(mid·right), and the
+    middle scales the n×k right factor, never the n×n mid. A factor
+    scaled by a stack of weights gets a leading axis first, as in
+    _scaled, so each slice of a stack has the bits of the one-point
+    call. _scaled's two lines are written out here: its call is a
+    share of a one-point evaluation worth saving.
+
+    A scale of exactly ±1.0 gives I ± P. On finite P that is bit for bit
+    I + (±1.0)·P; where P has an infinite entry, the complex multiply by
+    ±1.0 would make 0·inf a NaN in the other part.
+    """
+    eye = _shared_identity(left.shape[0])
+    if mid is not None:
+        if v.ndim > 1:
+            right = right[None]
+        right = mid @ (v[..., :, None] * right)
+    if u.ndim > 1:
+        left = left[None]
+    prod = (left * u[..., None, :]) @ right
+    if isinstance(scale, np.ndarray):
+        return eye + scale[:, None, None] * prod
+    if scale == 1.0:
+        return eye + prod
+    if scale == -1.0:
+        return eye - prod
+    return eye + scale * prod
+
+
 def additive_eval_R(d: ZeroPoleData, z) -> np.ndarray:
     """R(z) = I + sum_j F_P[:, j] G_P[j, :] / (z - lambda_j)."""
-    w = 1.0 / _gaps(z, d.poles)
-    return _shared_identity(d.k) + _scaled(d.F_P, w) @ d.G_P
+    return _form(1.0, d.F_P, _weights(z, d.poles), d.G_P)
 
 
 def additive_eval_Rinv(d: ZeroPoleData, z) -> np.ndarray:
     """R^-1(z) = I + sum_j F_N[:, j] G_N[j, :] / (z - mu_j)."""
-    w = 1.0 / _gaps(z, d.zeros)
-    return _shared_identity(d.k) + _scaled(d.F_N, w) @ d.G_N
+    return _form(1.0, d.F_N, _weights(z, d.zeros), d.G_N)
 
 
 def additive_deriv_R(d: ZeroPoleData, z) -> np.ndarray:

@@ -107,7 +107,8 @@ def assert_same_bundle(got, want):
 
 def count_calls(monkeypatch, fn):
     """Count the calls of fn made through any zpreal module's binding."""
-    from zpreal import factorization, linalg, realization, synthesis
+    from zpreal import (cauchy, factorization, linalg, realization,
+                        synthesis, zero_pole)
 
     calls = []
 
@@ -115,7 +116,8 @@ def count_calls(monkeypatch, fn):
         calls.append(args)
         return fn(*args, **kwargs)
 
-    for module in (linalg, realization, synthesis, factorization):
+    for module in (cauchy, linalg, zero_pole, realization, synthesis,
+                   factorization):
         for name, value in list(vars(module).items()):
             if value is fn:
                 monkeypatch.setattr(module, name, counting)

@@ -19,6 +19,7 @@ from zpreal import factorization as fz
 from zpreal import linalg
 from zpreal import realization as rz
 from zpreal import synthesis as sy
+from zpreal import zero_pole
 from zpreal.linalg import frobenius, identity, max_frobenius
 from zpreal.synthesis import SynthesisInput, synthesize, synthesize_hybrid
 from zpreal.zero_pole import (
@@ -168,7 +169,7 @@ def test_factor_product_reproduces_function():
 def test_factorize_verification_evaluates_each_factor_once_per_sample(monkeypatch):
     b = balanced_instance(2, 3, 3, seed=88)
     gaps = count_calls(monkeypatch, cauchy._gaps)
-    forms = count_calls(monkeypatch, rz._form)
+    forms = count_calls(monkeypatch, zero_pole._form)
     res = fz.factorize(b, UNIT)
     assert res.report.passed
     # one clearance pass, over R's poles, which are R₊'s and R₋'s
@@ -177,12 +178,12 @@ def test_factorize_verification_evaluates_each_factor_once_per_sample(monkeypatc
     assert samples.shape == (40,)
     assert points is b.data.poles
     # one batched call each for R-, R+ and R itself, plus the Schur
-    # route's R-, on the 40 samples; _form(k, scale, left, u, right)
+    # route's R-, on the 40 samples; _form(scale, left, u, right)
     # takes each bundle's own F_P and the weights of its own poles
     assert len(forms) == 4
     for bundle in (res.minus, res.plus, b):
-        (args,) = [args for args in forms if args[2] is bundle.data.F_P]
-        u = args[3]
+        (args,) = [args for args in forms if args[1] is bundle.data.F_P]
+        u = args[2]
         assert u.flags.c_contiguous
         assert same_bits(u, 1.0 / (samples[:, None]
                                    - bundle.data.poles[None, :]))

@@ -503,6 +503,18 @@ MALFORMED_ARGUMENTS = {
     "contour-none-center": (
         lambda: CircleContour(None, 1.0),
         "contour center and radius must be numbers"),
+    "contour-str-numbers": (
+        lambda: CircleContour("1+1j", "2"),
+        "contour center and radius must be numbers"),
+    "contour-bytes-radius": (
+        lambda: CircleContour(0.0, b"2"),
+        "contour center and radius must be numbers"),
+    "contour-bool-numbers": (
+        lambda: CircleContour(True, True),
+        "contour center and radius must be numbers"),
+    "contour-numpy-bool-radius": (
+        lambda: CircleContour(0.0, np.bool_(True)),
+        "contour center and radius must be numbers"),
     "contour-list-radius": (
         lambda: CircleContour(0.0, [1.0]),
         "contour center and radius must be numbers"),

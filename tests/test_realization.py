@@ -19,6 +19,7 @@ from zpreal.errors import (
 from zpreal.cauchy import (EVAL_EPS, ScalarZeroPole, _gaps, cauchy_matrix,
                            scalar_eval)
 from zpreal.linalg import frobenius, identity, inverse
+from zpreal import cauchy
 from zpreal import factorization as fz
 from zpreal import linalg
 from zpreal import realization as rz
@@ -34,6 +35,8 @@ from zpreal.zero_pole import (
     SEP_MIN,
     GaugePair,
     ZeroPoleData,
+    _form,
+    _scaled,
     additive_eval_R,
     additive_eval_Rinv,
     gauge_transform,
@@ -731,39 +734,88 @@ def test_batch_equals_stacked_one_point_results(kernel_bundle):
 
 def test_only_one_clear_number_skips_the_general_path(kernel_bundle,
                                                       monkeypatch):
-    # one complex or float point (a pair of them) is evaluated without
-    # _form; an int, a stack of one, NaN and an n = 0 bundle take it
+    # _weights clears one complex or float point (a pair of them) by
+    # itself; an int, a stack (of one included), a list, NaN and every
+    # point of an n = 0 bundle go through cauchy._gaps, once per point
+    # argument
     b = kernel_bundle
     rng = np.random.default_rng(b.n + 5)
     x, y = _clear_points(b, rng, 2)
     nan = float("nan")
-    calls = []
-    form = rz._form
-    monkeypatch.setattr(rz, "_form", lambda *a: calls.append(a) or form(*a))
+    calls = count_calls(monkeypatch, cauchy._gaps)
 
-    def general_calls(fn, *args):
+    def gaps_calls(fn, *args):
         with np.errstate(invalid="ignore"):
             fn(*args)
         count = len(calls)
         del calls[:]
         return count
 
+    # calls per clear number: none, but n = 0 sends every point to _gaps
+    per_clear = int(b.n == 0)
     for fn, _ in ONE_POINT:
         for z in (complex(x), x, x.real, float(x.real)):
-            assert general_calls(fn, b, z) == (b.n == 0), fn.__name__
+            assert gaps_calls(fn, b, z) == per_clear, fn.__name__
         for z in (int(round(x.real)), np.array([x]), [x], nan):
-            assert general_calls(fn, b, z) == 1, fn.__name__
+            assert gaps_calls(fn, b, z) == 1, fn.__name__
         assert fn(b, [x]).shape == (1, b.k, b.k)
         del calls[:]
     for fn, _ in TWO_POINT:
         for pair in ((complex(x), y), (x.real, float(y.imag))):
-            assert general_calls(fn, b, *pair) == (b.n == 0), fn.__name__
+            assert gaps_calls(fn, b, *pair) == 2 * per_clear, fn.__name__
         for pair in ((x, int(round(y.real))), (int(round(x.real)), y),
-                     (np.array([x]), np.array([y])), (x, [y]),
-                     (nan, y), (x, nan)):
-            assert general_calls(fn, b, *pair) == 1, fn.__name__
+                     (x, [y]), (nan, y), (x, nan)):
+            assert gaps_calls(fn, b, *pair) == 1 + per_clear, fn.__name__
+        for pair in ((np.array([x]), np.array([y])), ([x], [y]),
+                     (int(round(x.real)), nan)):
+            assert gaps_calls(fn, b, *pair) == 2, fn.__name__
         assert fn(b, [x], [y]).shape == (1, b.k, b.k)
         del calls[:]
+
+
+def _ref_additive(f, points, g, z):
+    """I + (F·diag(1/(z − points)))·G, or the stack of them over a 1-d
+    z, written out as the additive forms computed it before they shared
+    the evaluators' kernel."""
+    eye = identity(f.shape[0])
+    if np.ndim(z) == 0:
+        return eye + (f * (1.0 / (z - points))[None, :]) @ g
+    w = 1.0 / (np.asarray(z, dtype=np.complex128)[:, None] - points[None, :])
+    return eye + (f[None] * w[:, None, :]) @ g
+
+
+def test_additive_forms_bitwise_equal_reference(kernel_bundle):
+    d = kernel_bundle.data
+    rng = np.random.default_rng(d.n + 7)
+    pts = _clear_points(kernel_bundle, rng, 5)
+    points = [p for z in pts for p in (complex(z), z, z.real, float(z.real),
+                                       int(round(z.real)))]
+    points += [pts, pts[:1], list(pts[:3])]
+    for fn, f, sing, g in ((additive_eval_R, d.F_P, d.poles, d.G_P),
+                           (additive_eval_Rinv, d.F_N, d.zeros, d.G_N)):
+        for z in points:
+            assert _same_bits(fn(d, z), _ref_additive(f, sing, g, z)), (
+                fn.__name__, z)
+
+
+def test_unit_scale_forms_identity_plus_or_minus_the_product(kernel_bundle):
+    # on finite data, I ± P is I + (±1.0)·P bit for bit, one point or a
+    # stack; where P overflows, a stack of one keeps the one-point bits
+    d = kernel_bundle.data
+    rng = np.random.default_rng(d.n + 8)
+    w = 1.0 / (_clear_points(kernel_bundle, rng, 4)[:, None] - d.poles)
+    for u in (w[0], w, w[:1]):
+        p = _scaled(d.F_P, u) @ d.G_N
+        for scale, want in ((1.0, identity(d.k) + p),
+                            (-1.0, identity(d.k) - p)):
+            got = _form(scale, d.F_P, u, d.G_N)
+            assert _same_bits(got, want), scale
+            assert _same_bits(got, identity(d.k) + scale * p), scale
+    huge = np.array([[1e200 + 0j]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        one = _form(-1.0, huge, huge[0], huge.T / 1e200)
+        assert _same_bits(_form(-1.0, huge, huge, huge.T / 1e200)[0], one)
+    assert one[0, 0].real == -np.inf
 
 
 @pytest.mark.parametrize("z", [float("nan"), complex(float("nan"), 1.0),
