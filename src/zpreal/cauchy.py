@@ -16,21 +16,16 @@ independent oracle.
 It also holds the package's one clearance rule: _gaps(z, points) refuses
 an evaluation point within EVAL_EPS of a pole or zero and otherwise
 returns z - points, for one point or a 1-d array of points. Every
-evaluator, additive form and scalar form divides by what it returns.
-The check tests the smallest distance first and looks up which
-singularity it belongs to only when that test trips, so a point clear
-of every singularity pays for one reduction, not two. The batch path
-does the same with one minimum over the whole batch, a minimum that
-skips NaN: a NaN point raises nothing, and must not hide a point that
-hits a pole.
-
-_weights(z, points) returns the weights 1/(z - points) that every
-evaluator and additive form scales by; it is the only source of them.
-It runs the same test itself for the commonest call, one complex or
-float point clear of every singularity, and sends everything else
-through _gaps, which makes every refusal. A one-point evaluator call is
-a handful of numpy operations, nearly all fixed cost, so _gaps' type
-dispatch and per-call wrappers are a share of it worth skipping.
+evaluator, additive form and scalar form divides by what it returns,
+and factorize weighs its samples with it. The check tests the smallest
+distance first and looks up which singularity it belongs to only when
+that test trips, so a point clear of every singularity pays for one
+reduction, not two. The batch path does the same with one minimum over
+the whole batch, a minimum that skips NaN: a NaN point raises nothing,
+and must not hide a point that hits a pole. A one-point evaluator call
+is a handful of numpy operations, nearly all fixed cost, so the one
+point takes the shortest path: a complex or float is tested before any
+other type, and numpy's ufunc reduce skips the .min() wrapper.
 """
 
 from __future__ import annotations
@@ -45,7 +40,7 @@ from .errors import (
     PoleHitError,
     ValidationError,
 )
-from .linalg import _complex_array, solve
+from .linalg import _complex_array, _is_number, solve
 
 EVAL_EPS = 1e-12     # distance below which an evaluation point "hits" a pole
 SEP_EPS = 1e-10      # minimum separation between the defining points
@@ -95,10 +90,11 @@ def _gaps(z, points: np.ndarray) -> np.ndarray:
     A point within EVAL_EPS of one of `points` raises PoleHitError
     naming its nearest singularity; in a batch the first such point in
     array order is named. A point that is not a number raises
-    ValidationError, caught where the subtraction or conversion that
-    numeric input needs anyway fails, so numbers pay nothing for it.
+    ValidationError: one point where the subtraction that numbers need
+    anyway fails, so numbers pay nothing for it; a stack unless it is a
+    numeric array or holds numbers (see linalg._is_number).
     """
-    if isinstance(z, complex) or np.ndim(z) == 0:
+    if isinstance(z, (complex, float)) or np.ndim(z) == 0:
         try:
             gaps = z - points
         except (TypeError, OverflowError):
@@ -108,12 +104,19 @@ def _gaps(z, points: np.ndarray) -> np.ndarray:
             dist = np.abs(gaps)
             # argmin only names the singularity once the test trips; a
             # NaN minimum fails the test and raises nothing
-            if dist.min() < EVAL_EPS:
+            if np.minimum.reduce(dist) < EVAL_EPS:
                 j = int(np.argmin(dist))
                 raise PoleHitError(z, complex(points[j]), float(dist[j]))
         return gaps
     try:
-        z = np.asarray(z, dtype=np.complex128)
+        # numpy would parse text, read None as NaN and the bytes of a
+        # bytearray or memoryview as their codes
+        a = np.asarray(z)
+        if isinstance(z, (bytearray, memoryview)) or not (
+                a.dtype.kind in "biufc" or a.dtype.kind == "O"
+                and all(map(_is_number, a.flat))):
+            raise TypeError
+        z = a.astype(np.complex128, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError("evaluation points are not numbers") from None
     if z.ndim != 1:
@@ -133,24 +136,6 @@ def _gaps(z, points: np.ndarray) -> np.ndarray:
                 raise PoleHitError(complex(z[i]), complex(points[j]),
                                    float(dist[i, j]))
     return gaps
-
-
-def _weights(z, points: np.ndarray) -> np.ndarray:
-    """1/(z - points), the weights of every evaluator and additive form,
-    with the bits of 1.0 / _gaps(z, points) and its refusals.
-
-    One complex or float z (numpy's complex128 and float64 included) at
-    least EVAL_EPS from every one of `points` is tested here, without
-    _gaps' type dispatch; everything else goes through _gaps: a stack,
-    an int or any other type, a point within EVAL_EPS, NaN, or no points
-    at all.
-    """
-    if isinstance(z, (complex, float)) and points.size:
-        gaps = z - points
-        # minimum propagates NaN, and NaN >= EVAL_EPS is False
-        if np.minimum.reduce(np.abs(gaps)) >= EVAL_EPS:
-            return 1.0 / gaps
-    return 1.0 / _gaps(z, points)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,11 @@ of all four evaluations (R, R₊, R₋ and the Schur route's R₋); each
 takes its own columns, with the bits eval_R would give it, and goes
 straight to the stacked form eval_R makes. The samples' cos and sin
 depend on the sample count and the rotation alone, and are cached.
-partition measures one distance to the center per point.
+When no rotation of the ring is clear of the poles, the clearest one
+goes without its samples within EVAL_EPS of a pole, so the pass
+refuses only a ring whose every sample is that close; nothing is
+re-run to name the hit. partition measures one distance to the center
+per point.
 """
 
 from __future__ import annotations
@@ -55,14 +59,14 @@ from .errors import (
     CardinalityMismatchError,
     NoFactorizationError,
     OnContourError,
-    PoleHitError,
     SingularCouplingError,
     SingularMatrixError,
     ValidationError,
     VerificationFailedError,
 )
-from .cauchy import _gaps, _weights
+from .cauchy import EVAL_EPS, _gaps
 from .linalg import (
+    _is_number,
     _shared_identity,
     frobenius,
     inverse,
@@ -101,11 +105,6 @@ NOT_EXISTS = "NotExists"
 BOUNDARY = "Boundary"
 
 
-# what complex() or float() takes for a number though it is none: they
-# parse a string and read a bool as 1 or 0
-_NOT_NUMBERS = (str, bytes, bool, np.bool_)
-
-
 @dataclass(frozen=True)
 class CircleContour:
     """Splitting circle; the exterior is the component holding infinity."""
@@ -115,8 +114,7 @@ class CircleContour:
 
     def __post_init__(self):
         try:
-            if (isinstance(self.center, _NOT_NUMBERS)
-                    or isinstance(self.radius, _NOT_NUMBERS)):
+            if not (_is_number(self.center) and _is_number(self.radius)):
                 raise TypeError
             center, radius = complex(self.center), float(self.radius)
         except (TypeError, ValueError, OverflowError):
@@ -254,9 +252,12 @@ def _sample_ring(c: CircleContour, singular: np.ndarray, count: int):
     singular point.
 
     The first of 64 rotations that keeps 1e-3·radius clear of every
-    singular point wins, or else the clearest of them. A rotation's
-    angles depend on count alone, so their libm cos and sin are made
-    once per (count, rotation) by _ring_turn; each point is then
+    singular point wins. If none does, the clearest of them is taken,
+    less its samples within EVAL_EPS of a singular point, which no
+    evaluation accepts; when every sample is that close, all are kept
+    and the first evaluation refuses them. A rotation's angles depend
+    on count alone, so their libm cos and sin are made once per
+    (count, rotation) by _ring_turn; each point is then
     center + radius factor·radius·(cos, sin), with the bits of the
     scalar formula.
     """
@@ -273,6 +274,11 @@ def _sample_ring(c: CircleContour, singular: np.ndarray, count: int):
             best, best_clear = pts, clear
         if clear > 1e-3 * c.radius:
             return pts
+    if best_clear < EVAL_EPS:
+        dist = np.abs(best[:, None] - singular[None, :]).min(axis=1)
+        keep = dist >= EVAL_EPS
+        if keep.any():
+            return best[keep]
     return best
 
 
@@ -383,14 +389,7 @@ def factorize(b: RealizationBundle, c: CircleContour,
     # which keeps them C-contiguous and so gives the bits of the
     # factor's own pass (see _scaled)
     samples = _sample_ring(c, d.poles, N_SAMPLES)
-    try:
-        u = _weights(samples, d.poles)
-    except PoleHitError:
-        # name the hit that evaluating R₋, then R₊, names; one of the
-        # two passes raises, since R's poles are theirs
-        _gaps(samples, lam_out)
-        _gaps(samples, lam_in)
-        raise
+    u = 1.0 / _gaps(samples, d.poles)
     u_out = u.take(p_out, axis=1)
     r_minus = _form(-1.0, minus.data.F_P, u_out, minus.Sr_inv_G_N)
     r_plus = _form(-1.0, plus.data.F_P, u.take(p_in, axis=1),

@@ -20,6 +20,7 @@ entry, the semantics that `factor_rank_one` and `obstrollable` rely on.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import cache
 from typing import NoReturn
 
@@ -45,6 +46,16 @@ __all__ = [
     "rank",
     "solve",
 ]
+
+
+def _is_number(value) -> bool:
+    """Whether value is a number other than a bool, or a numeric 0-d
+    array; complex() and float() also parse text and bytes and read a
+    bool as 1 or 0."""
+    if isinstance(value, np.ndarray):
+        return value.ndim == 0 and value.dtype.kind in "iufc"
+    return (isinstance(value, numbers.Number)
+            and not isinstance(value, (bool, np.bool_)))
 
 
 def _complex_array(values, what: str) -> np.ndarray:

@@ -56,21 +56,18 @@ consistent data makes as large as it likes.
 
 All eight evaluators compute one kernel, zero_pole._form:
 I + scale·F·diag(u)·M·diag(v)·G, with weights u = 1/(z - points) from
-cauchy._weights, which makes the package's one clearance check. Each
-takes a point and returns a k×k array, or a 1-d array of M points (M
-pairs for the two-point forms) and returns an M×k×k stack in one
-vectorized pass, each slice with the bits of the one-point call. Every
-argument takes the same path: _weights tests one complex or float
-point itself and sends anything else (a stack, another type, a point
-that hits a singularity, NaN, n = 0) through cauchy._gaps, which makes
-every refusal. The half-products the evaluators need (Sr⁻¹G_N,
-F_P·Sr⁻¹, Sl⁻¹G_P, F_N·Sl⁻¹) are cached on the bundle the first time
-an evaluator asks for them, so building a bundle computes none of them.
-Two temporaries are kept out of every call. The identity is one
-shared, read-only k×k array per k (I + X makes a new array, so every
-result is still fresh and writable). The two-point middle is formed
-as M·(diag(v)·G), which scales the n×k factor G instead of making an
-n×n scaled copy of M.
+one cauchy._gaps call per point argument, of any type: the package's
+one clearance check, which makes every refusal. Each takes a point and
+returns a k×k array, or a 1-d array of M points (M pairs for the
+two-point forms) and returns an M×k×k stack in one vectorized pass, each
+slice with the bits of the one-point call. The half-products the
+evaluators need (Sr⁻¹G_N, F_P·Sr⁻¹, Sl⁻¹G_P, F_N·Sl⁻¹) are cached on the
+bundle the first time an evaluator asks for them, so building a bundle
+computes none of them. Two temporaries are kept out of every call. The
+identity is one shared, read-only k×k array per k (I + X makes a new
+array, so every result is still fresh and writable). The two-point
+middle is formed as M·(diag(v)·G), which scales the n×k factor G instead
+of making an n×n scaled copy of M.
 
 Everything fails closed: data whose diagnostics exceed FAIL_TOL
 describes no function and is rejected at build time.
@@ -85,7 +82,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cauchy import _weights
+from .cauchy import _gaps
 from .errors import (
     InconsistentDataError,
     SingularMatrixError,
@@ -438,34 +435,34 @@ def check_coupling_relations(b: RealizationBundle,
 def eval_R(b: RealizationBundle, z) -> np.ndarray:
     """R(z) = I - F_P (zI - A_P)^-1 Sr^-1 G_N."""
     d = b.data
-    return _form(-1.0, d.F_P, _weights(z, d.poles), b.Sr_inv_G_N)
+    return _form(-1.0, d.F_P, 1.0 / _gaps(z, d.poles), b.Sr_inv_G_N)
 
 
 def eval_Rinv(b: RealizationBundle, z) -> np.ndarray:
     """R^-1(z) = I + F_P Sr^-1 (zI - A_N)^-1 G_N."""
     d = b.data
-    return _form(1.0, b.F_P_Sr_inv, _weights(z, d.zeros), d.G_N)
+    return _form(1.0, b.F_P_Sr_inv, 1.0 / _gaps(z, d.zeros), d.G_N)
 
 
 def eval_R_left(b: RealizationBundle, z) -> np.ndarray:
     """R(z) = I + F_N Sl^-1 (zI - A_P)^-1 G_P (left-data form)."""
     d = b.data
-    return _form(1.0, b.F_N_Sl_inv, _weights(z, d.poles), d.G_P)
+    return _form(1.0, b.F_N_Sl_inv, 1.0 / _gaps(z, d.poles), d.G_P)
 
 
 def eval_Rinv_left(b: RealizationBundle, z) -> np.ndarray:
     """R^-1(z) = I - F_N (zI - A_N)^-1 Sl^-1 G_P (left-data form)."""
     d = b.data
-    return _form(-1.0, d.F_N, _weights(z, d.zeros), b.Sl_inv_G_P)
+    return _form(-1.0, d.F_N, 1.0 / _gaps(z, d.zeros), b.Sl_inv_G_P)
 
 
 def _pair(x, y, x_points: np.ndarray, y_points: np.ndarray):
     """(x, y, 1/(x − x_points), 1/(y − y_points)), every point checked
-    by _weights before a two-point form subtracts y from x. If either is
+    by _gaps before a two-point form subtracts y from x. If either is
     a stack, both come back as complex arrays, of equal length if both
     are stacks, so lists subtract like arrays."""
-    u = _weights(x, x_points)
-    v = _weights(y, y_points)
+    u = 1.0 / _gaps(x, x_points)
+    v = 1.0 / _gaps(y, y_points)
     if u.ndim > 1 or v.ndim > 1:
         if u.ndim == v.ndim and len(u) != len(v):
             raise ValidationError(

@@ -62,7 +62,8 @@ from .errors import (
     SingularCouplingError,
     ValidationError,
 )
-from .linalg import _complex_array, identity, inverse_cond, max_frobenius, rank
+from .linalg import (_complex_array, _is_number, identity, inverse_cond,
+                     max_frobenius, rank)
 from .report import Report, _as_real, _check_integer
 from .realization import (
     RealizationBundle,
@@ -319,6 +320,8 @@ def extract_generator(t: ChainFunction, a):
     refused.
     """
     try:
+        if not (a is None or _is_number(a)):
+            raise TypeError
         size = math.inf if a is None else abs(complex(a))
     except (TypeError, ValueError, OverflowError):
         size = math.nan

@@ -18,7 +18,7 @@ value. check_consistency and log_derivative_residues evaluate them that
 way, one stacked call per family of points. This module is also the home
 of the package's one evaluation kernel, _form: the additive forms and
 all eight evaluators in realization are I + s·F·diag(u)·[M·diag(v)]·G,
-with weights u = 1/(z - points) from cauchy._weights. The derivative
+with weights u = 1.0 / _gaps(z, points) from cauchy. The derivative
 forms have no identity term and divide by the squared gaps, so they
 scale their factor with _scaled directly.
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import _gaps, _min_pairwise_distance, _weights
+from .cauchy import _gaps, _min_pairwise_distance
 from .errors import (
     CollisionError,
     NotRankOneError,
@@ -345,12 +345,12 @@ def _form(scale, left: np.ndarray, u: np.ndarray, right: np.ndarray,
 
 def additive_eval_R(d: ZeroPoleData, z) -> np.ndarray:
     """R(z) = I + sum_j F_P[:, j] G_P[j, :] / (z - lambda_j)."""
-    return _form(1.0, d.F_P, _weights(z, d.poles), d.G_P)
+    return _form(1.0, d.F_P, 1.0 / _gaps(z, d.poles), d.G_P)
 
 
 def additive_eval_Rinv(d: ZeroPoleData, z) -> np.ndarray:
     """R^-1(z) = I + sum_j F_N[:, j] G_N[j, :] / (z - mu_j)."""
-    return _form(1.0, d.F_N, _weights(z, d.zeros), d.G_N)
+    return _form(1.0, d.F_N, 1.0 / _gaps(z, d.zeros), d.G_N)
 
 
 def additive_deriv_R(d: ZeroPoleData, z) -> np.ndarray:

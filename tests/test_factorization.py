@@ -29,6 +29,9 @@ from zpreal.zero_pole import (
     pole_residue,
 )
 
+from zpreal.cli import main
+from zpreal.serialize import save_instance
+
 from conftest import make_d2, make_scalar_instance
 from helpers import (assert_same_bundle, balanced_instance, count_calls,
                      same_bits)
@@ -553,29 +556,37 @@ def test_each_synthesis_solves_twice_and_inverts_sr_and_its_own_s(
     assert len(inverses) == 2
 
 
-def _sample_ring_reference(c, singular, count):
-    """_sample_ring as a loop over every point of every rotation."""
+def _ring_rotation_reference(c, count, rot):
+    """Rotation `rot` of _sample_ring's points, one point at a time."""
     on = count // 2
     inner = (count - on) // 2
     rings = ((on, 1.0, 1.0, 0.0), (inner, 0.43, 1.7, 0.4),
              (count - on - inner, 2.6, 2.3, 0.9))
+    phase = 2.0 * math.pi * rot / 64.0
+    pts = []
+    for m, radius, turn, offset in rings:
+        for j in range(m):
+            ang = 2.0 * math.pi * j / m + turn * phase + offset
+            pts.append(c.center + radius * c.radius
+                       * complex(math.cos(ang), math.sin(ang)))
+    return np.array(pts, dtype=np.complex128)
+
+
+def _sample_ring_reference(c, singular, count):
+    """_sample_ring as a loop over every point of every rotation."""
     best, best_clear = None, -1.0
     for rot in range(64):
-        phase = 2.0 * math.pi * rot / 64.0
-        pts = []
-        for m, radius, turn, offset in rings:
-            for j in range(m):
-                ang = 2.0 * math.pi * j / m + turn * phase + offset
-                pts.append(c.center + radius * c.radius
-                           * complex(math.cos(ang), math.sin(ang)))
-        pts = np.array(pts, dtype=np.complex128)
+        pts = _ring_rotation_reference(c, count, rot)
         clear = (np.abs(pts[:, None] - singular[None, :]).min()
                  if singular.size else np.inf)
         if clear > best_clear:
             best, best_clear = pts, clear
         if clear > 1e-3 * c.radius:
             return pts
-    return best
+    # no rotation is clear: drop the clearest one's samples that no
+    # evaluation accepts, unless that drops every sample
+    keep = [np.abs(z - singular).min() >= cauchy.EVAL_EPS for z in best]
+    return best[keep] if any(keep) else best
 
 
 def _ring_cover(c, spacing, rng):
@@ -591,7 +602,8 @@ def _ring_cover(c, spacing, rng):
 
 
 @pytest.mark.parametrize("case", ["free", "scattered", "first_blocked",
-                                  "all_blocked"])
+                                  "all_blocked", "on_a_sample",
+                                  "every_sample_blocked"])
 @pytest.mark.parametrize("count", [1, 4, 7, 40, 2, 3, 9, 41])
 def test_sample_ring_matches_reference_loop(case, count):
     rng = np.random.default_rng(count)
@@ -603,6 +615,12 @@ def test_sample_ring_matches_reference_loop(case, count):
         "first_blocked": _sample_ring_reference(c, np.zeros(0), count)[-1:],
         # no rotation keeps 1e-3·radius clear: the clearest one is taken
         "all_blocked": _ring_cover(c, 1.2e-3, rng),
+        # a singular point on the last sample of every rotation
+        "on_a_sample": np.array([_ring_rotation_reference(c, count, rot)[-1]
+                                 for rot in range(64)]),
+        # a singular point on every sample of every rotation
+        "every_sample_blocked": np.concatenate(
+            [_ring_rotation_reference(c, count, rot) for rot in range(64)]),
     }[case]
     got = fz._sample_ring(c, singular, count)
     want = _sample_ring_reference(c, singular, count)
@@ -615,6 +633,13 @@ def test_sample_ring_matches_reference_loop(case, count):
         assert clear > 1e-3 * c.radius
     if case == "all_blocked":
         assert clear < 1e-3 * c.radius
+    if case == "on_a_sample":
+        # the first rotation is the clearest, less its blocked sample;
+        # a single sample is never dropped
+        assert same_bits(got, first[:-1] if count > 1 else first)
+    if case == "every_sample_blocked":
+        # dropping every sample is no ring: all are kept
+        assert same_bits(got, first)
 
 
 @pytest.mark.parametrize("count", [2, 3, 9, 41])
@@ -703,12 +728,12 @@ def _interlaced(points, radius):
     return radius * np.exp(1j * (ang + gap / 2.0))
 
 
-def test_a_sample_on_a_pole_names_the_hit_of_the_outside_factor_first():
+def test_a_sample_on_a_pole_in_every_rotation_is_dropped(tmp_path):
     # a pole on a sample of every one of the 64 rotations: inside poles
     # on the inner ring (sample 20) of rotations 0-31, outside poles on
     # the outer ring (sample 30) of rotations 0 and 32-63. No rotation
-    # is clear, so the first, rotation 0, is taken, and it hits both;
-    # R₋ was evaluated first, so its hit is the one named
+    # is clear, so the first, rotation 0, is taken, less the two samples
+    # it puts on a pole, and the split verifies on the other 38
     inside = [_ring_point(rot, 20, 0.43) for rot in range(32)]
     outside = [_ring_point(rot, 30, 2.6) for rot in [0, *range(32, 64)]]
     d = make_scalar_instance(
@@ -717,7 +742,64 @@ def test_a_sample_on_a_pole_names_the_hit_of_the_outside_factor_first():
                         _interlaced(outside, 2.6)]))
     b = rz.build_bundle(d)
     assert fz.factorization_exists(b, UNIT).verdict == fz.EXISTS
+    z = fz._sample_ring(UNIT, d.poles, fz.N_SAMPLES)
+    first = _ring_rotation_reference(UNIT, fz.N_SAMPLES, 0)
+    assert same_bits(z, np.delete(first, [20, 30]))
+    res = fz.factorize(b, UNIT)
+    assert res.report.passed
+    # the report is read at those 38 samples
+    r_minus = rz.eval_R(res.minus, z)
+    prod = max_frobenius(rz.eval_R(res.plus, z) @ r_minus - rz.eval_R(b, z))
+    got = {check.name: check.residual for check in res.report.checks}
+    assert same_bits(got["product_at_samples"], prod)
+    # and through the CLI
+    src = tmp_path / "d.json"
+    save_instance(d, src)
+    assert main(["factorize", str(src), "0", "0", "1",
+                 str(tmp_path / "p.json"), str(tmp_path / "m.json")]) == 0
+
+
+def _scalar_instance_by_ratios(poles, zeros):
+    """make_scalar_instance with each residue a product of ratios
+    (lam_j - mu_l)/(lam_j - lam_l), which neither overflows nor
+    underflows on a hundred points packed into a small disk."""
+    def residues(lam, mu):
+        return np.array([(lam[j] - mu[-1])
+                         * np.prod((lam[j] - mu[:-1])
+                                   / (lam[j] - np.delete(lam, j)))
+                         for j in range(lam.size)]).reshape(-1, 1)
+
+    ones = np.ones((1, poles.size))
+    return ZeroPoleData(poles=poles, zeros=zeros,
+                        F_P=ones, G_P=residues(poles, zeros),
+                        F_N=ones, G_N=residues(zeros, poles))
+
+
+def test_a_ring_with_every_sample_on_a_pole_is_refused():
+    # a circle so small that partition's guard, 1e-9·radius, lets a
+    # pole sit within EVAL_EPS of the samples on the circle: every
+    # sample of rotation 0 is on or next to a pole, and the last sample
+    # of every other rotation is on one. Nothing is dropped, and the
+    # clearance pass refuses the ring
+    c = fz.CircleContour(0.0, 1e-4)
+    first = _ring_rotation_reference(c, fz.N_SAMPLES, 0)
+    on = first[:20] * (1.0 + 5e-13 / c.radius)
+    inner = first[20:30]
+    outer = np.concatenate(
+        [first[30:], [_ring_rotation_reference(c, fz.N_SAMPLES, rot)[-1]
+                      for rot in range(1, 64)]])
+
+    def interlaced(points, factor):
+        return _interlaced(points, factor * c.radius)
+
+    d = _scalar_instance_by_ratios(
+        np.concatenate([inner, on, outer]),
+        np.concatenate([interlaced(inner, 0.43), interlaced(on, 1.5),
+                        interlaced(outer, 2.6)]))
+    b = rz.build_bundle(d)
+    assert fz.factorization_exists(b, c).verdict == fz.EXISTS
+    assert same_bits(fz._sample_ring(c, d.poles, fz.N_SAMPLES), first)
     with pytest.raises(PoleHitError) as exc:
-        fz.factorize(b, UNIT)
-    assert exc.value.point == exc.value.singularity == outside[0]
-    assert exc.value.distance == 0.0
+        fz.factorize(b, c)
+    assert exc.value.point == first[0]
+    assert exc.value.singularity == on[0]

@@ -518,6 +518,20 @@ MALFORMED_ARGUMENTS = {
     "contour-list-radius": (
         lambda: CircleContour(0.0, [1.0]),
         "contour center and radius must be numbers"),
+    # float() reads the bytes of a bytearray or memoryview as text, and
+    # complex() a 0-d bool array as 1
+    "contour-bytearray-radius": (
+        lambda: CircleContour(0.0, bytearray(b"2")),
+        "contour center and radius must be numbers"),
+    "contour-memoryview-radius": (
+        lambda: CircleContour(0.0, memoryview(b"2")),
+        "contour center and radius must be numbers"),
+    "contour-bool-array-center": (
+        lambda: CircleContour(np.array(True), 1.0),
+        "contour center and radius must be numbers"),
+    "contour-str-array-radius": (
+        lambda: CircleContour(0.0, np.array("2")),
+        "contour center and radius must be numbers"),
     "data-str-pole": (
         lambda: ZeroPoleData(**_d1_fields(poles=["a"])),
         "poles is not an array of numbers"),
@@ -668,21 +682,33 @@ NON_NUMBER_ARGUMENTS = {
         lambda: scalar_eval(_SCALAR, 10**400), ValidationError),
 }
 
+# stacks that numpy would convert though they hold no numbers: it parses
+# text, reads None as NaN and the bytes of a bytearray or memoryview as
+# their codes
+_NOT_NUMBER_STACKS = (
+    ("numeric-str-list", ["1"]), ("numeric-str-array", np.array(["1"])),
+    ("bytes-list", [b"1"]), ("bytearray", bytearray(b"1")),
+    ("memoryview", memoryview(b"12")), ("none-list", [None]),
+    ("mixed-list", [1.0, "2"]))
 # one-point forms, bundle and additive, at a point too large for a float
+# and at those stacks
 for _name in ("eval_R", "eval_Rinv", "eval_R_left", "eval_Rinv_left"):
-    NON_NUMBER_ARGUMENTS[f"{_name}-huge-int"] = (
-        lambda fn=getattr(rz, _name): fn(_d1_bundle(), 10**400),
-        ValidationError)
+    for _label, _bad in (("huge-int", 10**400), *_NOT_NUMBER_STACKS):
+        NON_NUMBER_ARGUMENTS[f"{_name}-{_label}"] = (
+            lambda fn=getattr(rz, _name), bad=_bad: fn(_d1_bundle(), bad),
+            ValidationError)
 for _fn in (additive_eval_R, additive_eval_Rinv, additive_deriv_R,
             additive_deriv_Rinv):
-    NON_NUMBER_ARGUMENTS[f"{_fn.__name__}-huge-int"] = (
-        lambda fn=_fn: fn(ZeroPoleData(**_d1_fields()), 10**400),
-        ValidationError)
+    for _label, _bad in (("huge-int", 10**400), *_NOT_NUMBER_STACKS):
+        NON_NUMBER_ARGUMENTS[f"{_fn.__name__}-{_label}"] = (
+            lambda fn=_fn, bad=_bad: fn(ZeroPoleData(**_d1_fields()), bad),
+            ValidationError)
 # two-point forms: either point of the pair, before x − y is formed
 for _name in ("eval_joint_right", "eval_joint_left", "eval_hybrid_right",
               "eval_hybrid_left"):
     for _label, _bad in (("str", "a"), ("none", None), ("huge-int", 10**400),
-                         ("str-array", np.array(["a"]))):
+                         ("str-array", np.array(["a"])),
+                         *_NOT_NUMBER_STACKS):
         NON_NUMBER_ARGUMENTS[f"{_name}-{_label}-y"] = (
             lambda fn=getattr(rz, _name), bad=_bad: fn(_d1_bundle(), 3.0, bad),
             ValidationError)

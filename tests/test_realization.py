@@ -732,12 +732,11 @@ def test_batch_equals_stacked_one_point_results(kernel_bundle):
                               want[i]), fn.__name__
 
 
-def test_only_one_clear_number_skips_the_general_path(kernel_bundle,
-                                                      monkeypatch):
-    # _weights clears one complex or float point (a pair of them) by
-    # itself; an int, a stack (of one included), a list, NaN and every
-    # point of an n = 0 bundle go through cauchy._gaps, once per point
-    # argument
+def test_every_point_argument_makes_one_clearance_pass(kernel_bundle,
+                                                       monkeypatch):
+    # cauchy._gaps is the one clearance test: a complex or float point,
+    # an int, a stack (of one included), a list and NaN each go through
+    # it exactly once per point argument, on every bundle, n = 0 included
     b = kernel_bundle
     rng = np.random.default_rng(b.n + 5)
     x, y = _clear_points(b, rng, 2)
@@ -751,24 +750,20 @@ def test_only_one_clear_number_skips_the_general_path(kernel_bundle,
         del calls[:]
         return count
 
-    # calls per clear number: none, but n = 0 sends every point to _gaps
-    per_clear = int(b.n == 0)
+    points = (complex(x), x, x.real, float(x.real), int(round(x.real)),
+              np.array([x]), [x], nan)
     for fn, _ in ONE_POINT:
-        for z in (complex(x), x, x.real, float(x.real)):
-            assert gaps_calls(fn, b, z) == per_clear, fn.__name__
-        for z in (int(round(x.real)), np.array([x]), [x], nan):
-            assert gaps_calls(fn, b, z) == 1, fn.__name__
+        for z in points:
+            assert gaps_calls(fn, b, z) == 1, (fn.__name__, z)
         assert fn(b, [x]).shape == (1, b.k, b.k)
         del calls[:]
     for fn, _ in TWO_POINT:
-        for pair in ((complex(x), y), (x.real, float(y.imag))):
-            assert gaps_calls(fn, b, *pair) == 2 * per_clear, fn.__name__
-        for pair in ((x, int(round(y.real))), (int(round(x.real)), y),
-                     (x, [y]), (nan, y), (x, nan)):
-            assert gaps_calls(fn, b, *pair) == 1 + per_clear, fn.__name__
-        for pair in ((np.array([x]), np.array([y])), ([x], [y]),
+        for pair in ((complex(x), y), (x.real, float(y.imag)),
+                     (x, int(round(y.real))), (int(round(x.real)), y),
+                     (x, [y]), (nan, y), (x, nan),
+                     (np.array([x]), np.array([y])), ([x], [y]),
                      (int(round(x.real)), nan)):
-            assert gaps_calls(fn, b, *pair) == 2, fn.__name__
+            assert gaps_calls(fn, b, *pair) == 2, (fn.__name__, pair)
         assert fn(b, [x], [y]).shape == (1, b.k, b.k)
         del calls[:]
 

@@ -379,6 +379,29 @@ def test_extract_generator_refuses_nan_anchor(anchor):
         sy.extract_generator(t, anchor)
 
 
+@pytest.mark.parametrize("anchor", ["3", "1+1j", b"3", bytearray(b"3"),
+                                    memoryview(b"3"), True, np.bool_(True),
+                                    np.array(True), np.array("3")])
+def test_extract_generator_refuses_an_anchor_that_is_not_a_number(anchor):
+    # complex() would parse the text and read a bool as 1
+    t = sy.chain_from_bundle(sy.random_instance(2, 3, 1))
+    with pytest.raises(DomainViolationError,
+                       match=r"^anchor .* is not a number$"):
+        sy.extract_generator(t, anchor)
+
+
+@pytest.mark.parametrize("anchor", [np.float64(4.0), np.complex64(4 + 4j),
+                                    np.array(4.0 + 4.0j), np.int64(4), 4])
+def test_extract_generator_reads_numpy_numbers_as_anchors(anchor):
+    b = sy.random_instance(2, 4, seed=37)
+    t = sy.chain_from_bundle(b)
+    phi, phi_inv = sy.extract_generator(t, anchor)
+    a = complex(anchor)
+    x = -3.2 + 0.4j
+    np.testing.assert_array_equal(phi(x), t(x, a))
+    np.testing.assert_array_equal(phi_inv(x), t(a, x))
+
+
 def test_extract_generator_refuses_anchor_on_a_pole():
     b = sy.random_instance(2, 3, 1)
     t = sy.chain_from_bundle(b)
