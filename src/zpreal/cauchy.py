@@ -40,7 +40,7 @@ from .errors import (
     PoleHitError,
     ValidationError,
 )
-from .linalg import _complex_array, _is_number, solve
+from .linalg import _complex_array, _numbers, solve
 
 EVAL_EPS = 1e-12     # distance below which an evaluation point "hits" a pole
 SEP_EPS = 1e-10      # minimum separation between the defining points
@@ -92,7 +92,7 @@ def _gaps(z, points: np.ndarray) -> np.ndarray:
     array order is named. A point that is not a number raises
     ValidationError: one point where the subtraction that numbers need
     anyway fails, so numbers pay nothing for it; a stack unless it is a
-    numeric array or holds numbers (see linalg._is_number).
+    numeric array or holds numbers (see linalg._numbers).
     """
     if isinstance(z, (complex, float)) or np.ndim(z) == 0:
         try:
@@ -108,17 +108,9 @@ def _gaps(z, points: np.ndarray) -> np.ndarray:
                 j = int(np.argmin(dist))
                 raise PoleHitError(z, complex(points[j]), float(dist[j]))
         return gaps
-    try:
-        # numpy would parse text, read None as NaN and the bytes of a
-        # bytearray or memoryview as their codes
-        a = np.asarray(z)
-        if isinstance(z, (bytearray, memoryview)) or not (
-                a.dtype.kind in "biufc" or a.dtype.kind == "O"
-                and all(map(_is_number, a.flat))):
-            raise TypeError
-        z = a.astype(np.complex128, copy=False)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError("evaluation points are not numbers") from None
+    z = _numbers(z)
+    if z is None:
+        raise ValidationError("evaluation points are not numbers")
     if z.ndim != 1:
         raise ValidationError(
             f"evaluation points must be a scalar or a 1-d array, "

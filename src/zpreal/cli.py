@@ -48,7 +48,7 @@ from .realization import (
     eval_joint_right,
 )
 from .report import Report, check_tolerance
-from .serialize import load_instance, save_instance
+from .serialize import _write_text, load_instance, save_instance
 from .synthesis import (
     GeneratorGeometry,
     chain_from_bundle,
@@ -99,9 +99,7 @@ def _point(text: str) -> complex:
 
 def _write_report(report: Report, path):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_text(path, json.dumps(report.to_dict(), indent=2) + "\n")
 
 
 def _write_all(writes) -> None:
@@ -112,8 +110,9 @@ def _write_all(writes) -> None:
     the file its path resolves to; an existing one (a regular file, a
     symlink's target, a device) is only checked for write permission.
     When every new file is written, the new files are renamed into
-    place and then the existing ones are written through in place, as
-    open(path, "w") would, so links, mode and owner stay as they were.
+    place and then the existing ones are written through in place,
+    without emptying them first, so links, mode and owner stay as they
+    were.
     A failure removes what this call created and raises an OSError that
     names the user's path. Only an I/O error while an existing file is
     rewritten, which no check can foresee, leaves the existing files

@@ -58,12 +58,48 @@ def _is_number(value) -> bool:
             and not isinstance(value, (bool, np.bool_)))
 
 
-def _complex_array(values, what: str) -> np.ndarray:
-    """np.asarray(values, complex128), refusing non-numbers as invalid."""
+def _holds_bytes(values) -> bool:
+    """Whether values is a bytearray or memoryview, or a list or tuple
+    that holds one at any depth."""
+    if isinstance(values, (bytearray, memoryview)):
+        return True
+    return isinstance(values, (list, tuple)) and any(map(_holds_bytes,
+                                                         values))
+
+
+def _numbers(values):
+    """values as a complex128 array when numpy reads it as a numeric
+    array (bools included) or as an object array of numbers (see
+    _is_number); None otherwise. numpy alone would parse text, read
+    None as NaN and the bytes of a bytearray or memoryview, also one
+    inside a list, as their codes."""
     try:
-        return np.asarray(values, dtype=np.complex128)
+        # an ndarray, such as each field load_instance hands in, skips
+        # the type tests and the conversion
+        a = values
+        if type(a) is not np.ndarray:
+            if isinstance(a, (bytearray, memoryview)):
+                return None
+            a = np.asarray(a)
+            # numpy reads one inside a list as uint8 codes too; only a
+            # uint8 result is walked
+            if a.dtype.char == "B" and _holds_bytes(values):
+                return None
+        kind = a.dtype.kind
+        if kind in "biufc" or kind == "O" and all(map(_is_number, a.flat)):
+            return a.astype(np.complex128, copy=False)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} is not an array of numbers") from None
+        pass
+    return None
+
+
+def _complex_array(values, what: str) -> np.ndarray:
+    """values as a complex128 array (see _numbers), refusing anything
+    else as invalid."""
+    a = _numbers(values)
+    if a is None:
+        raise ValidationError(f"{what} is not an array of numbers")
+    return a
 
 
 def as_complex_matrix(a) -> np.ndarray:

@@ -308,9 +308,9 @@ def test_an_existing_output_without_write_permission_is_refused(
 
 
 def test_factorize_writes_existing_outputs_in_place(tmp_path, capsys):
-    # an existing output is written through, as open(path, "w") would: a
-    # symlink stays a link to its updated target, a hard link sees the new
-    # content, and the file keeps its inode and mode
+    # an existing output is written through in place: a symlink stays a
+    # link to its updated target, a hard link sees the new content, and
+    # the file keeps its inode and mode
     src = tmp_path / "d2.json"
     save_instance(make_d2(), src)
     fresh = tmp_path / "fresh"
@@ -340,6 +340,117 @@ def test_factorize_writes_existing_outputs_in_place(tmp_path, capsys):
     assert json.loads((out / "r.json").read_text())["passed"] is True
     assert sorted(os.listdir(out)) == ["m-link.json", "m.json", "p-target.json",
                                        "p.json", "r-target.json", "r.json"]
+
+
+# each command that writes files, with the files it writes; {src} is a
+# saved d2 instance and {out} the directory the outputs go to
+WRITING_COMMANDS = {
+    "generate": (["generate", "2", "3", "1", "{out}/g.json"], ["g.json"]),
+    "factorize": (["factorize", "{src}", "0", "0", "1", "{out}/p.json",
+                   "{out}/m.json"], ["p.json", "m.json"]),
+    "factorize-report": (["factorize", "{src}", "0", "0", "1", "{out}/p.json",
+                          "{out}/m.json", "--report-out", "{out}/r.json"],
+                         ["p.json", "m.json", "r.json"]),
+    "verify-report": (["verify", "{src}", "--report-out", "{out}/r.json"],
+                      ["r.json"]),
+}
+
+
+def _run_writing_command(tmp_path, capsys, name, out):
+    """Run WRITING_COMMANDS[name] into the directory out; the bytes of
+    each file it writes, by name."""
+    src = tmp_path / "d2.json"
+    if not src.exists():
+        save_instance(make_d2(), src)
+    argv, names = WRITING_COMMANDS[name]
+    assert main([a.format(src=src, out=out) for a in argv]) == 0
+    capsys.readouterr()
+    return {n: (out / n).read_bytes() for n in names}
+
+
+@pytest.mark.parametrize("old", ["longer", "shorter"])
+@pytest.mark.parametrize("name", WRITING_COMMANDS)
+def test_rewriting_an_existing_output_leaves_no_stale_tail(tmp_path, capsys,
+                                                           name, old):
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    want = _run_writing_command(tmp_path, capsys, name, fresh)
+    out = tmp_path / "out"
+    out.mkdir()
+    for n, text in want.items():
+        size = len(text) + 4096 if old == "longer" else len(text) // 3
+        (out / n).write_bytes(b"x" * (size - 1) + b"\n")
+    assert _run_writing_command(tmp_path, capsys, name, out) == want
+
+
+@pytest.mark.parametrize("name", WRITING_COMMANDS)
+def test_no_existing_output_is_emptied(tmp_path, capsys, monkeypatch, name):
+    # every output, new or existing, is opened through os.open, and an
+    # existing regular file never with O_TRUNC nor cut to length 0
+    opened = []
+    real_open, real_ftruncate = os.open, os.ftruncate
+
+    def open_spy(path, flags, *args, **kwargs):
+        if os.path.isfile(path):
+            assert not flags & os.O_TRUNC, path
+        opened.append(os.path.realpath(path))
+        return real_open(path, flags, *args, **kwargs)
+
+    def ftruncate_spy(fd, length):
+        assert length > 0
+        return real_ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "open", open_spy)
+    monkeypatch.setattr(os, "ftruncate", ftruncate_spy)
+    out = tmp_path / "out"
+    out.mkdir()
+    names = _run_writing_command(tmp_path, capsys, name, out)
+    for n in names:
+        (out / n).write_text("old\n" * 1000)
+    opened.clear()
+    _run_writing_command(tmp_path, capsys, name, out)
+    assert sorted(opened) == sorted(str((out / n).resolve()) for n in names)
+
+
+def test_generate_rewrites_an_existing_file_in_place(tmp_path, capsys):
+    fresh = tmp_path / "fresh.json"
+    assert main(["generate", "2", "3", "1", str(fresh)]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "g.json"
+    target.write_text("old\n" * 1000)
+    os.chmod(target, 0o600)
+    os.link(target, out / "g-link.json")
+    (out / "via-link.json").symlink_to(target)
+    inode = os.stat(target).st_ino
+    assert main(["generate", "2", "3", "1", str(target)]) == 0
+    assert os.stat(target).st_ino == inode
+    assert os.stat(target).st_mode & 0o777 == 0o600
+    assert (out / "g-link.json").read_bytes() == fresh.read_bytes()
+    target.write_text("old\n" * 1000)
+    assert main(["generate", "2", "3", "1", str(out / "via-link.json")]) == 0
+    capsys.readouterr()
+    assert os.path.islink(out / "via-link.json")
+    assert os.stat(target).st_ino == inode
+    assert target.read_bytes() == fresh.read_bytes()
+    assert sorted(os.listdir(out)) == ["g-link.json", "g.json",
+                                       "via-link.json"]
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull) or os.name != "posix",
+                    reason="needs the POSIX null device")
+@pytest.mark.parametrize("argv", [
+    ["generate", "2", "3", "1", os.devnull],
+    ["factorize", "{src}", "0", "0", "1", os.devnull, os.devnull,
+     "--report-out", os.devnull],
+    ["verify", "{src}", "--report-out", os.devnull],
+], ids=["generate", "factorize", "verify-report"])
+def test_outputs_to_the_null_device_exit_0(tmp_path, capsys, argv):
+    # a device is written to, never cut to length
+    src = tmp_path / "d2.json"
+    save_instance(make_d2(), src)
+    assert main([a.format(src=src) for a in argv]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_interrupted_factorize_leaves_no_temporary_file(tmp_path, capsys,

@@ -603,6 +603,38 @@ MALFORMED_ARGUMENTS = {
 }
 
 
+# arrays numpy would convert though they hold no numbers: it parses
+# text, reads None as NaN and the bytes of a bytearray, also one in a
+# list, as their codes; each as points and as a matrix
+_NOT_NUMBER_ARRAYS = {
+    "str": (["1"], [["1"]]),
+    "bytes": ([b"1"], [[b"1"]]),
+    "bytearray": (bytearray(b"1"), [bytearray(b"1")]),
+    "none": ([None], [[None]]),
+    "mixed": ([1.0, "2"], [[1.0, "2"]]),
+}
+for _label, (_pts, _mat) in _NOT_NUMBER_ARRAYS.items():
+    for _key, _call, _what in (
+        ("data-poles", lambda p=_pts: ZeroPoleData(**_d1_fields(poles=p)),
+         "poles"),
+        ("data-G_N", lambda m=_mat: ZeroPoleData(**_d1_fields(G_N=m)),
+         "matrix"),
+        ("synthesis-F", lambda m=_mat: SynthesisInput(
+            F=m, G=[[1.0]], pole_points=[0.0], zero_points=[2.0]), "F"),
+        ("synthesis-pole-points", lambda p=_pts: SynthesisInput(
+            F=[[1.0]], G=[[1.0]], pole_points=p, zero_points=[2.0]),
+         "pole_points"),
+        ("gauge-D_N", lambda p=_pts: GaugePair(D_P=[1.0], D_N=p), "D_N"),
+        ("scalar-zeros", lambda p=_pts: ScalarZeroPole([0.0], p), "zeros"),
+        ("sylvester-b", lambda p=_pts: rz.sylvester_diag_solve(
+            [0.0], p, [[1.0]]), "b"),
+        ("sylvester-c", lambda m=_mat: rz.sylvester_diag_solve(
+            [0.0], [1.0], m), "c"),
+    ):
+        MALFORMED_ARGUMENTS[f"{_key}-{_label}"] = (
+            _call, f"{_what} is not an array of numbers")
+
+
 @pytest.mark.parametrize("call, message", MALFORMED_ARGUMENTS.values(),
                          ids=MALFORMED_ARGUMENTS)
 def test_malformed_library_arguments_raise_validation_error(call, message):

@@ -1,6 +1,8 @@
 """save_instance against json.dumps, and the loader's fast and checked paths."""
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -55,6 +57,43 @@ def test_save_instance_is_json_dumps_byte_for_byte(tmp_path, k, n):
         save_instance(d, path, meta)
         want = json.dumps(instance_to_dict(d, meta), indent=2) + "\n"
         assert path.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("old_size", [0, 1, "one-short", "same", "one-long",
+                                      "ten-times"])
+def test_save_instance_rewrites_an_existing_file_exactly(tmp_path, old_size):
+    # the file is rewritten in place, then cut to the new length: the
+    # bytes are a fresh file's, with no tail of the old text left over
+    d = _instance(4, 8, seed=3)
+    fresh = tmp_path / "fresh.json"
+    save_instance(d, fresh, METADATA[-1])
+    want = fresh.read_bytes()
+    size = {"one-short": len(want) - 1, "same": len(want),
+            "one-long": len(want) + 1,
+            "ten-times": 10 * len(want)}.get(old_size, old_size)
+    path = tmp_path / "old.json"
+    path.write_bytes(b"x" * size)
+    inode = os.stat(path).st_ino
+    save_instance(d, path, METADATA[-1])
+    assert path.read_bytes() == want
+    assert os.stat(path).st_ino == inode
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+def test_save_instance_writes_through_a_fifo(tmp_path):
+    # a FIFO cannot be cut to length, and is only written to
+    d = _instance(2, 4, seed=5)
+    fresh = tmp_path / "fresh.json"
+    save_instance(d, fresh)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    save_instance(d, fifo)
+    reader.join(timeout=10)
+    assert got == [fresh.read_bytes()]
 
 
 @pytest.mark.parametrize("k", [1, 4])
