@@ -25,7 +25,10 @@ the whole batch, a minimum that skips NaN: a NaN point raises nothing,
 and must not hide a point that hits a pole. A one-point evaluator call
 is a handful of numpy operations, nearly all fixed cost, so the one
 point takes the shortest path: a complex or float is tested before any
-other type, and numpy's ufunc reduce skips the .min() wrapper.
+other type, and numpy's ufunc reduce skips the .min() wrapper. A
+two-point evaluator whose two points are each a complex or float takes
+_pair_gaps instead, which tests both against their singularities in one
+pass over a 2×n stack and leaves naming a hit to _gaps.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import (
     PoleHitError,
     ValidationError,
 )
-from .linalg import _complex_array, _numbers, solve
+from .linalg import _complex_array, _is_number, _numbers, solve
 
 EVAL_EPS = 1e-12     # distance below which an evaluation point "hits" a pole
 SEP_EPS = 1e-10      # minimum separation between the defining points
@@ -130,6 +133,23 @@ def _gaps(z, points: np.ndarray) -> np.ndarray:
     return gaps
 
 
+def _pair_gaps(x, y, stacked: np.ndarray) -> np.ndarray:
+    """_gaps(x, stacked[0]) and _gaps(y, stacked[1]) as the two rows of
+    one 2×n array, in one pass: x and y are each a complex or float and
+    n > 0.
+
+    The points are tested together, with a minimum that skips NaN, so
+    a NaN x cannot hide a y that hits. Once the test trips, the
+    one-point _gaps of x and then of y raises the same PoleHitError as
+    two separate calls would, x named before y.
+    """
+    gaps = np.array((x, y))[:, None] - stacked
+    if np.fmin.reduce(np.abs(gaps), axis=None) < EVAL_EPS:
+        _gaps(x, stacked[0])
+        _gaps(y, stacked[1])
+    return gaps
+
+
 @dataclass(frozen=True)
 class ScalarZeroPole:
     """A scalar rational function in general position.
@@ -159,6 +179,9 @@ class ScalarZeroPole:
                 f"{poles.size} poles vs {zeros.size} zeros; counts must match"
             )
         try:
+            # complex() alone would parse text and read a bool as 1 or 0
+            if not _is_number(self.c):
+                raise TypeError
             c = complex(self.c)
         except (TypeError, ValueError, OverflowError):
             raise ValidationError("value at infinity must be a number") from None

@@ -56,8 +56,11 @@ consistent data makes as large as it likes.
 
 All eight evaluators compute one kernel, zero_pole._form:
 I + scale·F·diag(u)·M·diag(v)·G, with weights u = 1/(z - points) from
-one cauchy._gaps call per point argument, of any type: the package's
-one clearance check, which makes every refusal. Each takes a point and
+one cauchy._gaps call per point argument: the package's one clearance
+check, which makes every refusal. A two-point call whose x and y are
+each a complex or float clears both in one cauchy._pair_gaps pass over
+a read-only 2×n stack of its two point sets, cached on the bundle, with
+the bits and the refusals of two _gaps calls. Each takes a point and
 returns a k×k array, or a 1-d array of M points (M pairs for the
 two-point forms) and returns an M×k×k stack in one vectorized pass, each
 slice with the bits of the one-point call. The half-products the
@@ -82,7 +85,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cauchy import _gaps
+from .cauchy import _gaps, _pair_gaps
 from .errors import (
     InconsistentDataError,
     SingularMatrixError,
@@ -245,6 +248,15 @@ class RealizationBundle:
     @cached_property
     def F_N_Sl_inv(self) -> np.ndarray:
         return _frozen(self.data.F_N @ self.Sl_inv)
+
+    # the two-point forms' points as one 2×n stack, x side first
+    @cached_property
+    def _poles_zeros(self) -> np.ndarray:
+        return _frozen(np.array((self.data.poles, self.data.zeros)))
+
+    @cached_property
+    def _zeros_poles(self) -> np.ndarray:
+        return _frozen(np.array((self.data.zeros, self.data.poles)))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -456,13 +468,22 @@ def eval_Rinv_left(b: RealizationBundle, z) -> np.ndarray:
     return _form(-1.0, d.F_N, 1.0 / _gaps(z, d.zeros), b.Sl_inv_G_P)
 
 
-def _pair(x, y, x_points: np.ndarray, y_points: np.ndarray):
-    """(x, y, 1/(x − x_points), 1/(y − y_points)), every point checked
-    by _gaps before a two-point form subtracts y from x. If either is
-    a stack, both come back as complex arrays, of equal length if both
-    are stacks, so lists subtract like arrays."""
-    u = 1.0 / _gaps(x, x_points)
-    v = 1.0 / _gaps(y, y_points)
+def _pair(x, y, stacked: np.ndarray):
+    """(x, y, 1/(x − stacked[0]), 1/(y − stacked[1])), every point
+    checked before a two-point form subtracts y from x; stacked is the
+    bundle's 2×n stack of x-side and y-side points.
+
+    When x and y are each a complex or float and n > 0, both points are
+    cleared and weighed in one pass, cauchy._pair_gaps, and one
+    reciprocal. Any other pair takes one _gaps call per point. If either
+    is a stack, both come back as complex arrays, of equal length if
+    both are stacks, so lists subtract like arrays."""
+    if (isinstance(x, (complex, float)) and isinstance(y, (complex, float))
+            and stacked.shape[1]):
+        w = 1.0 / _pair_gaps(x, y, stacked)
+        return x, y, w[0], w[1]
+    u = 1.0 / _gaps(x, stacked[0])
+    v = 1.0 / _gaps(y, stacked[1])
     if u.ndim > 1 or v.ndim > 1:
         if u.ndim == v.ndim and len(u) != len(v):
             raise ValidationError(
@@ -476,14 +497,14 @@ def _pair(x, y, x_points: np.ndarray, y_points: np.ndarray):
 def eval_joint_right(b: RealizationBundle, x, y) -> np.ndarray:
     """R(x) R^-1(y) = I + (x-y) F_P (xI-A_P)^-1 Sr^-1 (yI-A_N)^-1 G_N."""
     d = b.data
-    x, y, u, v = _pair(x, y, d.poles, d.zeros)
+    x, y, u, v = _pair(x, y, b._poles_zeros)
     return _form(x - y, d.F_P, u, d.G_N, b.Sr_inv, v)
 
 
 def eval_joint_left(b: RealizationBundle, x, y) -> np.ndarray:
     """R^-1(x) R(y) = I + (x-y) F_N (xI-A_N)^-1 Sl^-1 (yI-A_P)^-1 G_P."""
     d = b.data
-    x, y, u, v = _pair(x, y, d.zeros, d.poles)
+    x, y, u, v = _pair(x, y, b._zeros_poles)
     return _form(x - y, d.F_N, u, d.G_P, b.Sl_inv, v)
 
 
@@ -493,7 +514,7 @@ def eval_hybrid_right(b: RealizationBundle, x, y) -> np.ndarray:
         I - (x-y) F_N Sl^-1 (xI-A_P)^-1 Sl (yI-A_N)^-1 Sl^-1 G_P
     """
     d = b.data
-    x, y, u, v = _pair(x, y, d.poles, d.zeros)
+    x, y, u, v = _pair(x, y, b._poles_zeros)
     return _form(y - x, b.F_N_Sl_inv, u, b.Sl_inv_G_P, b.Sl, v)
 
 
@@ -503,5 +524,5 @@ def eval_hybrid_left(b: RealizationBundle, x, y) -> np.ndarray:
         I - (x-y) F_P Sr^-1 (xI-A_N)^-1 Sr (yI-A_P)^-1 Sr^-1 G_N
     """
     d = b.data
-    x, y, u, v = _pair(x, y, d.zeros, d.poles)
+    x, y, u, v = _pair(x, y, b._zeros_poles)
     return _form(y - x, b.F_P_Sr_inv, u, b.Sr_inv_G_N, b.Sr, v)

@@ -105,6 +105,29 @@ def test_value_at_infinity_must_be_a_finite_nonzero_number(c, message):
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("c", ["2", b"2", bytearray(b"2"), True,
+                               np.bool_(True)],
+                         ids=["str", "bytes", "bytearray", "bool",
+                              "np-bool"])
+def test_value_at_infinity_is_not_read_from_text_or_a_bool(c):
+    # complex() would read "2" and b"2" as 2 and a bool as 1
+    for form in (ScalarZeroPole, cauchy_inverse_formula):
+        with pytest.raises(ValidationError) as exc:
+            form([0], [1], c)
+        assert str(exc.value) == "value at infinity must be a number"
+
+
+@pytest.mark.parametrize("c", [np.complex128(2 - 1j), np.array(2.0),
+                               np.array(3), np.array(2 + 1j)],
+                         ids=["np-complex128", "0d-float", "0d-int",
+                              "0d-complex"])
+def test_value_at_infinity_may_be_a_numpy_number(c):
+    d = ScalarZeroPole([0], [1], c)
+    assert type(d.c) is complex and d.c == complex(c)
+    assert same_bits(cauchy_inverse_formula([0], [1], c),
+                     cauchy_inverse_formula([0], [1]))
+
+
 def test_closed_forms_refuse_close_points_as_the_data_does():
     for form in (cauchy_inverse_formula, cauchy_det_squared):
         with pytest.raises(CollisionError) as exc:

@@ -736,36 +736,137 @@ def test_every_point_argument_makes_one_clearance_pass(kernel_bundle,
                                                        monkeypatch):
     # cauchy._gaps is the one clearance test: a complex or float point,
     # an int, a stack (of one included), a list and NaN each go through
-    # it exactly once per point argument, on every bundle, n = 0 included
+    # it exactly once per point argument, on every bundle, n = 0 included;
+    # a pair of complex or float points clears both in one pass,
+    # cauchy._pair_gaps, when n > 0
     b = kernel_bundle
     rng = np.random.default_rng(b.n + 5)
     x, y = _clear_points(b, rng, 2)
     nan = float("nan")
     calls = count_calls(monkeypatch, cauchy._gaps)
+    pair_calls = count_calls(monkeypatch, cauchy._pair_gaps)
 
-    def gaps_calls(fn, *args):
+    def clearance_passes(fn, *args):
         with np.errstate(invalid="ignore"):
             fn(*args)
-        count = len(calls)
-        del calls[:]
+        count = len(calls) + len(pair_calls)
+        del calls[:], pair_calls[:]
         return count
 
     points = (complex(x), x, x.real, float(x.real), int(round(x.real)),
               np.array([x]), [x], nan)
     for fn, _ in ONE_POINT:
         for z in points:
-            assert gaps_calls(fn, b, z) == 1, (fn.__name__, z)
+            assert clearance_passes(fn, b, z) == 1, (fn.__name__, z)
         assert fn(b, [x]).shape == (1, b.k, b.k)
         del calls[:]
+    float_pairs = ((complex(x), y), (x.real, float(y.imag)), (nan, y),
+                   (x, nan))
+    other_pairs = ((x, int(round(y.real))), (int(round(x.real)), y),
+                   (x, [y]), (np.array([x]), np.array([y])), ([x], [y]),
+                   (int(round(x.real)), nan))
+    want = 1 if b.n else 2
     for fn, _ in TWO_POINT:
-        for pair in ((complex(x), y), (x.real, float(y.imag)),
-                     (x, int(round(y.real))), (int(round(x.real)), y),
-                     (x, [y]), (nan, y), (x, nan),
-                     (np.array([x]), np.array([y])), ([x], [y]),
-                     (int(round(x.real)), nan)):
-            assert gaps_calls(fn, b, *pair) == 2, (fn.__name__, pair)
+        for pair in float_pairs:
+            assert clearance_passes(fn, b, *pair) == want, (fn.__name__,
+                                                            pair)
+        for pair in other_pairs:
+            assert clearance_passes(fn, b, *pair) == 2, (fn.__name__, pair)
         assert fn(b, [x], [y]).shape == (1, b.k, b.k)
         del calls[:]
+
+
+def _float_pairs(x, y):
+    """(x, y) as complex, float, np.complex128 and np.float64 mixes."""
+    return ((complex(x), complex(y)), (x, y), (complex(x), y),
+            (x, complex(y)), (float(x.real), float(y.real)),
+            (x.real, y.real), (complex(x), y.real), (float(x.real), y),
+            (x.real, complex(y)))
+
+
+def _stacks(b):
+    """(name, x-side points, y-side points) of b's two pair stacks."""
+    d = b.data
+    return (("_poles_zeros", d.poles, d.zeros),
+            ("_zeros_poles", d.zeros, d.poles))
+
+
+def test_pair_pass_weights_have_the_bits_of_one_point_clearance(
+        kernel_bundle):
+    b = kernel_bundle
+    rng = np.random.default_rng(b.n + 7)
+    xs, ys = _clear_points(b, rng, 4), _clear_points(b, rng, 4)
+    for name, x_points, y_points in _stacks(b):
+        for x0, y0 in zip(xs, ys):
+            for x, y in _float_pairs(x0, y0):
+                got_x, got_y, u, v = rz._pair(x, y, getattr(b, name))
+                assert got_x is x and got_y is y
+                assert _same_bits(u, 1.0 / _gaps(x, x_points)), (name, x, y)
+                assert _same_bits(v, 1.0 / _gaps(y, y_points)), (name, x, y)
+
+
+def test_pair_pass_evaluators_bitwise_equal_reference(kernel_bundle):
+    b = kernel_bundle
+    rng = np.random.default_rng(b.n + 8)
+    xs, ys = _clear_points(b, rng, 3), _clear_points(b, rng, 3)
+    for fn, ref in TWO_POINT:
+        for x0, y0 in zip(xs, ys):
+            for pair in _float_pairs(x0, y0):
+                got = fn(b, *pair)
+                assert got.shape == (b.k, b.k)
+                assert _same_bits(got, ref(b, *pair)), (fn.__name__, pair)
+
+
+def test_pair_pass_refuses_a_hit_as_one_point_clearance_does(
+        kernel_bundle):
+    # x is named before y, and a NaN x does not hide a y that hits;
+    # with no singularity, no pair is refused
+    b = kernel_bundle
+    d = b.data
+    if b.n == 0:
+        for fn, _ in TWO_POINT:
+            assert _same_bits(fn(b, 0.0, 0.0), identity(b.k)), fn.__name__
+        return
+    clear = complex(_clear_points(b, np.random.default_rng(b.n + 9), 1)[0])
+    nan = float("nan")
+    two = ((rz.eval_joint_right, d.poles, d.zeros),
+           (rz.eval_joint_left, d.zeros, d.poles),
+           (rz.eval_hybrid_right, d.poles, d.zeros),
+           (rz.eval_hybrid_left, d.zeros, d.poles))
+    for fn, x_points, y_points in two:
+        for near_x, near_y in ((complex(x_points[-1]) + 1e-13,
+                                complex(y_points[0]) - 1e-13j),
+                               (x_points[0], y_points[-1])):
+            hit_x = _hit_message(near_x, x_points)
+            hit_y = _hit_message(near_y, y_points)
+            for x, y, want in ((near_x, clear, hit_x),
+                               (clear, near_y, hit_y),
+                               (near_x, near_y, hit_x),
+                               (nan, near_y, hit_y),
+                               (near_x, nan, hit_x)):
+                with pytest.raises(PoleHitError) as exc:
+                    with np.errstate(invalid="ignore"):
+                        fn(b, x, y)
+                assert str(exc.value) == want, (fn.__name__, x, y)
+
+
+def test_pair_stacks_are_read_only_and_give_every_bundle_the_same_bits(
+        kernel_bundle):
+    b = kernel_bundle
+    again = rz.build_bundle(b.data)
+    assert again is not b
+    for name, x_points, y_points in _stacks(b):
+        stacked = getattr(b, name)
+        assert getattr(b, name) is stacked
+        assert not stacked.flags.writeable
+        with pytest.raises(ValueError):
+            stacked[..., :1] = 0.0
+        assert _same_bits(stacked, np.stack((x_points, y_points)))
+        assert _same_bits(getattr(again, name), stacked)
+    rng = np.random.default_rng(b.n + 10)
+    x, y = _clear_points(b, rng, 2)
+    for fn, _ in TWO_POINT:
+        assert _same_bits(fn(again, complex(x), y), fn(b, complex(x), y))
 
 
 def _ref_additive(f, points, g, z):
