@@ -25,7 +25,9 @@ the whole batch, a minimum that skips NaN: a NaN point raises nothing,
 and must not hide a point that hits a pole. A one-point evaluator call
 is a handful of numpy operations, nearly all fixed cost, so the one
 point takes the shortest path: a complex or float is tested before any
-other type, and numpy's ufunc reduce skips the .min() wrapper. A
+other type, and numpy's ufunc reduce skips the .min() wrapper. Any
+other one point, such as an int, a Fraction or a Decimal, is read by
+_point as a complex, as the entries of a stack are. A
 two-point evaluator whose two points are each a complex or float takes
 _pair_gaps instead, which tests both against their singularities in one
 pass over a 2×n stack and leaves naming a hit to _gaps.
@@ -86,31 +88,48 @@ def _min_pairwise_distance(pts: np.ndarray) -> float:
     return float(_pairwise_distances(pts).min())
 
 
+def _point(z):
+    """z itself when it is a complex or float or not a scalar; any other
+    scalar as the complex that linalg._numbers makes of it, the reading
+    of a stack's entries, so one point gives the bits of a stack of one.
+    A scalar that is not a number, such as text, bytes or None, raises
+    ValidationError."""
+    if isinstance(z, (complex, float)) or np.ndim(z) != 0:
+        return z
+    a = _numbers(z)
+    if a is None:
+        raise ValidationError(f"evaluation point {z!r} is not a number")
+    return complex(a)
+
+
 def _gaps(z, points: np.ndarray) -> np.ndarray:
     """z - points after the clearance check, for one point or a 1-d
     array of points (one row of gaps per point).
 
     A point within EVAL_EPS of one of `points` raises PoleHitError
     naming its nearest singularity; in a batch the first such point in
-    array order is named. A point that is not a number raises
-    ValidationError: one point where the subtraction that numbers need
-    anyway fails, so numbers pay nothing for it; a stack unless it is a
-    numeric array or holds numbers (see linalg._numbers).
+    array order is named. A complex or float point is taken as it is;
+    any other one point is read by _point, and a stack as a numeric
+    array or one that holds numbers (see linalg._numbers). A point that
+    is not a number raises ValidationError.
     """
-    if isinstance(z, (complex, float)) or np.ndim(z) == 0:
-        try:
-            gaps = z - points
-        except (TypeError, OverflowError):
-            raise ValidationError(
-                f"evaluation point {z!r} is not a number") from None
-        if points.size:
-            dist = np.abs(gaps)
-            # argmin only names the singularity once the test trips; a
-            # NaN minimum fails the test and raises nothing
-            if np.minimum.reduce(dist) < EVAL_EPS:
-                j = int(np.argmin(dist))
-                raise PoleHitError(z, complex(points[j]), float(dist[j]))
-        return gaps
+    if not isinstance(z, (complex, float)):
+        if np.ndim(z) != 0:
+            return _batch_gaps(z, points)
+        z = _point(z)
+    gaps = z - points
+    if points.size:
+        dist = np.abs(gaps)
+        # argmin only names the singularity once the test trips; a NaN
+        # minimum fails the test and raises nothing
+        if np.minimum.reduce(dist) < EVAL_EPS:
+            j = int(np.argmin(dist))
+            raise PoleHitError(z, complex(points[j]), float(dist[j]))
+    return gaps
+
+
+def _batch_gaps(z, points: np.ndarray) -> np.ndarray:
+    """_gaps of a stack of points."""
     z = _numbers(z)
     if z is None:
         raise ValidationError("evaluation points are not numbers")
@@ -204,8 +223,8 @@ class ScalarZeroPole:
 
 def scalar_eval(d: ScalarZeroPole, z: complex) -> complex:
     """Evaluate r(z) = c * prod(z - mu) / prod(z - lambda)."""
-    # the clearance check comes first: it refuses a point that is not a
-    # number before the numerator subtracts it
+    # the point is read and cleared before the numerator subtracts it
+    z = _point(z)
     gaps = _gaps(z, np.asarray(d.poles))
     return complex(d.c * np.prod(z - np.asarray(d.zeros)) / np.prod(gaps))
 
@@ -321,6 +340,7 @@ def scalar_joint_eval(d: ScalarZeroPole, x: complex, y: complex) -> complex:
     """
     if d.c != 1:
         raise ValidationError(f"joint form needs c = 1, got c = {d.c}")
+    x, y = _point(x), _point(y)
     u = 1.0 / _gaps(x, np.asarray(d.poles))    # e (xI - A_P)^-1
     v = 1.0 / _gaps(y, np.asarray(d.zeros))    # (yI - A_N)^-1 e*
     s = cauchy_matrix(d.poles, d.zeros)

@@ -63,7 +63,10 @@ a read-only 2×n stack of its two point sets, cached on the bundle, with
 the bits and the refusals of two _gaps calls. Each takes a point and
 returns a k×k array, or a 1-d array of M points (M pairs for the
 two-point forms) and returns an M×k×k stack in one vectorized pass, each
-slice with the bits of the one-point call. The half-products the
+slice with the bits of the one-point call. A one-point call with n ≥ 2
+forms its products with np.dot, which has less fixed cost than @ and
+gives the same bits there; stacks, mixed pairs of one point and a
+stack, and n ≤ 1 keep @ (see _form). The half-products the
 evaluators need (Sr⁻¹G_N, F_P·Sr⁻¹, Sl⁻¹G_P, F_N·Sl⁻¹) are cached on the
 bundle the first time an evaluator asks for them, so building a bundle
 computes none of them. Two temporaries are kept out of every call. The
@@ -85,7 +88,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cauchy import _gaps, _pair_gaps
+from .cauchy import _gaps, _pair_gaps, _point
 from .errors import (
     InconsistentDataError,
     SingularMatrixError,
@@ -475,14 +478,18 @@ def _pair(x, y, stacked: np.ndarray):
 
     When x and y are each a complex or float and n > 0, both points are
     cleared and weighed in one pass, cauchy._pair_gaps, and one
-    reciprocal. Any other pair takes one _gaps call per point. If either
-    is a stack, both come back as complex arrays, of equal length if
-    both are stacks, so lists subtract like arrays."""
+    reciprocal. Any other pair takes one _gaps call per point, after
+    cauchy._point has read any other one point as a complex, so x − y
+    is the difference of the points _gaps weighed. If either is a
+    stack, both come back as complex arrays, of equal length if both
+    are stacks, so lists subtract like arrays."""
     if (isinstance(x, (complex, float)) and isinstance(y, (complex, float))
             and stacked.shape[1]):
         w = 1.0 / _pair_gaps(x, y, stacked)
         return x, y, w[0], w[1]
+    x = _point(x)
     u = 1.0 / _gaps(x, stacked[0])
+    y = _point(y)
     v = 1.0 / _gaps(y, stacked[1])
     if u.ndim > 1 or v.ndim > 1:
         if u.ndim == v.ndim and len(u) != len(v):

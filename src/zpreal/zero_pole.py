@@ -18,9 +18,13 @@ value. check_consistency and log_derivative_residues evaluate them that
 way, one stacked call per family of points. This module is also the home
 of the package's one evaluation kernel, _form: the additive forms and
 all eight evaluators in realization are I + s·F·diag(u)·[M·diag(v)]·G,
-with weights u = 1.0 / _gaps(z, points) from cauchy. The derivative
-forms have no identity term and divide by the squared gaps, so they
-scale their factor with _scaled directly.
+with weights u = 1.0 / _gaps(z, points) from cauchy. One point with
+n ≥ 2 forms the kernel's products with np.dot, which has less fixed
+cost than @ and gives its bits there; a stack, a one-point x paired
+with a stack y, and n ≤ 1 keep @, where np.dot would compute another
+product or round differently. The derivative forms have no identity
+term and divide by the squared gaps, so they scale their factor with
+_scaled directly.
 
 ZeroPoleData(...) validates everything it is given. Its one private
 constructor, ZeroPoleData._completed, serves one caller,
@@ -322,18 +326,31 @@ def _form(scale, left: np.ndarray, u: np.ndarray, right: np.ndarray,
     call. _scaled's two lines are written out here: its call is a
     share of a one-point evaluation worth saving.
 
+    One point (u 1-d, and v 1-d or no mid) with n ≥ 2 forms both
+    products with np.dot: the BLAS call of @, with the same bits and
+    about 0.4 µs less fixed cost each. Everything else keeps @. A stack
+    needs the stacked product, which np.dot is not; a one-point x paired
+    with a stack y has a 3-d right factor by then, on which np.dot
+    computes another product; and at n = 1 np.dot rounds the k×1 by 1×k
+    outer product differently from @ (n = 0 has no product to save).
+
     A scale of exactly ±1.0 gives I ± P. On finite P that is bit for bit
     I + (±1.0)·P; where P has an infinite entry, the complex multiply by
     ±1.0 would make 0·inf a NaN in the other part.
     """
     eye = _shared_identity(left.shape[0])
-    if mid is not None:
-        if v.ndim > 1:
-            right = right[None]
-        right = mid @ (v[..., :, None] * right)
-    if u.ndim > 1:
-        left = left[None]
-    prod = (left * u[..., None, :]) @ right
+    if u.ndim == 1 and (mid is None or v.ndim == 1) and u.shape[0] > 1:
+        if mid is not None:
+            right = np.dot(mid, v[:, None] * right)
+        prod = np.dot(left * u[None, :], right)
+    else:
+        if mid is not None:
+            if v.ndim > 1:
+                right = right[None]
+            right = mid @ (v[..., :, None] * right)
+        if u.ndim > 1:
+            left = left[None]
+        prod = (left * u[..., None, :]) @ right
     if isinstance(scale, np.ndarray):
         return eye + scale[:, None, None] * prod
     if scale == 1.0:

@@ -1,3 +1,6 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -45,6 +48,19 @@ def test_scalar_eval_vanishes_at_zero():
 def test_scalar_eval_at_infinity_recovers_c():
     d = ScalarZeroPole(poles=(0.5, 2.0), zeros=(0.3, 3.0), c=2.5)
     assert abs(scalar_eval(d, 1e8) - 2.5) < 1e-6
+
+
+@pytest.mark.parametrize("z", [Fraction(5, 2), Decimal("2.5"),
+                               np.float32(2.5), np.int64(3)],
+                         ids=["fraction", "decimal", "float32", "int64"])
+def test_scalar_forms_read_other_numbers_as_complex(z):
+    # as the evaluators do: the bits of the call with complex(z)
+    d = ScalarZeroPole(poles=(0, 1), zeros=(2, 3.5))
+    assert scalar_eval(d, z) == scalar_eval(d, complex(z))
+    for x, y in ((z, 0.5j), (0.5j, z), (z, z)):
+        got = scalar_joint_eval(d, x, y)
+        assert type(got) is complex
+        assert got == scalar_joint_eval(d, complex(x), complex(y))
 
 
 def test_scalar_eval_pole_hit():

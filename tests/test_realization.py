@@ -4,6 +4,8 @@ import cmath
 import copy
 import dataclasses
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -649,8 +651,10 @@ def _clear_points(b, rng, count):
     return np.array(out)
 
 
-KERNEL_BUNDLES = ((3, 0, None), (1, 1, 3), (4, 8, 5), (1, 8, 7), (4, 32, 9),
-                  (4, 128, 11))
+# at n = 1 and k >= 2, np.dot rounds the k×1 by 1×k outer product
+# differently from @, so (2, 1) and (3, 1) pin which one the kernel uses
+KERNEL_BUNDLES = ((3, 0, None), (1, 1, 3), (2, 1, 13), (3, 1, 15), (4, 8, 5),
+                  (1, 8, 7), (4, 32, 9), (4, 128, 11))
 
 
 @pytest.fixture(scope="module", params=KERNEL_BUNDLES,
@@ -730,6 +734,57 @@ def test_batch_equals_stacked_one_point_results(kernel_bundle):
         for i in range(7):
             assert _same_bits(fn(b, xs[i:i + 1], ys[i:i + 1])[0],
                               want[i]), fn.__name__
+
+
+def test_mixed_pairs_give_the_bits_of_one_point_pairs(kernel_bundle):
+    # a one-point x with a stack y, and a stack x with a one-point y,
+    # take the stacked products; each slice has the one-point pair's bits
+    b = kernel_bundle
+    rng = np.random.default_rng(b.n + 11)
+    xs, ys = _clear_points(b, rng, 4), _clear_points(b, rng, 4)
+    x, y = complex(xs[0]), complex(ys[0])
+    for fn, _ in TWO_POINT:
+        for got, pairs in ((fn(b, x, ys), [(x, complex(w)) for w in ys]),
+                           (fn(b, xs, y), [(complex(w), y) for w in xs])):
+            assert got.shape == (4, b.k, b.k)
+            for i, pair in enumerate(pairs):
+                assert _same_bits(got[i], fn(b, *pair)), (fn.__name__, pair)
+
+
+def _number_kinds(z):
+    """The real part of z as a Fraction, a Decimal, an np.float32, an int
+    and an np.int64: points that are neither a complex nor a float."""
+    re = float(np.float32(z.real))
+    return (Fraction(re), Decimal(re), np.float32(re), int(round(re)),
+            np.int64(round(re)))
+
+
+def test_other_numbers_are_read_as_complex_points(kernel_bundle):
+    # each kind, as one point and as either point of a pair, gives the
+    # complex128 bits of the call with complex(point)
+    b = kernel_bundle
+    d = b.data
+    rng = np.random.default_rng(b.n + 12)
+    xs = _clear_points(b, rng, 3)
+    clear = complex(_clear_points(b, rng, 1)[0])
+    one = [fn for fn, _ in ONE_POINT] + [
+        lambda b, z: additive_eval_R(b.data, z),
+        lambda b, z: additive_eval_Rinv(b.data, z)]
+    sing = np.concatenate([d.poles, d.zeros])
+    for x in xs:
+        for z in _number_kinds(x):
+            if sing.size and np.abs(complex(z) - sing).min() < 0.05:
+                continue
+            for fn in one:
+                got = fn(b, z)
+                assert got.dtype == np.complex128
+                assert _same_bits(got, fn(b, complex(z))), z
+            for fn, _ in TWO_POINT:
+                for pair in ((z, clear), (clear, z), (z, z)):
+                    got = fn(b, *pair)
+                    assert got.dtype == np.complex128
+                    want = fn(b, *map(complex, pair))
+                    assert _same_bits(got, want), (fn.__name__, pair)
 
 
 def test_every_point_argument_makes_one_clearance_pass(kernel_bundle,
@@ -971,7 +1026,8 @@ def test_a_point_that_hits_a_singularity_raises_the_checks_error():
             assert str(exc.value) == want, fn.__name__
 
 
-@pytest.mark.parametrize("bad", ["x", 10**400], ids=["str", "huge-int"])
+@pytest.mark.parametrize("bad", ["x", b"2.5", None, 10**400],
+                         ids=["str", "bytes", "none", "huge-int"])
 def test_a_point_that_is_not_a_number_is_refused_with_the_checks_message(
         bad):
     b = random_instance(2, 5, seed=81)
