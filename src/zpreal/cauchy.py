@@ -88,13 +88,22 @@ def _min_pairwise_distance(pts: np.ndarray) -> float:
     return float(_pairwise_distances(pts).min())
 
 
+def _ndim(z) -> int:
+    """np.ndim(z), with a ragged nesting such as [1, [2, 3]], which numpy
+    refuses with a bare ValueError, refused with ValidationError."""
+    try:
+        return np.ndim(z)
+    except ValueError:
+        raise ValidationError("evaluation points are not numbers") from None
+
+
 def _point(z):
     """z itself when it is a complex or float or not a scalar; any other
     scalar as the complex that linalg._numbers makes of it, the reading
     of a stack's entries, so one point gives the bits of a stack of one.
     A scalar that is not a number, such as text, bytes or None, raises
-    ValidationError."""
-    if isinstance(z, (complex, float)) or np.ndim(z) != 0:
+    ValidationError, as a ragged nesting of points does."""
+    if isinstance(z, (complex, float)) or _ndim(z) != 0:
         return z
     a = _numbers(z)
     if a is None:
@@ -111,10 +120,11 @@ def _gaps(z, points: np.ndarray) -> np.ndarray:
     array order is named. A complex or float point is taken as it is;
     any other one point is read by _point, and a stack as a numeric
     array or one that holds numbers (see linalg._numbers). A point that
-    is not a number raises ValidationError.
+    is not a number, or a ragged nesting of points, raises
+    ValidationError.
     """
     if not isinstance(z, (complex, float)):
-        if np.ndim(z) != 0:
+        if _ndim(z) != 0:
             return _batch_gaps(z, points)
         z = _point(z)
     gaps = z - points

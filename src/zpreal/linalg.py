@@ -27,6 +27,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError, ValidationError
+from .report import _check_integer
 
 # inverse refuses a matrix once n·‖A‖∞·‖A⁻¹‖∞·PIVOT_EPS_FACTOR reaches
 # 0.1; rank counts entries below RANK_EPS times the largest as zero.
@@ -113,7 +114,12 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def identity(n: int) -> np.ndarray:
-    """A fresh, writable n×n complex identity."""
+    """A fresh, writable n×n complex identity. An n that is not an
+    integer, a bool among them, or is negative is refused with
+    ValidationError."""
+    n = _check_integer(n, "n")
+    if n < 0:
+        raise ValidationError(f"n must not be negative, got {n}")
     return np.eye(n, dtype=np.complex128)
 
 

@@ -36,23 +36,23 @@ call.
 
 A build inverts one coupling matrix. Sr⁻¹ is taken at once: it gives
 cond_Sr, and the right forms R, R⁻¹ and R(x)R⁻¹(y) need only it. Sl⁻¹
-enters only the left and hybrid forms, so a bundle's Sl_inv is a cached
-property like the half-products: its first read (or that of Sl_inv_G_P
-or F_N_Sl_inv) returns the recorded Sl⁻¹, or takes inverse(Sl) and
-records it, shared by every bundle of the datum. A build defers it only
-when _defers_left_inverse certifies, from the Frobenius norms of Sr and
-Sl and mutual_inverse, that inverse will accept Sl; it inverts Sl at
-once otherwise, so every refusal the build can make is still made by
-the build. Sl⁻¹ always comes from inverse(Sl), never from Sr, so mutual
-inverseness stays an executable check.
+enters only the four left-data forms and hybridR, so a bundle's Sl_inv
+is a cached property: its first read returns the recorded Sl⁻¹, or
+takes inverse(Sl) and records it, shared by every bundle of the datum.
+A build defers it only when _defers_left_inverse certifies, from the
+Frobenius norms of Sr and Sl and mutual_inverse, that inverse will
+accept Sl; it inverts Sl at once otherwise, so every refusal the build
+can make is still made by the build. Sl⁻¹ always comes from
+inverse(Sl), never from Sr, so mutual inverseness stays an executable
+check.
 
-The build gates on the five residuals that inconsistent data can move:
-mutual_inverse (Sr·Sl = I and Sl·Sr = I) and the four recovery
-relations coupling_a–coupling_d. The Sylvester equations themselves are
-not gated: their entrywise solution x = c/(μ−λ) satisfies them up to
-the rounding of that one division, whatever the data, and their
-residuals grow with ‖G_N·F_P‖, which a diagonal gauge rescaling of
-consistent data makes as large as it likes.
+R⁻¹ is itself a function in general position: its data is R's with the
+two halves swapped (ZeroPoleData.mirror), and its Sr is R's Sl. A
+bundle's inverse is the bundle of that mirror, over the same arrays,
+with Sr and Sl, and Sr⁻¹ and Sl⁻¹, swapped; its first read reads Sl_inv.
+So the formulas are written once, for the right data: the four forms
+that need Sl⁻¹ are the mirror's R⁻¹, R, R(x)R⁻¹(y) and hybrid R⁻¹(x)R(y),
+with the bits of the left-data formulas they replace.
 
 All eight evaluators compute one kernel, zero_pole._form:
 I + scale·F·diag(u)·M·diag(v)·G, with weights u = 1/(z - points) from
@@ -67,13 +67,13 @@ slice with the bits of the one-point call. A one-point call with n ≥ 2
 forms its products with np.dot, which has less fixed cost than @ and
 gives the same bits there; stacks, mixed pairs of one point and a
 stack, and n ≤ 1 keep @ (see _form). The half-products the
-evaluators need (Sr⁻¹G_N, F_P·Sr⁻¹, Sl⁻¹G_P, F_N·Sl⁻¹) are cached on the
-bundle the first time an evaluator asks for them, so building a bundle
-computes none of them. Two temporaries are kept out of every call. The
-identity is one shared, read-only k×k array per k (I + X makes a new
-array, so every result is still fresh and writable). The two-point
-middle is formed as M·(diag(v)·G), which scales the n×k factor G instead
-of making an n×n scaled copy of M.
+evaluators need (Sr⁻¹G_N and F_P·Sr⁻¹; the mirror's are Sl⁻¹G_P and
+F_N·Sl⁻¹) are cached on the bundle the first time an evaluator asks for
+them, so building a bundle computes none of them. Two temporaries are
+kept out of every call. The identity is one shared, read-only k×k array
+per k (I + X makes a new array, so every result is still fresh and
+writable). The two-point middle is formed as M·(diag(v)·G), which scales
+the n×k factor G instead of making an n×n scaled copy of M.
 
 Everything fails closed: data whose diagnostics exceed FAIL_TOL
 describes no function and is rejected at build time.
@@ -203,6 +203,12 @@ class RealizationBundle:
     Sl_inv is computed on first read: the Sl⁻¹ recorded for the data
     when Sl is the recorded build's, or else inverse(Sl), whose refusal
     raises InconsistentDataError with the build's message.
+
+    inverse is the bundle of R⁻¹, computed on first read, which reads
+    Sl_inv: its data is data.mirror(), its Sr, Sl, Sr_inv and Sl_inv are
+    this bundle's Sl, Sr, Sl_inv and Sr_inv, and its diagnostics are
+    these with coupling_a and coupling_b, and coupling_c and coupling_d,
+    trading names. Its own inverse is this bundle.
     """
 
     data: ZeroPoleData
@@ -228,13 +234,24 @@ class RealizationBundle:
     def Hl(self) -> np.ndarray:
         return self.Sr
 
-    # Sl⁻¹ and the half-products the evaluators share, computed on first
-    # use so that a bundle nobody evaluates pays nothing for them, and
-    # read-only like the matrices they come from.
+    # Sl⁻¹, the bundle of R⁻¹ and the half-products the evaluators share,
+    # computed on first use so that a bundle nobody evaluates pays
+    # nothing for them, and read-only like the matrices they come from.
 
     @cached_property
     def Sl_inv(self) -> np.ndarray:
         return _left_inverse(self)
+
+    @cached_property
+    def inverse(self) -> RealizationBundle:
+        sl_inv = self.Sl_inv
+        mirror = RealizationBundle(
+            data=self.data.mirror(), Sr=self.Sl, Sl=self.Sr, Sr_inv=sl_inv,
+            cond_Sr=frobenius(self.Sl) * frobenius(sl_inv) if self.n else 1.0,
+            diagnostics={_MIRRORED.get(name, name): value
+                         for name, value in self.diagnostics.items()})
+        vars(mirror).update(Sl_inv=self.Sr_inv, inverse=self)
+        return mirror
 
     @cached_property
     def Sr_inv_G_N(self) -> np.ndarray:
@@ -244,14 +261,6 @@ class RealizationBundle:
     def F_P_Sr_inv(self) -> np.ndarray:
         return _frozen(self.data.F_P @ self.Sr_inv)
 
-    @cached_property
-    def Sl_inv_G_P(self) -> np.ndarray:
-        return _frozen(self.Sl_inv @ self.data.G_P)
-
-    @cached_property
-    def F_N_Sl_inv(self) -> np.ndarray:
-        return _frozen(self.data.F_N @ self.Sl_inv)
-
     # the two-point forms' points as one 2×n stack, x side first
     @cached_property
     def _poles_zeros(self) -> np.ndarray:
@@ -260,6 +269,12 @@ class RealizationBundle:
     @cached_property
     def _zeros_poles(self) -> np.ndarray:
         return _frozen(np.array((self.data.zeros, self.data.poles)))
+
+
+# the diagnostics of a bundle's inverse: each recovery relation of R⁻¹'s
+# data is the other one of its pair for R's
+_MIRRORED = {"coupling_a": "coupling_b", "coupling_b": "coupling_a",
+             "coupling_c": "coupling_d", "coupling_d": "coupling_c"}
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -441,10 +456,12 @@ def check_coupling_relations(b: RealizationBundle,
 # ---------------------------------------------------------------------------
 # evaluation through the coupling matrices
 #
-# Four one-point formulas and four two-point formulas. The one-point
-# forms need only half the semiresidual data plus a coupling matrix;
-# cross-checking them against each other and against the additive forms
-# is the executable content of the whole construction.
+# Two one-point formulas and two two-point formulas, each written once
+# for the right data; the other four evaluators are the same formulas on
+# b.inverse, the bundle of R⁻¹. The one-point forms need only half the
+# semiresidual data plus a coupling matrix; cross-checking them against
+# each other and against the additive forms is the executable content of
+# the whole construction.
 
 
 def eval_R(b: RealizationBundle, z) -> np.ndarray:
@@ -460,15 +477,15 @@ def eval_Rinv(b: RealizationBundle, z) -> np.ndarray:
 
 
 def eval_R_left(b: RealizationBundle, z) -> np.ndarray:
-    """R(z) = I + F_N Sl^-1 (zI - A_P)^-1 G_P (left-data form)."""
-    d = b.data
-    return _form(1.0, b.F_N_Sl_inv, 1.0 / _gaps(z, d.poles), d.G_P)
+    """R(z) = I + F_N Sl^-1 (zI - A_P)^-1 G_P (left-data form): R⁻¹ of
+    the bundle of R⁻¹."""
+    return eval_Rinv(b.inverse, z)
 
 
 def eval_Rinv_left(b: RealizationBundle, z) -> np.ndarray:
-    """R^-1(z) = I - F_N (zI - A_N)^-1 Sl^-1 G_P (left-data form)."""
-    d = b.data
-    return _form(-1.0, d.F_N, 1.0 / _gaps(z, d.zeros), b.Sl_inv_G_P)
+    """R^-1(z) = I - F_N (zI - A_N)^-1 Sl^-1 G_P (left-data form): R of
+    the bundle of R⁻¹."""
+    return eval_R(b.inverse, z)
 
 
 def _pair(x, y, stacked: np.ndarray):
@@ -509,20 +526,19 @@ def eval_joint_right(b: RealizationBundle, x, y) -> np.ndarray:
 
 
 def eval_joint_left(b: RealizationBundle, x, y) -> np.ndarray:
-    """R^-1(x) R(y) = I + (x-y) F_N (xI-A_N)^-1 Sl^-1 (yI-A_P)^-1 G_P."""
-    d = b.data
-    x, y, u, v = _pair(x, y, b._zeros_poles)
-    return _form(x - y, d.F_N, u, d.G_P, b.Sl_inv, v)
+    """R^-1(x) R(y) = I + (x-y) F_N (xI-A_N)^-1 Sl^-1 (yI-A_P)^-1 G_P:
+    eval_joint_right of the bundle of R⁻¹."""
+    return eval_joint_right(b.inverse, x, y)
 
 
 def eval_hybrid_right(b: RealizationBundle, x, y) -> np.ndarray:
     """R(x) R^-1(y) again, but routed through the left coupling matrix:
 
         I - (x-y) F_N Sl^-1 (xI-A_P)^-1 Sl (yI-A_N)^-1 Sl^-1 G_P
+
+    eval_hybrid_left of the bundle of R⁻¹.
     """
-    d = b.data
-    x, y, u, v = _pair(x, y, b._poles_zeros)
-    return _form(y - x, b.F_N_Sl_inv, u, b.Sl_inv_G_P, b.Sl, v)
+    return eval_hybrid_left(b.inverse, x, y)
 
 
 def eval_hybrid_left(b: RealizationBundle, x, y) -> np.ndarray:

@@ -26,7 +26,7 @@ product or round differently. The derivative forms have no identity
 term and divide by the squared gaps, so they scale their factor with
 _scaled directly.
 
-ZeroPoleData(...) validates everything it is given. Its one private
+ZeroPoleData(...) validates everything it is given. Its private
 constructor, ZeroPoleData._completed, serves one caller,
 synthesis._synthesize: there the points and the free half are already
 validated, so it checks only the derived half the synthesis computed,
@@ -35,6 +35,12 @@ stored read-only, as private copies of whatever a caller may still
 hold, so a datum cannot change after it was validated. A datum compares
 and hashes by identity, so what other modules derive from it can be
 keyed by it; a copy, a pickle or dataclasses.replace is a new datum.
+
+d.mirror() is the data of R⁻¹ over d's own arrays: the zeros become the
+poles and the poles the zeros, each with its semiresiduals. The swap
+keeps everything validation checks, so it neither copies nor validates.
+What holds at R's poles holds at its zeros on the mirror, so
+check_consistency and zero_residue reach the zeros through it.
 """
 
 from __future__ import annotations
@@ -214,6 +220,15 @@ class ZeroPoleData:
         d._store(poles, zeros, F_P, G_P, F_N, G_N, copy=False)
         return d
 
+    def mirror(self) -> "ZeroPoleData":
+        """The data of R⁻¹: (zeros, poles, F_N, G_N, F_P, G_P) as its
+        (poles, zeros, F_P, G_P, F_N, G_N), over these same read-only
+        arrays. A new datum on every call."""
+        d = object.__new__(type(self))
+        d._store(self.zeros, self.poles, self.F_N, self.G_N, self.F_P,
+                 self.G_P, copy=False)
+        return d
+
     @classmethod
     def empty(cls, k: int) -> "ZeroPoleData":
         """The n = 0 data of size k: the identity function."""
@@ -382,13 +397,20 @@ def additive_deriv_Rinv(d: ZeroPoleData, z) -> np.ndarray:
 
 
 def pole_residue(d: ZeroPoleData, j: int) -> np.ndarray:
-    """Residue of R at pole j: the rank-one matrix F_P[:, j] G_P[j, :]."""
+    """Residue of R at pole j: the rank-one matrix F_P[:, j] G_P[j, :].
+
+    j must be an integer in [0, n); anything else, a bool, a float or a
+    negative index among them, is refused with ValidationError."""
+    j = _check_integer(j, "j")
+    if not 0 <= j < d.n:
+        raise ValidationError(f"j must be in [0, {d.n}), got {j}")
     return np.outer(d.F_P[:, j], d.G_P[j, :])
 
 
 def zero_residue(d: ZeroPoleData, j: int) -> np.ndarray:
-    """Residue of R^-1 at zero j."""
-    return np.outer(d.F_N[:, j], d.G_N[j, :])
+    """Residue of R^-1 at zero j, F_N[:, j] G_N[j, :]: the pole residue
+    of the mirror, with its refusals."""
+    return pole_residue(d.mirror(), j)
 
 
 def sample_points(d: ZeroPoleData, count: int = 8) -> list:
@@ -442,16 +464,12 @@ def check_consistency(d: ZeroPoleData, tol: float = REPORT_TOL) -> Report:
         rep.add("mutual_inverse_at_samples",
                 max_frobenius(r @ ri - eye, ri @ r - eye), tol)
 
-        # (b) and (c) at the poles, then (b) and (d) at the zeros
-        for kind, points, f, g, other, other_deriv in (
-            ("pole", d.poles, d.F_P, d.G_P,
-             additive_eval_Rinv, additive_deriv_Rinv),
-            ("zero", d.zeros, d.F_N, d.G_N,
-             additive_eval_R, additive_deriv_R),
-        ):
-            res = _residues(f, g)
-            v0 = other(d, points)
-            v1 = other_deriv(d, points)
+        # (b) and (c) at the poles, then (b) and (d) at the zeros, which
+        # are (b) and (c) at the poles of the mirror
+        for kind, m in (("pole", d), ("zero", d.mirror())):
+            res = _residues(m.F_P, m.G_P)
+            v0 = additive_eval_Rinv(m, m.poles)
+            v1 = additive_deriv_Rinv(m, m.poles)
             rep.add(f"annihilation_at_{kind}s",
                     max_frobenius(v0 @ res, res @ v0), tol)
             rep.add(f"{kind}_residue_identity",

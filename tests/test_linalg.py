@@ -5,7 +5,8 @@ from numpy.testing import assert_allclose
 
 from helpers import outcome, reference_frobenius, reference_inverse, same_bits
 
-from zpreal.errors import DimensionMismatchError, SingularMatrixError
+from zpreal.errors import (DimensionMismatchError, SingularMatrixError,
+                           ValidationError)
 from zpreal.linalg import (
     cond_frobenius,
     frobenius,
@@ -311,3 +312,17 @@ def test_frobenius_has_the_bits_of_the_reference(shape):
     assert same_bits(got, reference_frobenius(a))
     assert same_bits(frobenius(a.real), reference_frobenius(a.real))
     assert same_bits(frobenius(a.tolist()), reference_frobenius(a))
+
+
+def test_identity_reads_its_size_as_a_count():
+    for n in (0, 3, np.int64(2)):
+        got = identity(n)
+        assert same_bits(got, np.eye(n, dtype=np.complex128))
+        assert got.flags.writeable
+    for n in (True, "2", 2.0, None):
+        with pytest.raises(ValidationError) as exc:
+            identity(n)
+        assert str(exc.value) == f"n must be an integer, got {n}"
+    with pytest.raises(ValidationError) as exc:
+        identity(-1)
+    assert str(exc.value) == "n must not be negative, got -1"

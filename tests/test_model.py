@@ -757,6 +757,53 @@ def test_non_number_arguments_raise_package_errors(call, error):
     assert isinstance(exc.value, ZprealError)
 
 
+# a ragged nesting of points, which numpy's np.ndim refuses with a bare
+# ValueError, as the one-point forms, the additive forms, either point of
+# a two-point form and scalar_eval see it
+RAGGED = ([1, [2, 3]], [[1, 2], [3]])
+RAGGED_CALLS = {
+    **{name: lambda bad, fn=getattr(rz, name): fn(_d1_bundle(), bad)
+       for name in ("eval_R", "eval_Rinv", "eval_R_left", "eval_Rinv_left")},
+    **{fn.__name__: lambda bad, fn=fn: fn(ZeroPoleData(**_d1_fields()), bad)
+       for fn in (additive_eval_R, additive_eval_Rinv, additive_deriv_R,
+                  additive_deriv_Rinv)},
+    **{f"{name}-{side}": (
+        lambda bad, fn=getattr(rz, name), side=side:
+            fn(_d1_bundle(), bad, 3.0) if side == "x"
+            else fn(_d1_bundle(), 3.0, bad))
+       for name in ("eval_joint_right", "eval_joint_left",
+                    "eval_hybrid_right", "eval_hybrid_left")
+       for side in ("x", "y")},
+    "scalar_eval": lambda bad: scalar_eval(_SCALAR, bad),
+}
+
+
+@pytest.mark.parametrize("bad", RAGGED, ids=str)
+@pytest.mark.parametrize("call", RAGGED_CALLS.values(), ids=RAGGED_CALLS)
+def test_ragged_points_are_refused_as_not_numbers(call, bad):
+    with pytest.raises(ValidationError) as exc:
+        call(bad)
+    assert str(exc.value) == "evaluation points are not numbers"
+
+
+@pytest.mark.parametrize("residue", [pole_residue, zero_residue])
+def test_residue_indices_are_integers_in_range(residue):
+    d = make_scalar_instance([0.5, 2.0, -1.5], [0.3, 3.0, 1.5j])
+    f, g = (d.F_P, d.G_P) if residue is pole_residue else (d.F_N, d.G_N)
+    for j in (0, 2, np.int64(1)):
+        assert same_bits(residue(d, j), np.outer(f[:, j], g[j, :]))
+    for j in (True, 1.0, "1", None):
+        with pytest.raises(ValidationError) as exc:
+            residue(d, j)
+        assert str(exc.value) == f"j must be an integer, got {j}"
+    for j in (-1, 3, np.int64(-4)):
+        with pytest.raises(ValidationError) as exc:
+            residue(d, j)
+        assert str(exc.value) == f"j must be in [0, 3), got {j}"
+    with pytest.raises(ValidationError):
+        residue(ZeroPoleData.empty(2), 0)
+
+
 # ---------------------------------------------------------------------------
 # read-only data
 

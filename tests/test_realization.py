@@ -1127,15 +1127,15 @@ def test_cached_half_products_equal_fresh_products():
     assert "Sr_inv_G_N" not in vars(b)
     np.testing.assert_array_equal(b.Sr_inv_G_N, b.Sr_inv @ d.G_N)
     np.testing.assert_array_equal(b.F_P_Sr_inv, d.F_P @ b.Sr_inv)
-    np.testing.assert_array_equal(b.Sl_inv_G_P, b.Sl_inv @ d.G_P)
-    np.testing.assert_array_equal(b.F_N_Sl_inv, d.F_N @ b.Sl_inv)
+    np.testing.assert_array_equal(b.inverse.Sr_inv_G_N, b.Sl_inv @ d.G_P)
+    np.testing.assert_array_equal(b.inverse.F_P_Sr_inv, d.F_N @ b.Sl_inv)
     assert b.Sr_inv_G_N is b.Sr_inv_G_N
 
 
 def test_replaced_bundle_does_not_inherit_cached_products():
     b = random_instance(2, 4, seed=17)
     cached = {name: getattr(b, name) for name in
-              ("Sr_inv_G_N", "F_P_Sr_inv", "Sl_inv_G_P", "F_N_Sl_inv")}
+              ("Sr_inv_G_N", "F_P_Sr_inv", "inverse")}
     d = b.data
     scaled = ZeroPoleData(poles=d.poles, zeros=d.zeros,
                           F_P=2.0 * d.F_P, G_P=0.5 * d.G_P,
@@ -1145,9 +1145,75 @@ def test_replaced_bundle_does_not_inherit_cached_products():
         assert name not in vars(other)
     np.testing.assert_array_equal(other.Sr_inv_G_N, b.Sr_inv @ scaled.G_N)
     np.testing.assert_array_equal(other.F_P_Sr_inv, scaled.F_P @ b.Sr_inv)
-    np.testing.assert_array_equal(other.Sl_inv_G_P, b.Sl_inv @ scaled.G_P)
-    np.testing.assert_array_equal(other.F_N_Sl_inv, scaled.F_N @ b.Sl_inv)
+    np.testing.assert_array_equal(other.inverse.Sr_inv_G_N,
+                                  b.Sl_inv @ scaled.G_P)
+    np.testing.assert_array_equal(other.inverse.F_P_Sr_inv,
+                                  scaled.F_N @ b.Sl_inv)
     assert not np.array_equal(other.Sr_inv_G_N, cached["Sr_inv_G_N"])
+
+
+# ---------------------------------------------------------------------------
+# the bundle of R⁻¹
+
+
+def test_the_inverse_bundle_is_the_mirror_with_its_matrices_swapped(
+        kernel_bundle):
+    b = kernel_bundle
+    m = b.inverse
+    assert m.inverse is b and b.inverse is m
+    d, md = b.data, m.data
+    assert (md.k, md.n) == (d.k, d.n)
+    for name, mirrored in (("poles", "zeros"), ("zeros", "poles"),
+                           ("F_P", "F_N"), ("G_P", "G_N"),
+                           ("F_N", "F_P"), ("G_N", "G_P")):
+        assert getattr(md, name) is getattr(d, mirrored), name
+        assert getattr(md.mirror(), name) is getattr(d, name), name
+    for name, mirrored in (("Sr", "Sl"), ("Sl", "Sr"),
+                           ("Sr_inv", "Sl_inv"), ("Sl_inv", "Sr_inv")):
+        assert getattr(m, name) is getattr(b, mirrored), name
+    swap = {"coupling_a": "coupling_b", "coupling_b": "coupling_a",
+            "coupling_c": "coupling_d", "coupling_d": "coupling_c"}
+    assert m.diagnostics == {swap.get(name, name): value
+                             for name, value in b.diagnostics.items()}
+    # it is the build of the mirrored data, bit for bit
+    assert_same_bundle(m, reference_build_bundle(d.mirror()))
+
+
+def _unread_copy(b):
+    """A fresh datum with b's arrays, built: nothing of it is read yet."""
+    d = ZeroPoleData(**{name: getattr(b.data, name) for name in
+                        ("poles", "zeros", "F_P", "G_P", "F_N", "G_N")})
+    return rz.build_bundle(d)
+
+
+def test_the_right_forms_never_read_the_left_inverse(kernel_bundle):
+    c = _unread_copy(kernel_bundle)
+    assert rz._built[c.data][3] is None
+    pts = _clear_points(c, np.random.default_rng(c.n + 21), 4)
+    for z in (complex(pts[0]), pts):
+        rz.eval_R(c, z)
+        rz.eval_Rinv(c, z)
+        rz.eval_joint_right(c, z, pts[1] if z is pts else complex(pts[1]))
+        rz.eval_hybrid_left(c, z, pts[2] if z is pts else complex(pts[2]))
+    assert "Sl_inv" not in vars(c) and "inverse" not in vars(c)
+    assert rz._built[c.data][3] is None
+    # a left form reads it once, through the bundle of R⁻¹
+    rz.eval_R_left(c, complex(pts[0]))
+    assert rz._built[c.data][3] is c.Sl_inv is c.inverse.Sr_inv
+
+
+def test_the_left_two_point_forms_name_x_before_y(kernel_bundle):
+    b = kernel_bundle
+    d = b.data
+    if b.n == 0:
+        return
+    for fn, x_points, y_points in ((rz.eval_joint_left, d.zeros, d.poles),
+                                   (rz.eval_hybrid_right, d.poles, d.zeros)):
+        x, y = complex(x_points[-1]), complex(y_points[0])
+        for pair in ((x, y), (np.array([x]), np.array([y]))):
+            with pytest.raises(PoleHitError) as exc:
+                fn(b, *pair)
+            assert exc.value.point == x and exc.value.singularity == x
 
 
 def _reference_factorize_residuals(b, res, contour, n_samples=40):
@@ -1279,10 +1345,14 @@ def test_bundle_matrices_are_read_only(n):
     b = rz.build_bundle(ZeroPoleData.empty(2)) if n == 0 else \
         random_instance(2, n, seed=13)
     for bundle in (b, rz.build_bundle(b.data)):
-        for name in ("Sr", "Sl", "Sr_inv", "Sl_inv", "Hr", "Hl",
-                     "Sr_inv_G_N", "F_P_Sr_inv", "Sl_inv_G_P", "F_N_Sl_inv"):
+        for owner, name in (
+                *((bundle, name) for name in ("Sr", "Sl", "Sr_inv", "Sl_inv",
+                                              "Hr", "Hl", "Sr_inv_G_N",
+                                              "F_P_Sr_inv")),
+                (bundle.inverse, "Sr_inv_G_N"),
+                (bundle.inverse, "F_P_Sr_inv")):
             with pytest.raises(ValueError):
-                getattr(bundle, name)[...] = 0
+                getattr(owner, name)[...] = 0
     assert np.array(b.Sr).flags.writeable
     assert np.array(b.Sr_inv_G_N).flags.writeable
 
